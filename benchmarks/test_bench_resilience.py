@@ -4,12 +4,14 @@ Supervision is bookkeeping on the coordinator side: every block sent to a
 shard is held in a replay buffer until a snapshot covers it, so a dead
 worker can be respawned, reloaded from its basis and replayed — with a
 merged summary still byte-identical to the clean run.  This benchmark
-quantifies what that costs on the resident backend:
+quantifies what that costs on the sockets backend, each arm against two
+fresh loopback shard servers:
 
 * ``fail-fast`` — supervision off (the zero-overhead pre-resilience path);
-* ``respawn (clean)`` — supervision on, no faults: pure buffering overhead;
-* ``respawn (one kill)`` — a seeded :class:`FaultPlan` crashes one worker
-  mid-stream; the wall time includes the respawn + replay.
+* ``reassign (clean)`` — supervision on, no faults: pure buffering overhead;
+* ``reassign (one kill)`` — a seeded :class:`FaultPlan` crashes one
+  server mid-stream; the wall time includes moving the shard to the
+  surviving server and replaying it there.
 
 Correctness is asserted unconditionally: all three arms must produce the
 same merged summary bytes, and the killed arm must report exactly the
@@ -19,6 +21,7 @@ recoveries the plan injected.  Results can be written to
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from pathlib import Path
@@ -27,6 +30,7 @@ from _bench_utils import emit, render_table
 from repro import Coordinator, RowStream
 from repro.core.alpha_net import AlphaNetEstimator, SketchPlan
 from repro.engine.resilience import FaultPlan, FaultRule, installed_fault_plan
+from repro.engine.transport import SocketShardClient, spawn_local_servers
 
 N_ROWS = 6_000
 N_COLUMNS = 10
@@ -59,25 +63,37 @@ def _stream() -> RowStream:
 
 
 def _run(resilience: dict, plan: FaultPlan | None) -> tuple:
-    """(wall seconds, merged bytes, recoveries) for one supervised ingest."""
-    coordinator = Coordinator(
-        _factory,
-        n_shards=N_SHARDS,
-        backend="resident",
-        batch_size=BATCH_SIZE,
-        resilience=resilience,
+    """(wall seconds, merged bytes, recoveries) for one supervised ingest.
+
+    The two loopback servers are forked while ``plan`` is installed, so
+    its worker-side crash rule reaches them.
+    """
+    faults = (
+        installed_fault_plan(plan) if plan is not None
+        else contextlib.nullcontext()
     )
-    try:
-        started = time.perf_counter()
-        if plan is None:
+    with faults:
+        addresses, processes = spawn_local_servers(N_SHARDS)
+        coordinator = Coordinator(
+            _factory,
+            n_shards=N_SHARDS,
+            backend="sockets",
+            batch_size=BATCH_SIZE,
+            worker_addresses=addresses,
+            resilience=resilience,
+        )
+        try:
+            started = time.perf_counter()
             report = coordinator.ingest(_stream())
-        else:
-            with installed_fault_plan(plan):
-                report = coordinator.ingest(_stream())
-        wall = time.perf_counter() - started
-        return wall, coordinator.merged_estimator.to_bytes(), report.recoveries
-    finally:
-        coordinator.close()
+            wall = time.perf_counter() - started
+            return wall, coordinator.merged_estimator.to_bytes(), report.recoveries
+        finally:
+            coordinator.close()
+            for address in addresses:
+                with contextlib.suppress(Exception):
+                    SocketShardClient(address).shutdown_server()
+            for process in processes:
+                process.join(timeout=5)
 
 
 def test_resilience_overhead(
@@ -90,7 +106,8 @@ def test_resilience_overhead(
         results["fail-fast"] = _run(
             {"recovery": {"mode": "fail-fast"}}, None
         )
-        results["respawn-clean"] = _run({}, None)
+        reassign = {"recovery": {"mode": "reassign"}}
+        results["reassign-clean"] = _run(reassign, None)
         kill_plan = FaultPlan(
             [
                 FaultRule(
@@ -101,13 +118,13 @@ def test_resilience_overhead(
             ],
             state_dir=str(tmp_path),
         )
-        results["respawn-one-kill"] = _run({}, kill_plan)
+        results["reassign-one-kill"] = _run(reassign, kill_plan)
         return results
 
     results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     baseline_wall = results["fail-fast"][0]
     emit(
-        f"Supervised resident ingest: {N_ROWS:,} rows, {N_SHARDS} shards, "
+        f"Supervised sockets ingest: {N_ROWS:,} rows, {N_SHARDS} shards, "
         f"batch_size={BATCH_SIZE}, kill shard {KILL_SHARD} after "
         f"{KILL_AFTER_BLOCKS} blocks",
         render_table(
@@ -127,13 +144,13 @@ def test_resilience_overhead(
 
     # Recovery must be invisible in the answer: all arms byte-identical.
     merged = {arm: payload for arm, (_, payload, _) in results.items()}
-    assert merged["respawn-clean"] == merged["fail-fast"]
-    assert merged["respawn-one-kill"] == merged["fail-fast"]
+    assert merged["reassign-clean"] == merged["fail-fast"]
+    assert merged["reassign-one-kill"] == merged["fail-fast"]
     # The killed arm recovered exactly the one injected crash; clean arms
     # recovered nothing.
     assert results["fail-fast"][2] == 0
-    assert results["respawn-clean"][2] == 0
-    assert results["respawn-one-kill"][2] == 1
+    assert results["reassign-clean"][2] == 0
+    assert results["reassign-one-kill"][2] == 1
 
     if record_bench:
         record = {
@@ -148,10 +165,10 @@ def test_resilience_overhead(
                 arm: wall for arm, (wall, _, _) in results.items()
             },
             "supervision_overhead": (
-                results["respawn-clean"][0] / baseline_wall
+                results["reassign-clean"][0] / baseline_wall
             ),
             "one_kill_overhead": (
-                results["respawn-one-kill"][0] / baseline_wall
+                results["reassign-one-kill"][0] / baseline_wall
             ),
         }
         out_path = (

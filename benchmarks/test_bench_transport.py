@@ -1,20 +1,19 @@
-"""E15 — Transport backends: resident workers vs pool-per-ingest processes.
+"""E15 — Transport backends: segmented ingest on every backend.
 
 The ``processes`` backend pays a full worker-pool spawn plus an estimator
-snapshot round trip on *every* ``ingest()`` call; the transport backends
-keep estimator state resident in long-lived workers, so repeated ingest
+snapshot round trip on *every* ``ingest()`` call; the ``sockets`` backend
+keeps its shard-server connections open across calls, so repeated ingest
 segments pay only row-block shipping plus one snapshot per segment.  This
-benchmark replays the same Zipf stream in segments through all four
-backends — ``serial``, ``processes``, ``resident`` and a ``sockets``
-loopback — and measures total wall time across the segments.
+benchmark replays the same Zipf stream in segments through every backend
+— ``serial``, ``processes`` and a ``sockets`` loopback — and records the
+total wall time across the segments with the machine's usable cores.
 
-Correctness is asserted unconditionally: every backend must answer the
+Only what physics supports is asserted: every backend must answer the
 probe queries identically (the KMV + Count-Min plan merges losslessly
-and the transport backends replay the serial blocking exactly).  The
-``>= 2x`` resident-over-processes floor is gated on the machine actually
-having more than one usable core, like the engine benchmark's parallel
-floor — on a single-core container the spawn overhead still dominates but
-scheduling noise makes a hard ratio flaky.  Results can be written to
+and the sockets backend replays the serial blocking exactly), the worker
+backends must account the bytes they ship, and the serial backend ships
+none.  Which backend is fastest depends on the cores available; the
+numbers are recorded, not gated.  Results can be written to
 ``BENCH_transport.json`` with ``--record-bench`` / ``REPRO_RECORD_BENCH=1``.
 """
 
@@ -35,7 +34,6 @@ ROWS_PER_SEGMENT = 2_000
 N_COLUMNS = 10
 N_SHARDS = 2
 BATCH_SIZE = 1_024
-SPEEDUP_FLOOR = 2.0
 QUERIES = [
     ColumnQuery.of(columns, N_COLUMNS)
     for columns in ([0, 3, 7], [1, 2, 4], [0, 1, 2, 3, 4])
@@ -98,13 +96,13 @@ def _run_backend(backend: str, segments, addresses=None):
 
 
 def test_transport_backend_throughput(benchmark, record_bench, bench_metadata):
-    """Segmented ingest through all four backends; resident must beat processes."""
+    """Segmented ingest through every backend; identical answers."""
     segments = _segments()
     total_rows = N_SEGMENTS * ROWS_PER_SEGMENT
 
     def run_sweep():
         results = {}
-        for backend in ("serial", "processes", "resident"):
+        for backend in ("serial", "processes"):
             results[backend] = _run_backend(backend, segments)
         addresses, processes = spawn_local_servers(N_SHARDS)
         try:
@@ -144,12 +142,10 @@ def test_transport_backend_throughput(benchmark, record_bench, bench_metadata):
     answer_sets = {answers for _, answers, _ in results.values()}
     assert len(answer_sets) == 1, f"backends disagree: {answer_sets}"
     # Worker-backed ingests must account the bytes that crossed the boundary.
-    for backend in ("processes", "resident", "sockets"):
+    for backend in ("processes", "sockets"):
         assert results[backend][2] > 0, f"{backend} shipped no bytes"
     assert results["serial"][2] == 0
 
-    resident_wall = results["resident"][0]
-    speedup = process_wall / resident_wall
     if record_bench:
         record = {
             "meta": bench_metadata,
@@ -165,16 +161,7 @@ def test_transport_backend_throughput(benchmark, record_bench, bench_metadata):
             "bytes_shipped": {
                 backend: shipped for backend, (_, _, shipped) in results.items()
             },
-            "resident_over_processes": speedup,
         }
         out_path = Path(__file__).resolve().parent.parent / "BENCH_transport.json"
         out_path.write_text(json.dumps(record, indent=2) + "\n")
         print(f"recorded perf trajectory -> {out_path}")
-
-    # Pool-spawn amortisation is the point of the resident backend; the
-    # floor needs real concurrency to be a stable measurement.
-    if _usable_cores() >= 2:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"resident backend only {speedup:.2f}x faster than pool-per-ingest "
-            f"processes across {N_SEGMENTS} segments (floor is {SPEEDUP_FLOOR}x)"
-        )

@@ -31,10 +31,10 @@ the transport layer's shard-server entry point:
   ``docs/static-analysis.md``), with ``--list-rules``, ``--explain RULE``,
   ``--changed-only``, ``--baseline``/``--write-baseline`` and
   pretty/JSON output;
-* ``python -m repro worker`` — serve one resident shard estimator over
-  TCP for the ``sockets`` ingest backend (the ``repro/transport@1``
-  protocol; point a run at it with ``--backend sockets --worker
-  host:port``, one ``--worker`` per shard).
+* ``python -m repro worker`` — serve shard estimators (one per
+  connection) over TCP for the ``sockets`` ingest backend (the
+  ``repro/transport@1`` protocol; point a run at it with ``--backend
+  sockets --worker host:port``, one ``--worker`` per shard).
 
 Example::
 
@@ -110,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=INGEST_BACKENDS,
             default=None,
             help=(
-                "override the engine ingest backend (resident = persistent "
-                "worker pool with shared-memory handoff; sockets = remote "
-                "workers named by --worker)"
+                "override the engine ingest backend (processes = per-ingest "
+                "local worker pool; sockets = shard servers named by "
+                "--worker)"
             ),
         )
         subparser.add_argument(

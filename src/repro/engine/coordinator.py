@@ -6,12 +6,11 @@ a sharded one:
 1. a :class:`~repro.engine.partition.StreamPartitioner` assigns every row of
    the input stream to one of ``n_shards`` shards;
 2. each :class:`~repro.engine.shard.Shard` feeds its rows to a fresh
-   estimator replica — serially, in per-call worker processes, in a
-   *resident* worker pool fed through shared memory, or on remote socket
-   workers (in every parallel mode only the estimator's *compact snapshot
-   state* — the :mod:`repro.persistence` wire format, no shard
-   bookkeeping, no timing fields — crosses the process boundary; see
-   :mod:`repro.engine.transport`);
+   estimator replica — serially, in per-call worker processes, or on
+   socket shard workers (in every parallel mode only the estimator's
+   *compact snapshot state* — the :mod:`repro.persistence` wire format,
+   no shard bookkeeping, no timing fields — crosses the process boundary;
+   see :mod:`repro.engine.transport`);
 3. the per-shard summaries are folded together through the estimator-level
    ``merge()`` protocol, yielding one summary of the whole stream.
 
@@ -24,10 +23,8 @@ for sampling-based ones).
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -51,57 +48,31 @@ from .partition import StreamPartitioner
 from .resilience import ResilienceConfig
 from .service import QueryService
 from .shard import Shard
-from .transport import (
-    DEFAULT_TRANSPORT_BLOCK_ROWS,
-    ResidentWorkerPool,
-    SocketWorkerPool,
-)
+from .transport import DEFAULT_TRANSPORT_BLOCK_ROWS, SocketWorkerPool
 
 __all__ = ["Coordinator", "IngestReport", "INGEST_BACKENDS"]
 
-#: Supported ingest execution backends.  ``serial`` and ``processes`` are
-#: the original pair; ``resident`` runs a persistent worker pool with
-#: shared-memory block handoff and ``sockets`` drives remote shard servers
-#: over the framed ``repro/transport@1`` protocol.
-INGEST_BACKENDS = ("serial", "processes", "resident", "sockets")
-
-#: Coordinators holding (or able to hold) persistent worker pools.  The
-#: atexit hook below closes whatever is still alive at interpreter exit,
-#: so a script that forgets ``close()`` (or the ``with`` form) does not
-#: leak resident worker processes or shm rings.
-_LIVE_COORDINATORS: "weakref.WeakSet[Coordinator]" = weakref.WeakSet()
-
-
-def _close_live_coordinators() -> None:  # pragma: no cover - exit hook
-    for coordinator in list(_LIVE_COORDINATORS):
-        try:
-            coordinator.close()
-        except Exception:
-            pass
-
-
-atexit.register(_close_live_coordinators)
+#: Supported ingest execution backends: ``serial`` in-process,
+#: ``processes`` in a per-call local worker pool, and ``sockets`` on shard
+#: servers over the framed ``repro/transport@1`` protocol.
+INGEST_BACKENDS = ("serial", "processes", "sockets")
 
 
 def _ingest_estimator_state(
-    payload: bytes | ProjectedFrequencyEstimator, rows
-) -> tuple[int, float, bytes | ProjectedFrequencyEstimator, dict | None]:
+    payload: bytes, rows
+) -> tuple[int, float, bytes, dict | None]:
     """Worker entry point: restore compact estimator state, ingest, ship back.
 
-    ``payload`` is the estimator's snapshot byte payload (the normal case);
-    estimators that predate the ``state_dict`` contract arrive as plain
-    pickled estimator objects instead.  Either way no :class:`Shard` — with
-    its timing fields and serving bookkeeping — ever crosses the process
-    boundary.  Returns ``(rows_ingested, ingest_seconds, updated_payload,
-    metrics_state)`` where ``metrics_state`` is the worker's *own* telemetry
-    registry (recorded fresh, so a forked parent's history is never double
+    ``payload`` is the estimator's snapshot byte payload; no estimator
+    object or :class:`Shard` — with its timing fields and serving
+    bookkeeping — ever crosses the process boundary.  Returns
+    ``(rows_ingested, ingest_seconds, updated_payload, metrics_state)``
+    where ``metrics_state`` is the worker's *own* telemetry registry
+    (recorded fresh, so a forked parent's history is never double
     counted) for the coordinator to merge, or ``None`` when telemetry is
     off.
     """
-    compact = isinstance(payload, (bytes, bytearray))
-    estimator = (
-        persistence.from_bytes(bytes(payload)) if compact else payload
-    )
+    estimator = persistence.from_bytes(bytes(payload))
     with telemetry.scoped_registry() as worker_registry:
         started = time.perf_counter()
         if isinstance(rows, np.ndarray):
@@ -113,12 +84,7 @@ def _ingest_estimator_state(
             ingested = len(rows)
         elapsed = time.perf_counter() - started
     metrics_state = worker_registry.state_dict() if telemetry.enabled() else None
-    return (
-        ingested,
-        elapsed,
-        (estimator.to_bytes() if compact else estimator),
-        metrics_state,
-    )
+    return ingested, elapsed, estimator.to_bytes(), metrics_state
 
 
 @dataclass(frozen=True)
@@ -148,8 +114,7 @@ class IngestReport:
     #: out plus snapshot bytes back).  Zeros under the serial backend (and
     #: whenever ``n_shards == 1`` short-circuits to it); an estimate of the
     #: pickled payload sizes under ``processes``; exact frame accounting
-    #: under ``resident`` and ``sockets``.  Empty for reports predating the
-    #: transport layer.
+    #: under ``sockets``.  Empty for reports predating the transport layer.
     bytes_shipped_per_shard: tuple[int, ...] = ()
     #: Shards given up on after recovery exhaustion (``on_exhausted:
     #: degrade``), as of this ingest.  Empty on healthy runs and on
@@ -184,30 +149,29 @@ class Coordinator:
         Replicas of randomized summaries should share seeds so that sharded
         and single-node ingestion are comparable run to run.
     n_shards:
-        Number of estimator replicas (and, under the ``"processes"``
-        backend, worker processes).
+        Number of estimator replicas (and of worker processes under the
+        ``"processes"`` backend, of shard-server connections under
+        ``"sockets"``).
     policy:
         Shard assignment policy, see
         :data:`~repro.engine.partition.PARTITION_POLICIES`.
     backend:
         ``"processes"`` ingests shards in per-call parallel worker
-        processes; ``"resident"`` keeps one worker process per shard alive
-        across ``ingest()`` calls, hands it row blocks through shared
-        memory, and ships estimator snapshot bytes only at merge time;
-        ``"sockets"`` drives remote shard servers (``python -m repro
-        worker``) at ``worker_addresses`` over the framed
-        ``repro/transport@1`` protocol; ``"serial"`` ingests shards one
-        after another in-process (useful as a baseline and wherever
-        multiprocessing is unavailable).  The transport backends replay the
-        serial backend's exact per-batch ``observe_rows`` sequence, so
-        their merged summaries are bit-identical to a serial ingest of the
-        same stream.
+        processes; ``"sockets"`` drives shard servers (``python -m repro
+        worker``, or loopback ones from
+        :func:`~repro.engine.transport.spawn_local_servers`) at
+        ``worker_addresses`` over the framed ``repro/transport@1``
+        protocol, keeping the connections open across ``ingest()`` calls
+        and shipping estimator snapshot bytes back only at merge time;
+        ``"serial"`` ingests shards one after another in-process (useful
+        as a baseline and wherever multiprocessing is unavailable).  The
+        sockets backend replays the serial backend's exact per-batch
+        ``observe_rows`` sequence, so its merged summary is bit-identical
+        to a serial ingest of the same stream.  Both worker backends ship
+        estimator snapshot bytes only, so they refuse estimators that are
+        not snapshottable.
     hash_seed:
         Seed for the ``"hash"`` partition policy.
-    max_workers:
-        Cap on concurrent worker processes under the ``"processes"``
-        backend; defaults to ``n_shards``.  The transport backends always
-        run one resident worker per shard.
     worker_addresses:
         ``"host:port"`` strings, one per shard, naming the remote shard
         servers of the ``"sockets"`` backend; unused otherwise.  Checked at
@@ -232,14 +196,12 @@ class Coordinator:
     resilience:
         A :class:`~repro.engine.resilience.ResilienceConfig` (or its
         ``to_dict`` form) governing transport retries, per-RPC deadlines
-        and worker recovery under the ``resident`` and ``sockets``
-        backends; defaults to bounded respawn/reconnect recovery.  See
-        docs/robustness.md.
+        and worker recovery under the ``sockets`` backend; defaults to
+        bounded reconnect recovery.  See docs/robustness.md.
 
-    Coordinators holding persistent pools support the context-manager
-    protocol (``with Coordinator(...) as engine:``), and whatever is left
-    open is closed by an atexit hook — but explicit :meth:`close` remains
-    the tidy form.
+    Coordinators support the context-manager protocol (``with
+    Coordinator(...) as engine:``), which closes any open shard-server
+    connections on exit, as :meth:`close` does.
 
     Example::
 
@@ -262,7 +224,6 @@ class Coordinator:
         policy: str = "round_robin",
         backend: str = "processes",
         hash_seed: int = 0,
-        max_workers: int | None = None,
         batch_size: int | None = None,
         worker_addresses: Sequence[str] | None = None,
         resilience: ResilienceConfig | dict | None = None,
@@ -272,10 +233,6 @@ class Coordinator:
                 f"unknown ingest backend {backend!r}; expected one of "
                 f"{INGEST_BACKENDS}"
             )
-        if max_workers is not None and max_workers < 1:
-            raise InvalidParameterError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
         if batch_size is not None and batch_size < 1:
             raise InvalidParameterError(
                 f"batch_size must be >= 1, got {batch_size}"
@@ -283,7 +240,6 @@ class Coordinator:
         self._factory = estimator_factory
         self._partitioner = StreamPartitioner(n_shards, policy, hash_seed)
         self._backend = backend
-        self._max_workers = max_workers
         self._batch_size = batch_size
         self._worker_addresses = (
             tuple(str(address) for address in worker_addresses)
@@ -297,13 +253,11 @@ class Coordinator:
         else:
             self._resilience = ResilienceConfig.from_dict(resilience)
         self._resilience.validate()
-        self._resident_pool: ResidentWorkerPool | None = None
         self._socket_pool: SocketWorkerPool | None = None
         self._shards: list[Shard] = []
         self._merged: ProjectedFrequencyEstimator | None = None
         self._rows_covered = 0
         self._rows_lost = 0
-        _LIVE_COORDINATORS.add(self)
 
     # -- structure ---------------------------------------------------------------
 
@@ -404,16 +358,12 @@ class Coordinator:
                 else:
                     for index, row in enumerate(stream):
                         shards[self._partitioner.assign(index, row)].ingest_row(row)
-            elif self._backend in ("resident", "sockets"):
+            elif self._backend == "sockets":
                 shards, bytes_shipped, resilience_info = (
                     self._ingest_transport(shards, stream)
                 )
-            elif self._batch_size is not None:
-                buckets = self._partitioner.split_blocks(stream, self._batch_size)
-                shards, bytes_shipped = self._ingest_in_processes(shards, buckets)
             else:
-                buckets = self._partitioner.split(stream)
-                shards, bytes_shipped = self._ingest_in_processes(shards, buckets)
+                shards, bytes_shipped = self._ingest_in_processes(shards, stream)
             with telemetry.span("coordinator.merge", n_shards=self.n_shards):
                 merge_started = time.perf_counter()
                 merged = shards[0].snapshot()
@@ -496,34 +446,44 @@ class Coordinator:
                 estimator=type(self._merged).__name__,
             )
 
+    def _pristine_payloads(self, shards: list[Shard]) -> list[bytes]:
+        """Each shard's fresh replica as snapshot bytes: all a worker receives.
+
+        Both worker backends ship estimator snapshot bytes only, never a
+        pickled estimator, so an estimator that cannot encode itself (no
+        ``state_dict`` contract, or a nested component outside the
+        snapshot registry) is refused here, before any worker starts.
+        """
+        try:
+            return [shard.estimator.to_bytes() for shard in shards]
+        except SnapshotError as error:
+            raise EstimationError(
+                f"{type(shards[0].estimator).__name__} is not snapshottable "
+                f"({error}); the '{self._backend}' backend ships estimator "
+                "snapshot bytes only (see repro.engine.transport)"
+            ) from error
+
     def _ingest_transport(
         self, shards: list[Shard], stream: RowStream
     ) -> tuple[list[Shard], tuple[int, ...], dict]:
-        """Stream row blocks to resident or remote shard workers.
+        """Stream row blocks to socket shard workers.
 
         Unlike :meth:`_ingest_in_processes`, which materialises every
-        shard's rows up front, the transport backends walk the stream once
-        in :data:`~repro.engine.transport.resident.DEFAULT_TRANSPORT_BLOCK_ROWS`
-        blocks (or ``batch_size`` blocks when set) and ship each shard's
+        shard's rows up front, the sockets backend walks the stream once
+        in :data:`~repro.engine.transport.DEFAULT_TRANSPORT_BLOCK_ROWS`
+        blocks (or ``batch_size`` blocks when set) and ships each shard's
         per-batch sub-block as its own ``ingest_block`` frame.  Workers
         therefore replay the serial backend's exact ``observe_rows`` call
         sequence, which is what makes the merged summary bit-identical to a
         serial ingest.  Snapshot bytes cross the boundary only once, at the
         collect barrier.
         """
-        for shard in shards:
-            if not shard.estimator.is_snapshottable:
-                raise EstimationError(
-                    f"{type(shard.estimator).__name__} is not snapshottable; "
-                    f"the '{self._backend}' backend ships estimator snapshot "
-                    "bytes only (see repro.engine.transport)"
-                )
         block_rows = self._batch_size or DEFAULT_TRANSPORT_BLOCK_ROWS
         started = time.perf_counter()
         # Supervisor counters accumulate over the (persistent) pool's
         # lifetime; snapshot them up front so the report carries this
         # ingest's deltas.  A pool built fresh below starts from zero.
-        existing_pool = self._resident_pool or self._socket_pool
+        existing_pool = self._socket_pool
         base_retries = existing_pool.supervisor.retries if existing_pool else 0
         base_recoveries = (
             existing_pool.supervisor.recoveries if existing_pool else 0
@@ -544,8 +504,7 @@ class Coordinator:
                 results = pool.collect()
             except EstimationError:
                 # The pool closed itself on the way out; drop our handle so
-                # the next ingest() spawns or reconnects a healthy one.
-                self._resident_pool = None
+                # the next ingest() reconnects a healthy one.
                 self._socket_pool = None
                 raise
             except (TransportError, ConnectionError, OSError) as error:
@@ -598,37 +557,30 @@ class Coordinator:
         }
         return shards, tuple(bytes_shipped), resilience_info
 
-    def _transport_pool(self, shards: list[Shard]):
-        """The live worker pool for this backend, spawning/connecting lazily.
+    def _transport_pool(self, shards: list[Shard]) -> SocketWorkerPool:
+        """The live worker pool, connecting lazily.
 
-        Pools persist across ``ingest()`` calls — that amortised spawn is
-        the point of the resident backend — and are (re)built here from the
-        current shards' pristine snapshot bytes when absent, including
-        after a worker death tore the previous pool down.
+        The pool persists across ``ingest()`` calls and is (re)built here
+        from the current shards' pristine snapshot bytes when absent,
+        including after a worker failure tore the previous pool down.
         """
-        if self._backend == "resident":
-            if self._resident_pool is None:
-                self._resident_pool = ResidentWorkerPool(
-                    [shard.estimator.to_bytes() for shard in shards],
-                    resilience=self._resilience,
-                )
-            return self._resident_pool
-        addresses = self._worker_addresses
-        if not addresses:
-            raise InvalidParameterError(
-                "backend 'sockets' needs worker_addresses (one 'host:port' "
-                "per shard); start workers with `python -m repro worker`"
-            )
-        if len(addresses) != self.n_shards:
-            raise InvalidParameterError(
-                f"backend 'sockets' needs one worker address per shard: got "
-                f"{len(addresses)} address(es) for {self.n_shards} shard(s)"
-            )
         if self._socket_pool is None:
+            payloads = self._pristine_payloads(shards)
+            addresses = self._worker_addresses
+            if not addresses:
+                raise InvalidParameterError(
+                    "backend 'sockets' needs worker_addresses (one "
+                    "'host:port' per shard); start workers with "
+                    "`python -m repro worker`"
+                )
+            if len(addresses) != self.n_shards:
+                raise InvalidParameterError(
+                    f"backend 'sockets' needs one worker address per shard: "
+                    f"got {len(addresses)} address(es) for {self.n_shards} "
+                    "shard(s)"
+                )
             self._socket_pool = SocketWorkerPool(
-                addresses,
-                [shard.estimator.to_bytes() for shard in shards],
-                resilience=self._resilience,
+                addresses, payloads, resilience=self._resilience
             )
         return self._socket_pool
 
@@ -655,31 +607,33 @@ class Coordinator:
         ).observe(seconds, backend=self._backend)
 
     def _ingest_in_processes(
-        self, shards: list[Shard], buckets: list
+        self, shards: list[Shard], stream: RowStream
     ) -> tuple[list[Shard], tuple[int, ...]]:
-        """Feed every (shard, bucket) pair to a per-call worker-process pool.
+        """Split ``stream`` per shard and ingest it in a per-call process pool.
 
         Workers receive only each shard's compact estimator state via
-        :meth:`_shippable_state` (the :mod:`repro.persistence` snapshot
-        bytes — never a pickled :class:`Shard` with its timing fields) plus
-        the rows, and hand the updated state back; the shards adopt the
-        results in the parent.  Estimators without the ``state_dict``
-        contract fall back to travelling as plain pickled estimator
-        objects.  Also returns the approximate per-shard payload bytes that
-        crossed the pool boundary (state out, rows out, state back).
+        :meth:`_pristine_payloads` (the :mod:`repro.persistence` snapshot
+        bytes — never a pickled estimator or :class:`Shard` with its
+        timing fields) plus the rows, and hand the updated state back; the
+        shards adopt the results in the parent.  Also returns the
+        approximate per-shard payload bytes that crossed the pool boundary
+        (state out, rows out, state back).
         """
+        payloads = self._pristine_payloads(shards)
+        if self._batch_size is not None:
+            buckets = self._partitioner.split_blocks(stream, self._batch_size)
+        else:
+            buckets = self._partitioner.split(stream)
         # Fork (where available) shares the parent's loaded modules and is
         # dramatically cheaper to start than spawn.
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
         )
-        workers = min(self._max_workers or self.n_shards, self.n_shards)
-        payloads: list[bytes | ProjectedFrequencyEstimator] = [
-            self._shippable_state(shard.estimator) for shard in shards
-        ]
         started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(
+            max_workers=self.n_shards, mp_context=context
+        ) as pool:
             futures = [
                 pool.submit(_ingest_estimator_state, payload, bucket)
                 for payload, bucket in zip(payloads, buckets)
@@ -701,11 +655,7 @@ class Coordinator:
         for shard, sent, bucket, (ingested, elapsed, payload, metrics_state) in zip(
             shards, payloads, buckets, results
         ):
-            estimator = (
-                persistence.from_bytes(bytes(payload))
-                if isinstance(payload, (bytes, bytearray))
-                else payload
-            )
+            estimator = persistence.from_bytes(bytes(payload))
             if not isinstance(estimator, ProjectedFrequencyEstimator):
                 raise EstimationError(
                     "worker returned a non-estimator payload of type "
@@ -732,53 +682,27 @@ class Coordinator:
 
     @staticmethod
     def _approximate_payload_bytes(payload) -> int:
-        """Size estimate for one pickled pool payload (state, rows, or state).
+        """Size estimate for one pickled pool payload (state or rows).
 
         Snapshot bytes and ndarray blocks are counted exactly; row-tuple
-        lists are estimated at eight bytes per value; estimator objects
-        travelling as pickles are counted as zero (unknown until pickled —
-        the accounting is best-effort for the legacy fallback).
+        lists are estimated at eight bytes per value.
         """
         if isinstance(payload, (bytes, bytearray)):
             return len(payload)
         if isinstance(payload, np.ndarray):
             return int(payload.nbytes)
-        if isinstance(payload, (list, tuple)):
-            return sum(len(row) for row in payload) * 8
-        return 0
-
-    @staticmethod
-    def _shippable_state(
-        estimator: ProjectedFrequencyEstimator,
-    ) -> bytes | ProjectedFrequencyEstimator:
-        """Compact snapshot bytes when the estimator can produce them.
-
-        ``is_snapshottable`` only says the estimator implements the hooks;
-        a nested component (say a custom, unregistered sketch inside an
-        alpha-net plan) can still refuse to encode, in which case the
-        estimator travels as a plain pickled object — the documented
-        fallback, and still never a whole :class:`Shard`.
-        """
-        if not estimator.is_snapshottable:
-            return estimator
-        try:
-            return estimator.to_bytes()
-        except SnapshotError:
-            return estimator
+        return sum(len(row) for row in payload) * 8
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down resident workers and socket connections, if any.
+        """Close the sockets backend's shard-server connections, if any.
 
         Idempotent and safe on every backend; the serial and per-call
         process backends hold no persistent resources.  A closed
         coordinator remains fully usable — the next :meth:`ingest` call
-        simply spawns or reconnects a fresh worker pool.
+        simply reconnects a fresh worker pool.
         """
-        if self._resident_pool is not None:
-            self._resident_pool.close()
-            self._resident_pool = None
         if self._socket_pool is not None:
             self._socket_pool.close()
             self._socket_pool = None

@@ -15,16 +15,18 @@ modules consult at well-defined hook points:
   :meth:`FaultPlan.refuses_connect` per attempt → ``refuse_connect``
   rules.
 
-Plans are installed either in-process (:func:`install_fault_plan`, and
-fork-started resident workers inherit the module global) or via the
-``REPRO_FAULT_PLAN`` environment variable as JSON — the hook separate
-``python -m repro worker`` processes and CI chaos steps use.
+Plans are installed either in-process (:func:`install_fault_plan`;
+loopback shard servers forked by
+:func:`~repro.engine.transport.spawn_local_servers` while a plan is
+installed inherit the module global) or via the ``REPRO_FAULT_PLAN``
+environment variable as JSON — the hook separate ``python -m repro
+worker`` processes and CI chaos steps use.
 
-Rules fire **once** by default.  A crashed worker is respawned and
-*replays* the very blocks that triggered the crash, so a rule that kept
-firing would kill every replacement forever.  In-process latching uses a
-plain set; when the crashing process itself is the one that restarts
-(resident respawn), pass ``state_dir`` — firing then leaves an
+Rules fire **once** by default.  A recovered shard *replays* the very
+blocks that triggered the fault, so a rule that kept firing would kill
+every replacement forever.  In-process latching uses a plain set; when
+the firing process itself may be replaced (a crashed worker restarted
+under the same plan), pass ``state_dir`` — firing then leaves an
 ``O_EXCL``-created token file that survives the process boundary.
 """
 

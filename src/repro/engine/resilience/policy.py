@@ -13,7 +13,7 @@ Three independent knobs, each a frozen dataclass with ``to_dict`` /
   into detectable failures the :class:`~.supervisor.WorkerSupervisor`
   can recover from.
 * :class:`RecoveryPolicy` — what to do once a failure is detected:
-  ``respawn`` a fresh worker (reconnect for sockets), ``reassign`` the
+  ``respawn`` (reconnect to the same worker address), ``reassign`` the
   shard to a surviving worker address, or ``fail-fast`` (the pre-policy
   behavior: tear down the pool and raise).  ``on_exhausted`` picks
   between raising and degrading to the surviving shards once
@@ -41,7 +41,7 @@ __all__ = [
     "RetryPolicy",
 ]
 
-#: Recovery modes understood by the worker pools.
+#: Recovery modes understood by the socket worker pool.
 RECOVERY_MODES = ("respawn", "reassign", "fail-fast")
 
 #: What to do when ``max_recoveries`` is exhausted.
@@ -192,9 +192,10 @@ class DeadlinePolicy:
 
     ``connect`` bounds one socket connect attempt (the
     :class:`RetryPolicy` bounds how many attempts are made); ``ingest``
-    bounds the wait for a ``block_ack``; ``snapshot`` bounds the wait
-    for ``snapshot_state`` (snapshots serialize the whole resident
-    estimator, so they get the widest budget).
+    bounds every other socket send or receive of a shard connection;
+    ``snapshot`` bounds the wait for ``snapshot_state`` (snapshots
+    serialize the worker's whole estimator, so they get the widest
+    budget).
     """
 
     connect: float = 10.0
@@ -258,14 +259,13 @@ class RecoveryPolicy:
 
     ``mode``:
 
-    * ``"respawn"`` (default) — fork a fresh resident worker / reconnect
-      the socket to the same address, reload the shard's basis snapshot
-      and replay its unacked blocks.
-    * ``"reassign"`` — sockets only: if the original address stays down,
-      move the shard's connection to a surviving worker address (each
-      connection owns an isolated ``ShardWorkerState``, so one server
-      can host several shards).  For the resident backend this is the
-      same as ``respawn`` — there is no other place to put the shard.
+    * ``"respawn"`` (default) — reconnect the socket to the same
+      address, reload the shard's basis snapshot and replay its
+      unacknowledged blocks.
+    * ``"reassign"`` — if the original address stays down, move the
+      shard's connection to a surviving worker address (each connection
+      owns an isolated ``ShardWorkerState``, so one server can host
+      several shards).
     * ``"fail-fast"`` — the pre-resilience contract: close the pool and
       raise :class:`~repro.errors.EstimationError`.
 

@@ -1,21 +1,23 @@
 """Per-shard recovery bookkeeping and the blessed transport RPC wrappers.
 
-The supervision model is the same for both transport backends:
+The supervision model of the socket worker pool:
 
-* Every block sent to a shard carries a monotone sequence number the
-  worker acks (``seq_ack`` feature).  The pool-side
-  :class:`ShardSupervisor` keeps the shard's **basis** — estimator bytes
-  the worker can be reloaded from — plus a **replay buffer** of every
-  block with a sequence number the basis does not cover.
-* On worker death or deadline breach the pool respawns/reconnects,
-  ``load``\\ s the basis and replays the buffered blocks in sequence
-  order.  The estimator then observes exactly the rows a serial ingest
-  would have shown it, in the same order, so recovery is bit-identical
-  by construction.
+* Every block sent to a shard carries a monotone sequence number, and a
+  worker that negotiated the ``seq_ack`` feature drops the connection on
+  any gap in that sequence, so a lost block always becomes a recovery.
+  The pool-side :class:`ShardSupervisor` keeps the shard's **basis** —
+  estimator bytes the worker can be reloaded from — plus a **replay
+  buffer** of every block with a sequence number the basis does not
+  cover.
+* On worker death or deadline breach the pool reconnects (or
+  reassigns), ``load``\\ s the basis with its sequence number and
+  replays the buffered blocks in sequence order.  The estimator then
+  observes exactly the rows a serial ingest would have shown it, in the
+  same order, so recovery is bit-identical by construction.
 * ``RecoveryPolicy.sync_every`` trims the buffer mid-ingest: a
   ``snapshot`` RPC with ``reset: false`` (``sync_snapshot`` feature)
   returns the worker's current bytes and last ingested sequence number
-  without disturbing the resident estimator; those bytes become the new
+  without disturbing the worker's estimator; those bytes become the new
   basis.
 
 Features are negotiated on ``hello``: the pool advertises
@@ -27,8 +29,8 @@ to a worker that did not opt in — old workers keep speaking the base
 This module also owns the two wrappers lint rule PRO009 forces the
 transport modules through: :func:`connect_with_retry` (bounded,
 seeded-backoff socket connects) and :func:`recv_bytes_with_deadline`
-(pipe receives that poll with a timeout first, so a hung worker becomes
-a detectable :class:`~repro.errors.TransportError` instead of a
+(pipe receives that poll with a timeout first, so a hung child process
+becomes a detectable :class:`~repro.errors.TransportError` instead of a
 deadlock).
 """
 
@@ -113,16 +115,15 @@ def connect_with_retry(
     )
 
 
-def recv_bytes_with_deadline(conn, deadline: float | None, what: str = "reply"):
+def recv_bytes_with_deadline(conn, deadline: float, what: str = "reply"):
     """The blessed pipe receive path (enforced by lint rule PRO009).
 
     Polls the connection up to ``deadline`` seconds before receiving, so
-    a worker that stopped answering surfaces as a
-    :class:`TransportError` the supervisor can act on rather than a
-    coordinator deadlock.  ``deadline=None`` waits forever (the worker
-    side of the pipe, which legitimately blocks between requests).
+    a child process that stopped answering (say a forked loopback server
+    that never reports its port) surfaces as a :class:`TransportError`
+    rather than a coordinator deadlock.
     """
-    if deadline is not None and not conn.poll(deadline):
+    if not conn.poll(deadline):
         raise TransportError(
             f"deadline breached: no {what} within {deadline:g}s"
         )
@@ -226,8 +227,8 @@ class ShardSupervisor:
 class WorkerSupervisor:
     """Pool-wide supervision: per-shard state plus policy decisions.
 
-    The pools own the I/O (they are the ones holding pipes and sockets);
-    the supervisor owns the bookkeeping — whether another recovery is
+    The pool owns the I/O (it is the one holding the sockets); the
+    supervisor owns the bookkeeping — whether another recovery is
     allowed, whether exhaustion degrades or fails, and the telemetry
     accounting for retries and recoveries.
     """

@@ -1,24 +1,22 @@
-"""Resident worker transport: persistent pools, shm handoff, socket shards.
+"""Worker transport: the frame codec and socket shard workers.
 
-The scale-out transport layer behind ``Coordinator(backend="resident")``
-and ``backend="sockets"``.  Three pieces:
+The transport layer behind ``Coordinator(backend="sockets")``.  Two
+pieces:
 
 * :mod:`~repro.engine.transport.frames` — the ``repro/transport@1`` frame
   codec every coordinator/worker exchange uses (nothing is pickled);
-* :mod:`~repro.engine.transport.resident` — a pool of resident worker
-  processes, spawned once per coordinator lifetime, fed row blocks through
-  per-worker shared-memory rings (:mod:`~repro.engine.transport.shm`);
-* :mod:`~repro.engine.transport.sockets` — the same worker behind a TCP
-  server (``python -m repro worker``) plus the coordinator-side client.
+* :mod:`~repro.engine.transport.sockets` — the shard worker behind a TCP
+  server (``python -m repro worker``), the coordinator-side client, and
+  the supervised :class:`SocketWorkerPool` that drives one client per
+  shard.
 
-Both backends replay the serial backend's exact per-batch ``observe_rows``
-call sequence, so merged summaries are bit-identical to a serial ingest.
+Workers replay the serial backend's exact per-batch ``observe_rows`` call
+sequence, so merged summaries are bit-identical to a serial ingest.
 """
 
 from .frames import MESSAGE_TYPES, TRANSPORT_SCHEMA, decode_frame, encode_frame
-from .resident import DEFAULT_TRANSPORT_BLOCK_ROWS, ResidentWorkerPool
-from .shm import RING_SLOTS, ShmReader, ShmRing
 from .sockets import (
+    DEFAULT_TRANSPORT_BLOCK_ROWS,
     ShardServer,
     SocketShardClient,
     SocketWorkerPool,
@@ -31,12 +29,8 @@ from .worker import ShardWorkerState
 __all__ = [
     "DEFAULT_TRANSPORT_BLOCK_ROWS",
     "MESSAGE_TYPES",
-    "RING_SLOTS",
-    "ResidentWorkerPool",
     "ShardServer",
     "ShardWorkerState",
-    "ShmReader",
-    "ShmRing",
     "SocketShardClient",
     "SocketWorkerPool",
     "TRANSPORT_SCHEMA",

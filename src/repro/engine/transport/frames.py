@@ -1,22 +1,22 @@
 """The ``repro/transport@1`` frame codec.
 
-Every message between a coordinator and a shard worker — over a
-:mod:`multiprocessing` pipe or a TCP socket — is one *frame*::
+Every message between a coordinator and a shard worker is one *frame*::
 
     u32 header_len | header JSON (UTF-8) | payload bytes
 
 The header is a small JSON object carrying the message ``type`` (one of
 :data:`MESSAGE_TYPES`), the protocol version tag ``v`` and per-message
-fields (shard index, block geometry, a shared-memory descriptor, worker
+fields (shard index, block sequence number and geometry, worker
 accounting).  The payload is raw bytes: estimator snapshot bytes for
-``load`` / ``snapshot_state``, row-block bytes for an inline
-``ingest_block``, empty otherwise.
+``load`` / ``snapshot_state``, row-block bytes for an ``ingest_block``,
+empty otherwise.
 
-Nothing in a frame is ever pickled.  Pipes move frames with
-``Connection.send_bytes`` / ``recv_bytes`` (never ``send``/``recv``, whose
-payloads are pickles — lint rule PRO008 enforces this), sockets add an
-outer ``u32`` frame-length prefix via :func:`frame_length_prefix` /
-:func:`split_length_prefix`.
+Nothing in a frame is ever pickled.  Socket streams add an outer ``u32``
+frame-length prefix via :func:`frame_length_prefix` /
+:func:`split_length_prefix`; wherever transport code talks over a
+:mod:`multiprocessing` pipe it uses ``Connection.send_bytes`` /
+``recv_bytes`` (never ``send``/``recv``, whose payloads are pickles —
+lint rule PRO008 enforces this).
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def apply_send_faults(
 ) -> bytes | None:
     """Offer one outbound frame to the active :class:`FaultPlan`, if any.
 
-    The pools and socket clients route every encoded frame through this
-    hook before it touches a pipe or socket, which is what makes the
+    The socket clients route every block and snapshot-request frame
+    through this hook before it touches the socket, which is what makes the
     ``delay`` / ``drop`` / ``truncate`` / ``corrupt`` fault rules land at
     a real protocol boundary.  Returns the frame (mangled or not), or
     ``None`` when a ``drop`` rule ate it.  With no plan installed this is

@@ -1,17 +1,18 @@
-"""The socket shard protocol: remote workers behind ``repro/transport@1``.
+"""The socket shard protocol: shard workers behind ``repro/transport@1``.
 
-The topology-agnostic half of the transport layer.  A :class:`ShardServer`
-(``python -m repro worker``) is an :mod:`asyncio` TCP server that answers
-framed transport messages with a resident :class:`~repro.engine.transport.worker.ShardWorkerState`
-per connection; a :class:`SocketShardClient` is the coordinator-side peer
-that drives one remote shard.  On the wire each frame gains an outer
-``u32`` length prefix; row blocks travel inline as ndarray bytes (shared
-memory does not cross machines), pipelined without per-block acks — the
-``snapshot`` reply is the barrier.  Workers return persistence snapshot
-bytes for merging, never pickled objects.
+A :class:`ShardServer` (``python -m repro worker``) is an :mod:`asyncio`
+TCP server that answers framed transport messages with a
+:class:`~repro.engine.transport.worker.ShardWorkerState` per connection;
+a :class:`SocketShardClient` is the coordinator-side peer that drives one
+shard; a :class:`SocketWorkerPool` holds one client per shard and is the
+engine's supervised worker pool.  On the wire each frame gains an outer
+``u32`` length prefix; row blocks travel inline as ndarray bytes,
+pipelined without per-block acks — the ``snapshot`` reply is the barrier,
+and the worker rejects any gap in the block sequence numbers, so a lost
+frame is a dead connection rather than silently missing rows.  Workers
+return persistence snapshot bytes for merging, never pickled objects.
 
-Failure handling mirrors the resident pool
-(:mod:`repro.engine.transport.resident`): connects go through the
+Failure handling: connects go through the
 :class:`~repro.engine.resilience.RetryPolicy`-bounded
 :func:`~repro.engine.resilience.connect_with_retry`, every RPC carries a
 :class:`~repro.engine.resilience.DeadlinePolicy` socket timeout, and a
@@ -19,12 +20,12 @@ dead connection is reconnected — to the same address under ``respawn``
 recovery, or to a *surviving* worker address under ``reassign`` (each
 server connection owns an isolated ``ShardWorkerState``, so one server
 can host several shards) — then reloaded from the shard's basis snapshot
-and replayed its unacked blocks, keeping recovered ingest bit-identical
-to serial.
+and replayed its unacknowledged blocks, keeping recovered ingest
+bit-identical to serial.
 
 :func:`spawn_local_servers` forks loopback servers on ephemeral ports —
-the harness behind the socket-loopback differential tests and the
-``bench_transport`` benchmark arm.
+the harness behind the socket-loopback differential tests, the
+transport benchmarks and local crash-recovery runs.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .frames import (
 from .worker import ShardWorkerState
 
 __all__ = [
+    "DEFAULT_TRANSPORT_BLOCK_ROWS",
     "ShardServer",
     "SocketShardClient",
     "SocketWorkerPool",
@@ -60,6 +62,9 @@ __all__ = [
     "run_worker",
     "spawn_local_servers",
 ]
+
+#: Transport block size used when the coordinator has no ``batch_size``.
+DEFAULT_TRANSPORT_BLOCK_ROWS = 4096
 
 #: Failures that mean "this shard's worker (or its link) is gone".
 _CLIENT_ERRORS = (TransportError, ConnectionError, EOFError, OSError)
@@ -228,10 +233,10 @@ def spawn_local_servers(count: int, host: str = "127.0.0.1"):
 class SocketShardClient:
     """Coordinator-side peer driving one remote shard over TCP.
 
-    Blocks are pipelined (``ack=False``) — TCP provides the flow control a
-    local shm ring needs acks for — and :meth:`snapshot` is the barrier
-    that proves every block was ingested.  All traffic is framed; nothing
-    is pickled.  The initial connect is retried per the pool's
+    Blocks are pipelined (``ack=False``), with TCP as the flow control,
+    and :meth:`snapshot` is the barrier that proves every block was
+    ingested.  All traffic is framed; nothing is pickled.  The initial
+    connect is retried per the pool's
     :class:`~repro.engine.resilience.RetryPolicy`, so a worker started a
     moment after the coordinator no longer loses the race, and every RPC
     runs under a :class:`~repro.engine.resilience.DeadlinePolicy` socket
@@ -308,10 +313,17 @@ class SocketShardClient:
         self._send_frame(encode_frame(header, payload))
         return self._recv_frame()
 
-    def load(self, shard_index: int, pristine_payload: bytes) -> None:
-        """Install the shard's pristine estimator snapshot on the worker."""
+    def load(
+        self, shard_index: int, basis_payload: bytes, basis_seq: int = -1
+    ) -> None:
+        """Install the shard's estimator snapshot on the worker.
+
+        ``basis_seq`` is the last block sequence number the snapshot
+        already covers; the worker expects the next block to follow it.
+        """
         header, _ = self._request(
-            {"type": "load", "shard": shard_index}, bytes(pristine_payload)
+            {"type": "load", "shard": shard_index, "seq": basis_seq},
+            bytes(basis_payload),
         )
         if header.get("type") != "ok":
             raise TransportError(
@@ -319,17 +331,19 @@ class SocketShardClient:
                 "to a load request"
             )
 
-    def send_block(
-        self, shard_index: int, block: np.ndarray, seq: int | None = None
-    ) -> None:
-        """Ship one row block inline (pipelined, no per-block ack)."""
+    def send_block(self, shard_index: int, block: np.ndarray, seq: int) -> None:
+        """Ship one row block inline (pipelined, no per-block ack).
+
+        ``seq`` must follow the previous block's sequence number (or the
+        basis ``seq`` of the last :meth:`load`); sequence numbers keep
+        counting across snapshots.
+        """
         contiguous = np.ascontiguousarray(block)
         header = {
             "type": "ingest_block",
             "shard": shard_index,
-            "seq": self.blocks if seq is None else seq,
+            "seq": seq,
             "ack": False,
-            "shm": None,
             "shape": list(contiguous.shape),
             "dtype": np.dtype(contiguous.dtype).str,
         }
@@ -341,9 +355,10 @@ class SocketShardClient:
     def ping(self) -> dict:
         """Health-check round trip (feature ``heartbeat``).
 
-        Returns the ``pong`` header — shard index, rows resident, last
-        ingested sequence number.  Raises :class:`TransportError` when the
-        worker never advertised the feature.
+        Returns the ``pong`` header — shard index, rows ingested since the
+        last snapshot, last ingested sequence number.  Raises
+        :class:`TransportError` when the worker never advertised the
+        feature.
         """
         if "heartbeat" not in self.features:
             raise TransportError(
@@ -362,7 +377,7 @@ class SocketShardClient:
         """Mid-ingest checkpoint (feature ``sync_snapshot``).
 
         Returns ``(last_seq, summary_bytes)`` without resetting the
-        worker's resident estimator — the supervisor's basis refresh.
+        worker's estimator — the supervisor's basis refresh.
         """
         previous = self._sock.gettimeout()
         self._sock.settimeout(self._resilience.deadlines.snapshot)
@@ -411,9 +426,9 @@ class SocketShardClient:
     def snapshot(self) -> dict:
         """Barrier + merge: the worker's summary snapshot and accounting.
 
-        Returns the same result-dict shape as
-        :meth:`~repro.engine.transport.resident.ResidentWorkerPool.collect`
-        entries; transport counters reset afterwards.
+        Returns one :meth:`SocketWorkerPool.collect` entry (without the
+        pool's ``lost`` / ``rows_dropped`` fields); transport counters
+        reset afterwards.
         """
         self.request_snapshot()
         return self.read_snapshot()
@@ -435,19 +450,22 @@ class SocketShardClient:
 
 
 class SocketWorkerPool:
-    """One persistent :class:`SocketShardClient` per shard.
+    """One persistent :class:`SocketShardClient` per shard, supervised.
 
-    The coordinator-facing surface mirrors
-    :class:`~repro.engine.transport.resident.ResidentWorkerPool` —
-    ``send_block`` / ``collect`` / ``close`` — so ``Coordinator.ingest``
-    drives local and remote workers through the same protocol, and the
-    same :class:`~repro.engine.resilience.WorkerSupervisor` model governs
-    failures: reconnect (or reassign to a surviving address), reload the
-    basis snapshot, replay unacked blocks.  Under ``fail-fast`` recovery
-    a failed worker or dropped connection surfaces as
-    :class:`~repro.errors.EstimationError` naming the shard index and
+    The coordinator-facing surface is ``send_block`` / ``collect`` /
+    ``close``.  Connections persist across ``Coordinator.ingest`` calls;
+    after every ``collect`` each worker resets itself to its pristine
+    replica.  A :class:`~repro.engine.resilience.WorkerSupervisor`
+    governs failures: reconnect (or reassign to a surviving address),
+    reload the basis snapshot, replay unacknowledged blocks.  Under
+    ``fail-fast`` recovery a failed worker or dropped connection surfaces
+    as :class:`~repro.errors.EstimationError` naming the shard index and
     backend, after which the pool has closed every connection so the
-    owning coordinator can reconnect on its next ingest call.
+    owning coordinator can reconnect on its next ingest call.  When
+    recoveries run out under ``on_exhausted="degrade"`` the shard is
+    marked lost: its rows are dropped (and counted), and ``collect``
+    reports the loss so the coordinator can serve coverage-annotated
+    answers instead of failing.
     """
 
     backend_name = "sockets"
@@ -543,7 +561,7 @@ class SocketWorkerPool:
         client.bytes_sent += old.bytes_sent
         client.bytes_received += old.bytes_received
         self._clients[shard_index] = client
-        client.load(shard_index, shard.basis)
+        client.load(shard_index, shard.basis, shard.basis_seq)
         for seq, block in shard.replay_blocks():
             client.send_block(shard_index, block, seq)
 
@@ -640,11 +658,16 @@ class SocketWorkerPool:
         return result
 
     def collect(self) -> list[dict]:
-        """Snapshot every worker; one result dict per shard (see client).
+        """Snapshot every worker; returns one result dict per shard.
 
-        Snapshot requests are pipelined across shards so remote workers
-        serialize their summaries concurrently; the replies are gathered
-        (and failures recovered) in shard order.
+        Each entry carries ``rows``, ``seconds``, the summary's snapshot
+        ``payload`` bytes, the worker's ``metrics`` registry state (or
+        ``None``), the ``bytes_sent`` / ``bytes_received`` / ``blocks``
+        transport accounting since the previous collect, plus the
+        resilience fields ``lost`` and ``rows_dropped``.  Snapshot
+        requests are pipelined across shards so the workers serialize
+        their summaries concurrently; the replies are gathered (and
+        failures recovered) in shard order.
         """
         requested: list[bool] = []
         for index, client in enumerate(self._clients):

@@ -1,15 +1,17 @@
-"""The shard worker: one resident estimator behind a frame-message loop.
+"""The shard worker: one estimator behind a frame-message loop.
 
-:class:`ShardWorkerState` is the *transport-agnostic* half of a worker —
-the same handler object answers frames whether they arrived over a
-resident pool's pipe (:mod:`repro.engine.transport.resident`) or a TCP
-socket (:mod:`repro.engine.transport.sockets`).  Its contract is the
+:class:`ShardWorkerState` is the per-connection half of a socket shard
+server (:mod:`repro.engine.transport.sockets`): the server decodes
+frames, this object answers them.  Its contract is the
 snapshot-bytes-only protocol:
 
 * ``load`` installs the shard's estimator from persistence snapshot bytes
-  (:func:`repro.persistence.from_bytes`) and caches the *pristine* payload;
-* ``ingest_block`` feeds one row block — resolved from a shared-memory
-  descriptor or inline frame bytes — through ``observe_rows``;
+  (:func:`repro.persistence.from_bytes`), caches the *pristine* payload
+  and records the block sequence number the loaded basis already covers;
+* ``ingest_block`` feeds one inline row block through ``observe_rows``;
+  once the peer negotiated ``seq_ack``, a block whose ``seq`` does not
+  directly follow the previous one means a frame was lost in transit,
+  which is connection-fatal so the client replays from its basis;
 * ``snapshot`` ships the updated summary back as snapshot bytes (plus row
   count, ingest seconds and the worker's telemetry registry state) and
   resets the estimator to the cached pristine payload, giving every
@@ -28,13 +30,12 @@ from ... import persistence, telemetry
 from ...errors import TransportError
 from ..resilience import faults as _faults
 from ..resilience.supervisor import CLIENT_FEATURES as WORKER_FEATURES
-from .shm import ShmReader
 
 __all__ = ["ShardWorkerState", "WORKER_FEATURES"]
 
 
 class ShardWorkerState:
-    """One shard's resident estimator plus the frame-message handler.
+    """One shard's estimator plus the frame-message handler.
 
     Example::
 
@@ -54,7 +55,7 @@ class ShardWorkerState:
         self._seconds = 0.0
         self._last_seq = -1
         self._blocks_handled = 0
-        self._shm = ShmReader()
+        self._features: tuple[str, ...] = ()
         self._registry_scope = None
         self._registry = None
         self._rescope_registry()
@@ -93,8 +94,10 @@ class ShardWorkerState:
                 # peer that offered nothing gets nothing and the exchange
                 # degenerates to the base repro/transport@1 handshake.
                 requested = header.get("features") or []
-                granted = [f for f in WORKER_FEATURES if f in requested]
-                return {"type": "hello", "features": granted}, b""
+                self._features = tuple(
+                    f for f in WORKER_FEATURES if f in requested
+                )
+                return {"type": "hello", "features": list(self._features)}, b""
             if message_type == "load":
                 return self._handle_load(header, payload)
             if message_type == "ingest_block":
@@ -135,7 +138,9 @@ class ShardWorkerState:
         self._shard_index = header.get("shard")
         self._rows = 0
         self._seconds = 0.0
-        self._last_seq = -1
+        # A reload during recovery resumes mid-stream: the basis already
+        # covers every block up to this sequence number.
+        self._last_seq = int(header.get("seq", -1))
         self._rescope_registry()
         return {"type": "ok", "shard": self._shard_index}, b""
 
@@ -144,38 +149,47 @@ class ShardWorkerState:
     ) -> tuple[dict, bytes] | None:
         if self._estimator is None:
             raise TransportError("ingest_block before load: no estimator loaded")
+        seq = header.get("seq")
+        if (
+            seq is not None
+            and "seq_ack" in self._features
+            and int(seq) != self._last_seq + 1
+        ):
+            # Blocks are pipelined without per-block acks, so a frame lost
+            # in transit shows up only as a gap in the sequence.  Raise
+            # TransportError (connection-fatal) so the client-side
+            # supervisor reloads the basis and replays the missing block.
+            raise TransportError(
+                f"ingest_block seq {seq} does not follow seq "
+                f"{self._last_seq}; a block was lost in transit"
+            )
         plan = _faults.active_fault_plan()
         if plan is not None and self._shard_index is not None:
             # crash/hang rules fire here, before the block lands, so a
             # recovered worker replays this very block deterministically.
             plan.on_block(self._shard_index, self._blocks_handled)
-        descriptor = header.get("shm")
-        if descriptor is not None:
-            block = self._shm.read(descriptor)
-        else:
-            dtype = np.dtype(header["dtype"])
-            shape = tuple(header["shape"])
-            expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-            if len(payload) != expected:
-                # A frame truncated in transit decodes fine when the header
-                # JSON survives; the size mismatch is the only tell.  Raise
-                # TransportError (connection-fatal) instead of an error
-                # frame: replaying the block into a fresh session succeeds,
-                # unlike a genuine estimator failure.
-                raise TransportError(
-                    f"ingest_block payload is {len(payload)} byte(s) but "
-                    f"shape {list(shape)} of {dtype.str} needs {expected}; "
-                    "the frame was truncated in transit"
-                )
-            block = np.frombuffer(payload, dtype=dtype).reshape(shape)
-            # frombuffer views are read-only; estimators may retain rows.
-            block = np.array(block, copy=True)
+        dtype = np.dtype(header["dtype"])
+        shape = tuple(header["shape"])
+        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+        if len(payload) != expected:
+            # A frame truncated in transit decodes fine when the header
+            # JSON survives; the size mismatch is the only tell.  Raise
+            # TransportError (connection-fatal) instead of an error
+            # frame: replaying the block into a fresh session succeeds,
+            # unlike a genuine estimator failure.
+            raise TransportError(
+                f"ingest_block payload is {len(payload)} byte(s) but "
+                f"shape {list(shape)} of {dtype.str} needs {expected}; "
+                "the frame was truncated in transit"
+            )
+        block = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        # frombuffer views are read-only; estimators may retain rows.
+        block = np.array(block, copy=True)
         started = time.perf_counter()
         self._estimator.observe_rows(block)
         self._seconds += time.perf_counter() - started
         self._rows += int(block.shape[0])
         self._blocks_handled += 1
-        seq = header.get("seq")
         if seq is not None:
             self._last_seq = int(seq)
         if header.get("ack", True):
@@ -203,10 +217,11 @@ class ShardWorkerState:
         if reset:
             # Reset to the pristine replica locally: the next coordinator
             # ingest() starts from a fresh estimator without re-shipping one.
+            # Sequence numbers keep counting across ingests, so _last_seq
+            # survives the reset.
             self._estimator = persistence.from_bytes(self._pristine)
             self._rows = 0
             self._seconds = 0.0
-            self._last_seq = -1
             self._rescope_registry()
         # reset=False is the supervisor's mid-ingest sync (feature
         # "sync_snapshot"): current bytes + last_seq, estimator untouched,
@@ -214,8 +229,7 @@ class ShardWorkerState:
         return reply, summary
 
     def close(self) -> None:
-        """Release shm attachments and the scoped registry."""
-        self._shm.close()
+        """Release the scoped registry."""
         if self._registry_scope is not None:
             self._registry_scope.__exit__(None, None, None)
             self._registry_scope = None

@@ -159,10 +159,10 @@ class RunContext:
             resilience=self.engine.resilience,
         )
         report = coordinator.ingest(RowStream(dataset))
-        # Release resident workers / socket connections now: serving needs
-        # only the merged summary, and sweep scenarios would otherwise pile
-        # up one worker pool per grid point.  A body that ingests again
-        # through the same coordinator just pays one respawn.
+        # Release socket connections now: serving needs only the merged
+        # summary, and sweep scenarios would otherwise pile up one
+        # connection pool per grid point.  A body that ingests again
+        # through the same coordinator just pays one reconnect.
         coordinator.close()
         service = coordinator.query_service(cache_size=self.engine.cache_size)
         if self.checkpoints is not None:

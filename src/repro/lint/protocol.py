@@ -326,7 +326,7 @@ def check_estimator_hooks(
         "and couples the wire format to implementation layout.  Any use of\n"
         "the `pickle` module inside `engine/` is flagged, and the\n"
         "coordinator's ship/restore pair must keep routing through\n"
-        "`_shippable_state` / `from_bytes`."
+        "`to_bytes` / `from_bytes`."
     ),
     example="import pickle  # inside src/repro/engine/",
 )
@@ -355,10 +355,10 @@ def check_worker_payloads(
     if library != "engine/coordinator.py":
         return
     required = {
-        "_ingest_in_processes": (
-            "_shippable_state",
-            "worker payloads must be built with _shippable_state (snapshot "
-            "bytes), not live estimator objects",
+        "_pristine_payloads": (
+            "to_bytes",
+            "worker payloads must be built with to_bytes (snapshot bytes), "
+            "not live estimator objects",
         ),
         "_ingest_estimator_state": (
             "from_bytes",

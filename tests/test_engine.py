@@ -188,8 +188,6 @@ def test_incremental_ingest_accumulates() -> None:
 def test_coordinator_guards() -> None:
     with pytest.raises(InvalidParameterError):
         Coordinator(lambda: ExactBaseline(n_columns=D), backend="threads")
-    with pytest.raises(InvalidParameterError):
-        Coordinator(lambda: ExactBaseline(n_columns=D), max_workers=0)
     coordinator = Coordinator(lambda: ExactBaseline(n_columns=D), n_shards=2)
     with pytest.raises(EstimationError):
         coordinator.merged_estimator

@@ -443,15 +443,30 @@ def test_regression_renaming_a_metric_fails_lint(tmp_path):
 
 
 def test_regression_bare_transport_recv_fails_lint(tmp_path):
-    """Dropping the deadline wrapper from a worker read re-introduces PRO009."""
-    source = (REPO_ROOT / "src/repro/engine/transport/resident.py").read_text()
-    assert "recv_bytes_with_deadline(conn, None)" in source
-    mutated = tmp_path / "resident.py"
-    mutated.write_text(
-        source.replace("recv_bytes_with_deadline(conn, None)", "conn.recv_bytes()")
-    )
+    """Dropping the deadline wrapper from a pipe read re-introduces PRO009."""
+    source = (REPO_ROOT / "src/repro/engine/transport/sockets.py").read_text()
+    call = 'recv_bytes_with_deadline(parent_conn, 30.0, what="server port")'
+    assert call in source
+    mutated = tmp_path / "sockets.py"
+    mutated.write_text(source.replace(call, "parent_conn.recv_bytes()"))
     report = lint.run_lint([str(mutated)], root=REPO_ROOT)
     assert "PRO009" in {finding.rule for finding in report.findings}
+    assert lint.exit_code(report) == 1
+
+
+def test_regression_shipping_live_estimators_fails_lint(tmp_path):
+    """Worker payloads built without to_bytes re-introduce PRO006."""
+    source = (REPO_ROOT / "src/repro/engine/coordinator.py").read_text()
+    line = "return [shard.estimator.to_bytes() for shard in shards]"
+    assert line in source
+    # The plumbing check is scoped to the coordinator's library path.
+    mutated = tmp_path / "src/repro/engine/coordinator.py"
+    mutated.parent.mkdir(parents=True)
+    mutated.write_text(
+        source.replace(line, "return [shard.estimator for shard in shards]")
+    )
+    report = lint.run_lint([str(mutated)], root=REPO_ROOT)
+    assert "PRO006" in {finding.rule for finding in report.findings}
     assert lint.exit_code(report) == 1
 
 

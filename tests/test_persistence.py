@@ -390,24 +390,23 @@ def _unregistered_plan() -> SketchPlan:
     )
 
 
-def test_process_backend_falls_back_to_pickle_for_unregistered_components():
-    """An estimator whose nested sketches cannot snapshot still ingests in
+def test_worker_backends_refuse_unregistered_components():
+    """An estimator whose nested sketches cannot snapshot still ingests
+    serially, but the worker backends ship snapshot bytes only (never a
+    pickled estimator), so they refuse it before any worker starts."""
+    from repro.errors import EstimationError
 
-    worker processes (travelling as a pickled estimator object — never as a
-    Shard), matching the serial backend exactly."""
     data = Dataset.random(n_rows=200, n_columns=6, seed=4)
-    query = ColumnQuery.of([1, 4], 6)
-    results = []
-    for backend in ("serial", "processes"):
-        engine = Coordinator(
-            lambda: AlphaNetEstimator(6, alpha=0.3, plan=_unregistered_plan()),
-            n_shards=2,
-            backend=backend,
-        )
-        report = engine.ingest(RowStream(data))
-        assert report.rows_total == 200
-        results.append(engine.merged_estimator.estimate_fp(query, 0))
-    assert results[0] == results[1]
+
+    def factory():
+        return AlphaNetEstimator(6, alpha=0.3, plan=_unregistered_plan())
+
+    serial = Coordinator(factory, n_shards=2, backend="serial")
+    assert serial.ingest(RowStream(data)).rows_total == 200
+    for backend in ("processes", "sockets"):
+        engine = Coordinator(factory, n_shards=2, backend=backend)
+        with pytest.raises(EstimationError, match="snapshot bytes"):
+            engine.ingest(RowStream(data))
 
 
 # -- scenario checkpoint bundles -------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for repro.engine.resilience: policies, supervision, fault injection.
 
 The load-bearing property is **bit-identical recovery**: a shard worker
-killed, hung or cut off mid-ingest is respawned/reconnected/reassigned,
+killed, hung or cut off mid-ingest is reconnected or reassigned,
 reloaded from its basis snapshot and replayed its unacked blocks, after
 which the merged summary equals (``to_bytes()``) a clean serial ingest of
 the same stream.  The degradation half pins the exhaustion contract:
@@ -32,7 +32,7 @@ from repro import (
     RowStream,
     UniformSampleEstimator,
 )
-from repro import telemetry
+from repro import persistence, telemetry
 from repro.engine.resilience import (
     CLIENT_FEATURES,
     DeadlinePolicy,
@@ -81,6 +81,16 @@ def _shutdown_servers(addresses, processes) -> None:
         process.join(timeout=5)
         if process.is_alive():  # pragma: no cover - teardown hardening
             process.terminate()
+
+
+@contextlib.contextmanager
+def _loopback_servers(count: int = 2):
+    """Fork loopback shard servers; they inherit any installed fault plan."""
+    addresses, processes = spawn_local_servers(count)
+    try:
+        yield addresses
+    finally:
+        _shutdown_servers(addresses, processes)
 
 
 # -- policy parsing and validation ----------------------------------------------
@@ -248,7 +258,7 @@ def test_shard_supervisor_mark_lost_folds_sent_rows() -> None:
 
 def test_fail_fast_disables_tracking_and_recovery() -> None:
     config = ResilienceConfig(recovery=RecoveryPolicy(mode="fail-fast"))
-    supervisor = WorkerSupervisor("resident", [b"a", b"b"], config)
+    supervisor = WorkerSupervisor("sockets", [b"a", b"b"], config)
     shard = supervisor.shard(0)
     shard.record_send(shard.assign_seq(), _block(10))
     assert shard.buffer == []  # zero-overhead path: nothing buffered
@@ -299,19 +309,22 @@ def test_query_service_rejects_bad_coverage() -> None:
         QueryService(estimator, coverage=1.5)
 
 
-# -- end-to-end: resident recovery ----------------------------------------------
+# -- end-to-end: socket recovery -------------------------------------------------
 
 
-def test_resident_crash_recovers_bit_identical(tmp_path) -> None:
-    """A worker killed mid-stream is respawned + replayed: same bytes."""
+def test_socket_crash_after_sync_recovers_bit_identical(tmp_path) -> None:
+    """A server killed after a mid-ingest sync: the survivor reloads the
+    synced basis at its sequence number and replays the rest: same bytes."""
     serial = _serial_bytes(_usample_factory, [RowStream(DATA)])
     plan = FaultPlan(
         [FaultRule(action="crash", shard=1, after_blocks=2)],
         state_dir=str(tmp_path),
     )
-    with installed_fault_plan(plan):
+    with installed_fault_plan(plan), _loopback_servers() as addresses:
         with Coordinator(
-            _usample_factory, n_shards=2, backend="resident", batch_size=64
+            _usample_factory, n_shards=2, backend="sockets", batch_size=64,
+            worker_addresses=addresses,
+            resilience={"recovery": {"mode": "reassign", "sync_every": 2}},
         ) as coordinator:
             report = coordinator.ingest(RowStream(DATA))
             assert report.recoveries >= 1
@@ -320,17 +333,20 @@ def test_resident_crash_recovers_bit_identical(tmp_path) -> None:
             assert coordinator.merged_estimator.to_bytes() == serial
 
 
-def test_resident_crash_recovery_spans_repeated_ingests(tmp_path) -> None:
-    """The respawned worker keeps serving later segments correctly."""
+def test_socket_crash_recovery_spans_repeated_ingests(tmp_path) -> None:
+    """The reassigned shard keeps serving later segments correctly."""
     streams = [RowStream(DATA), RowStream(MORE)]
     serial = _serial_bytes(_exact_factory, streams)
     plan = FaultPlan(
         [FaultRule(action="crash", shard=0, after_blocks=1)],
         state_dir=str(tmp_path),
     )
-    with installed_fault_plan(plan):
+    with installed_fault_plan(plan), _loopback_servers() as addresses:
         with Coordinator(
-            _exact_factory, n_shards=2, backend="resident", batch_size=64
+            _exact_factory, n_shards=2, backend="sockets", batch_size=64,
+            worker_addresses=addresses,
+            # The crashed server stays down: move the shard to the survivor.
+            resilience={"recovery": {"mode": "reassign"}},
         ) as coordinator:
             first = coordinator.ingest(RowStream(DATA))
             second = coordinator.ingest(RowStream(MORE))
@@ -338,18 +354,19 @@ def test_resident_crash_recovery_spans_repeated_ingests(tmp_path) -> None:
             assert coordinator.merged_estimator.to_bytes() == serial
 
 
-def test_resident_exhausted_recovery_degrades_with_coverage(tmp_path) -> None:
+def test_socket_exhausted_recovery_degrades_with_coverage(tmp_path) -> None:
     """Spent recovery budget + on_exhausted=degrade → partial answers."""
     plan = FaultPlan(
         [FaultRule(action="crash", shard=1, after_blocks=0)],
         state_dir=str(tmp_path),
     )
-    with installed_fault_plan(plan):
+    with installed_fault_plan(plan), _loopback_servers() as addresses:
         with Coordinator(
             _exact_factory,
             n_shards=2,
-            backend="resident",
+            backend="sockets",
             batch_size=64,
+            worker_addresses=addresses,
             resilience={
                 "recovery": {
                     "max_recoveries": 0, "on_exhausted": "degrade",
@@ -385,15 +402,16 @@ def test_resident_exhausted_recovery_degrades_with_coverage(tmp_path) -> None:
 
 
 def test_coordinator_close_is_idempotent_and_context_managed() -> None:
-    with Coordinator(_exact_factory, n_shards=2, backend="resident") as c:
-        c.ingest(RowStream(MORE))
-        assert c._resident_pool is not None
-    assert c._resident_pool is None
-    c.close()  # second close is a no-op, not an error
-    c.close()
-
-
-# -- end-to-end: socket recovery -------------------------------------------------
+    with _loopback_servers() as addresses:
+        with Coordinator(
+            _exact_factory, n_shards=2, backend="sockets",
+            worker_addresses=addresses,
+        ) as c:
+            c.ingest(RowStream(MORE))
+            assert c._socket_pool is not None
+        assert c._socket_pool is None
+        c.close()  # second close is a no-op, not an error
+        c.close()
 
 
 def test_socket_server_crash_reassigns_to_survivor(tmp_path) -> None:
@@ -455,3 +473,34 @@ def test_socket_exhausted_connect_names_address() -> None:
     )
     with pytest.raises(TransportError, match=r"127\.0\.0\.1:9.*2 attempt"):
         SocketShardClient("127.0.0.1:9", resilience=config, shard_index=0)
+
+
+# -- checkpoints naming a removed backend -----------------------------------------
+
+
+def test_checkpoint_naming_removed_backend_serves_but_does_not_rebuild(
+    tmp_path,
+) -> None:
+    """A manifest whose backend no longer exists still serves queries.
+
+    ``QueryService.from_checkpoint`` restores only the merged summary and
+    never reads the backend; rebuilding the full engine from the same file
+    is refused with an error naming the backend.
+    """
+    coordinator = Coordinator(
+        _exact_factory, n_shards=2, backend="serial", batch_size=64
+    )
+    coordinator.ingest(RowStream(DATA))
+    path = tmp_path / "engine.ckpt"
+    coordinator.save_checkpoint(path)
+    envelope = persistence.load_envelope(path.read_bytes())
+    envelope["config"]["backend"] = "resident"
+    path.write_bytes(persistence.dump_envelope(envelope))
+
+    query = ColumnQuery.of([0, 2], D)
+    service = QueryService.from_checkpoint(path)
+    assert service.estimate_fp(query, 1) == (
+        coordinator.merged_estimator.estimate_fp(query, 1)
+    )
+    with pytest.raises(InvalidParameterError, match="resident"):
+        Coordinator.load_checkpoint(path, _exact_factory)

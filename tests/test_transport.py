@@ -1,11 +1,12 @@
-"""Tests for the transport layer: frames, shared memory, resident + socket pools.
+"""Tests for the transport layer: frames and the socket worker pool.
 
-The load-bearing property is the transport contract of the resident and
-socket backends: they replay exactly the ``observe_rows`` call sequence of
-the serial backend, so the merged summary comes back **byte-identical**
+The load-bearing property is the transport contract of the sockets
+backend: it replays exactly the ``observe_rows`` call sequence of the
+serial backend, so the merged summary comes back **byte-identical**
 (``to_bytes()``-equal) to serial ingestion of the same stream — across
 estimator families, repeated ingests and checkpoint/restore mid-stream.
-The fault half pins the failure contract: a dead worker surfaces as
+The fault half pins the failure contract: a dead worker or lost frame
+either recovers bit-identically or surfaces as
 :class:`~repro.errors.EstimationError` naming the shard and backend, and
 the coordinator stays usable afterwards.
 """
@@ -13,9 +14,7 @@ the coordinator stays usable afterwards.
 from __future__ import annotations
 
 import os
-import signal
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -32,9 +31,6 @@ from repro import (
 )
 from repro.engine.resilience import FaultPlan, FaultRule, installed_fault_plan
 from repro.engine.transport import (
-    RING_SLOTS,
-    ShmReader,
-    ShmRing,
     SocketShardClient,
     decode_frame,
     encode_frame,
@@ -69,11 +65,7 @@ FAMILIES = {
 }
 
 
-@pytest.fixture(scope="module")
-def loopback_workers():
-    """Two forked loopback shard servers, shut down after the module."""
-    addresses, processes = spawn_local_servers(2)
-    yield addresses
+def _shutdown_servers(addresses, processes) -> None:
     for address in addresses:
         try:
             SocketShardClient(address).shutdown_server()
@@ -83,6 +75,14 @@ def loopback_workers():
         process.join(timeout=5)
         if process.is_alive():  # pragma: no cover - teardown hardening
             process.terminate()
+
+
+@pytest.fixture(scope="module")
+def loopback_workers():
+    """Two forked loopback shard servers, shut down after the module."""
+    addresses, processes = spawn_local_servers(2)
+    yield addresses
+    _shutdown_servers(addresses, processes)
 
 
 def _merged_bytes(factory, backend: str, streams, addresses=None, **kwargs) -> bytes:
@@ -135,129 +135,6 @@ def test_frame_rejects_truncation() -> None:
         decode_frame(frame[:-3])
 
 
-# -- shared-memory ring ---------------------------------------------------------
-
-
-def test_shm_ring_place_and_read_roundtrip() -> None:
-    ring = ShmRing(slots=RING_SLOTS, slot_bytes=1 << 12)
-    reader = ShmReader()
-    try:
-        blocks = [
-            np.arange(12, dtype=np.int64).reshape(3, 4),
-            np.ones((2, 4), dtype=np.int64) * 7,
-            np.zeros((1, 4), dtype=np.int64),
-        ]
-        for index, block in enumerate(blocks):
-            descriptor = ring.place(block)
-            assert descriptor["slot"] == index % RING_SLOTS
-            out = reader.read(descriptor)
-            np.testing.assert_array_equal(out, block)
-            # The reader hands back an independent copy, not a live view.
-            out[0, 0] = -1
-            np.testing.assert_array_equal(reader.read(descriptor), block)
-    finally:
-        reader.close()
-        ring.close(unlink=True)
-
-
-def test_shm_ring_regrows_for_oversized_blocks() -> None:
-    ring = ShmRing(slots=RING_SLOTS, slot_bytes=1 << 10)
-    reader = ShmReader()
-    try:
-        big = np.arange(4096, dtype=np.int64).reshape(512, 8)  # 32 KiB
-        assert ring.needs_regrow(big)
-        old_name = ring.name
-        ring.regrow(big.nbytes)
-        assert ring.name != old_name
-        assert not ring.needs_regrow(big)
-        np.testing.assert_array_equal(reader.read(ring.place(big)), big)
-    finally:
-        reader.close()
-        ring.close(unlink=True)
-
-
-def test_shm_reader_reports_vanished_segment() -> None:
-    reader = ShmReader()
-    descriptor = {
-        "name": "repro-never-created",
-        "slot": 0,
-        "offset": 0,
-        "nbytes": 8,
-        "shape": [1, 1],
-        "dtype": "<i8",
-    }
-    with pytest.raises(TransportError, match="vanished"):
-        reader.read(descriptor)
-
-
-# -- differential harness: resident ---------------------------------------------
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_resident_backend_is_bit_identical_to_serial(family: str) -> None:
-    factory = FAMILIES[family]
-    serial = _merged_bytes(factory, "serial", [RowStream(DATA)])
-    resident = _merged_bytes(factory, "resident", [RowStream(DATA)])
-    assert resident == serial
-
-
-def test_resident_repeated_ingest_matches_serial() -> None:
-    streams = [RowStream(DATA), RowStream(MORE)]
-    serial = _merged_bytes(_alpha_factory, "serial", streams)
-    resident = _merged_bytes(_alpha_factory, "resident", streams)
-    assert resident == serial
-
-
-def test_resident_checkpoint_restore_mid_stream_matches_serial(tmp_path) -> None:
-    """Ingest, checkpoint, restore, continue ingesting — still bit-identical."""
-    serial = _merged_bytes(_usample_factory, "serial", [RowStream(DATA), RowStream(MORE)])
-    coordinator = Coordinator(
-        _usample_factory, n_shards=2, backend="resident", batch_size=256
-    )
-    try:
-        coordinator.ingest(RowStream(DATA))
-        path = tmp_path / "mid.ckpt"
-        coordinator.save_checkpoint(path)
-    finally:
-        coordinator.close()
-    restored = Coordinator.load_checkpoint(path, _usample_factory)
-    try:
-        assert restored.backend == "resident"
-        restored.ingest(RowStream(MORE))
-        assert restored.merged_estimator.to_bytes() == serial
-    finally:
-        restored.close()
-
-
-def test_resident_bytes_shipped_accounting() -> None:
-    coordinator = Coordinator(_exact_factory, n_shards=2, backend="resident")
-    try:
-        report = coordinator.ingest(RowStream(DATA))
-    finally:
-        coordinator.close()
-    assert len(report.bytes_shipped_per_shard) == 2
-    assert all(shipped > 0 for shipped in report.bytes_shipped_per_shard)
-    serial_report = Coordinator(_exact_factory, n_shards=2, backend="serial").ingest(
-        RowStream(DATA)
-    )
-    assert serial_report.bytes_shipped_per_shard == (0, 0)
-
-
-def test_resident_pool_persists_across_ingests() -> None:
-    coordinator = Coordinator(_exact_factory, n_shards=2, backend="resident")
-    try:
-        coordinator.ingest(RowStream(DATA))
-        pool = coordinator._resident_pool
-        assert pool is not None
-        pids = [process.pid for process in pool.processes]
-        coordinator.ingest(RowStream(MORE))
-        assert coordinator._resident_pool is pool
-        assert [process.pid for process in pool.processes] == pids
-    finally:
-        coordinator.close()
-    assert coordinator._resident_pool is None
-
-
 # -- differential harness: sockets ----------------------------------------------
 
 
@@ -280,6 +157,48 @@ def test_socket_repeated_ingest_matches_serial(loopback_workers) -> None:
         _alpha_factory, "sockets", streams, addresses=loopback_workers
     )
     assert remote == serial
+
+
+def test_socket_checkpoint_restore_mid_stream_matches_serial(
+    loopback_workers, tmp_path
+) -> None:
+    """Ingest, checkpoint, restore, continue ingesting — still bit-identical."""
+    serial = _merged_bytes(_usample_factory, "serial", [RowStream(DATA), RowStream(MORE)])
+    coordinator = Coordinator(
+        _usample_factory, n_shards=2, backend="sockets", batch_size=256,
+        worker_addresses=loopback_workers,
+    )
+    try:
+        coordinator.ingest(RowStream(DATA))
+        path = tmp_path / "mid.ckpt"
+        coordinator.save_checkpoint(path)
+    finally:
+        coordinator.close()
+    restored = Coordinator.load_checkpoint(path, _usample_factory)
+    try:
+        assert restored.backend == "sockets"
+        restored.ingest(RowStream(MORE))
+        assert restored.merged_estimator.to_bytes() == serial
+    finally:
+        restored.close()
+
+
+def test_socket_pool_persists_across_ingests(loopback_workers) -> None:
+    coordinator = Coordinator(
+        _exact_factory, n_shards=2, backend="sockets",
+        worker_addresses=loopback_workers,
+    )
+    try:
+        coordinator.ingest(RowStream(DATA))
+        pool = coordinator._socket_pool
+        assert pool is not None
+        clients = list(pool._clients)
+        coordinator.ingest(RowStream(MORE))
+        assert coordinator._socket_pool is pool
+        assert pool._clients == clients
+    finally:
+        coordinator.close()
+    assert coordinator._socket_pool is None
 
 
 def test_socket_bytes_shipped_accounting(loopback_workers) -> None:
@@ -319,35 +238,6 @@ def test_socket_backend_requires_matching_addresses() -> None:
 
 
 # -- fault injection ------------------------------------------------------------
-
-
-def test_resident_worker_crash_surfaces_and_coordinator_recovers() -> None:
-    # Explicit fail-fast: the pre-resilience contract where a dead worker
-    # tears the pool down.  The default policy now respawns and replays
-    # instead (covered in tests/test_resilience.py).
-    coordinator = Coordinator(
-        _exact_factory, n_shards=2, backend="resident", batch_size=256,
-        resilience={"recovery": {"mode": "fail-fast"}},
-    )
-    try:
-        coordinator.ingest(RowStream(DATA))
-        victim = coordinator._resident_pool.processes[1]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(timeout=5)
-        with pytest.raises(
-            EstimationError, match=r"shard 1 .*'resident'"
-        ) as excinfo:
-            coordinator.ingest(RowStream(MORE))
-        assert not isinstance(excinfo.value, TransportError)
-        # The broken pool was torn down; the next ingest respawns workers.
-        assert coordinator._resident_pool is None
-        coordinator.ingest(RowStream(MORE))
-        expected = _merged_bytes(
-            _exact_factory, "serial", [RowStream(DATA), RowStream(MORE)]
-        )
-        assert coordinator.merged_estimator.to_bytes() == expected
-    finally:
-        coordinator.close()
 
 
 def _exit_mid_ingest(payload, bucket):  # pragma: no cover - runs in a worker
@@ -417,22 +307,28 @@ def test_socket_corrupted_header_recovers(loopback_workers) -> None:
             coordinator.close()
 
 
-def test_resident_worker_hang_past_deadline_recovers(tmp_path) -> None:
-    """A worker sleeping past the ingest deadline is reaped + respawned."""
+def test_socket_worker_hang_past_deadline_recovers(tmp_path) -> None:
+    """A server sleeping past its deadlines loses the shard to a survivor."""
     serial = _merged_bytes(
         _exact_factory, "serial", [RowStream(DATA)], batch_size=64
     )
     plan = FaultPlan(
-        [FaultRule(action="hang", shard=1, after_blocks=2, seconds=5.0)],
+        [FaultRule(action="hang", shard=1, after_blocks=2, seconds=2.0)],
         state_dir=str(tmp_path),
     )
     with installed_fault_plan(plan):
+        # Servers forked here inherit the installed plan.
+        addresses, processes = spawn_local_servers(2)
         coordinator = Coordinator(
             _exact_factory,
             n_shards=2,
-            backend="resident",
+            backend="sockets",
+            worker_addresses=addresses,
             batch_size=64,
-            resilience={"deadlines": {"ingest": 0.5}},
+            resilience={
+                "deadlines": {"ingest": 0.5, "snapshot": 0.5},
+                "recovery": {"mode": "reassign"},
+            },
         )
         try:
             report = coordinator.ingest(RowStream(DATA))
@@ -440,11 +336,15 @@ def test_resident_worker_hang_past_deadline_recovers(tmp_path) -> None:
             assert coordinator.merged_estimator.to_bytes() == serial
         finally:
             coordinator.close()
+            _shutdown_servers(addresses, processes)
 
 
-def test_resident_dropped_frame_breaches_deadline_and_recovers() -> None:
-    """A silently dropped block never acks; the deadline converts the
-    missing ack into a recovery instead of an undercounted summary."""
+def test_socket_dropped_frame_breaks_connection_and_recovers(
+    loopback_workers,
+) -> None:
+    """A silently dropped block leaves a gap in the sequence numbers; the
+    worker drops the connection, which becomes a recovery instead of an
+    undercounted summary."""
     serial = _merged_bytes(
         _exact_factory, "serial", [RowStream(DATA)], batch_size=64
     )
@@ -453,16 +353,51 @@ def test_resident_dropped_frame_breaches_deadline_and_recovers() -> None:
         coordinator = Coordinator(
             _exact_factory,
             n_shards=2,
-            backend="resident",
+            backend="sockets",
+            worker_addresses=loopback_workers,
             batch_size=64,
-            resilience={"deadlines": {"ingest": 0.75}},
         )
         try:
             report = coordinator.ingest(RowStream(DATA))
             assert report.recoveries >= 1
+            assert report.rows_total == DATA.n_rows
             assert coordinator.merged_estimator.to_bytes() == serial
         finally:
             coordinator.close()
+
+
+def test_socket_dropped_frame_fail_fast_raises_and_coordinator_recovers(
+    loopback_workers,
+) -> None:
+    """Under fail-fast a lost block is a precise error, not missing rows,
+    and the coordinator reconnects on its next ingest."""
+    plan = FaultPlan([FaultRule(action="drop", shard=0, frame=2)])
+    coordinator = Coordinator(
+        _exact_factory,
+        n_shards=2,
+        backend="sockets",
+        worker_addresses=loopback_workers,
+        batch_size=64,
+        resilience={"recovery": {"mode": "fail-fast"}},
+    )
+    try:
+        with installed_fault_plan(plan):
+            with pytest.raises(
+                EstimationError, match=r"shard 0 .*'sockets'"
+            ) as excinfo:
+                coordinator.ingest(RowStream(DATA))
+        assert not isinstance(excinfo.value, TransportError)
+        # The broken pool was torn down; the next ingest reconnects.
+        assert coordinator._socket_pool is None
+        coordinator.ingest(RowStream(DATA))
+        coordinator.ingest(RowStream(MORE))
+        expected = _merged_bytes(
+            _exact_factory, "serial", [RowStream(DATA), RowStream(MORE)],
+            batch_size=64,
+        )
+        assert coordinator.merged_estimator.to_bytes() == expected
+    finally:
+        coordinator.close()
 
 
 def test_socket_disconnect_mid_ingest_fail_fast_raises(tmp_path) -> None:
@@ -487,18 +422,11 @@ def test_socket_disconnect_mid_ingest_fail_fast_raises(tmp_path) -> None:
                 coordinator.ingest(RowStream(DATA))
         finally:
             coordinator.close()
-            for address in addresses:
-                try:
-                    SocketShardClient(address).shutdown_server()
-                except (TransportError, ConnectionError, OSError):
-                    pass
-            for process in processes:
-                process.join(timeout=5)
-                if process.is_alive():  # pragma: no cover - teardown
-                    process.terminate()
+            _shutdown_servers(addresses, processes)
 
 
-def test_transport_rejects_unsnapshottable_estimators() -> None:
+@pytest.mark.parametrize("backend", ["processes", "sockets"])
+def test_transport_rejects_unsnapshottable_estimators(backend: str) -> None:
     from repro.core.estimator import ProjectedFrequencyEstimator
 
     class Opaque(ProjectedFrequencyEstimator):
@@ -511,8 +439,9 @@ def test_transport_rejects_unsnapshottable_estimators() -> None:
         def _merge_summaries(self, other) -> None:
             pass
 
+    # No worker_addresses: the refusal comes before any worker is dialed.
     coordinator = Coordinator(
-        lambda: Opaque(n_columns=D), n_shards=2, backend="resident"
+        lambda: Opaque(n_columns=D), n_shards=2, backend=backend
     )
     with pytest.raises(EstimationError, match="snapshot bytes"):
         coordinator.ingest(RowStream(DATA))
