@@ -3,7 +3,7 @@
 Every benchmark regenerates one of the paper's tables/figures (or an
 empirical companion to one of its theorems) and prints it in a diffable
 ASCII layout.  ``pytest benchmarks/ --benchmark-only -s`` shows the tables;
-EXPERIMENTS.md quotes them.
+docs/experiments.md quotes them.
 """
 
 from __future__ import annotations

@@ -1,8 +1,6 @@
 """E12 — Sharded engine: ingest throughput and batch-query latency.
 
-Measures the engine's two hot paths against the single-threaded
-:class:`~repro.streaming.runner.StreamRunner` choreography the benchmarks
-used before the engine existed:
+Measures the engine's two hot paths:
 
 * ingest throughput (rows/sec) at 1, 2, 4 and 8 shards, serial vs process
   workers;
@@ -25,7 +23,6 @@ import time
 from _bench_utils import emit, render_table
 from repro import ColumnQuery, Coordinator, RowStream
 from repro.core.alpha_net import AlphaNetEstimator, SketchPlan
-from repro.streaming.runner import StreamRunner
 from repro.workloads.synthetic import zipfian_rows
 
 N_ROWS, N_COLUMNS = 1_500, 10
@@ -49,7 +46,7 @@ def _factory() -> AlphaNetEstimator:
 
 
 def test_sharded_ingest_throughput(benchmark):
-    """Rows/sec at 1..8 shards vs the StreamRunner single-threaded baseline."""
+    """Rows/sec at 1..8 shards, each against single-shard serial ingest."""
     stream = RowStream(
         zipfian_rows(
             n_rows=N_ROWS,
@@ -62,13 +59,6 @@ def test_sharded_ingest_throughput(benchmark):
 
     def run_sweep():
         results = []
-        # The pre-engine choreography: StreamRunner replays the stream into
-        # an exact reference *and* the estimator, single-threaded.
-        started = time.perf_counter()
-        runner = StreamRunner(stream, {"alpha-net": _factory})
-        runner.run_fp_queries(QUERIES, p=0)
-        runner_seconds = time.perf_counter() - started
-        results.append(("StreamRunner", "single-thread", runner_seconds, None))
         for n_shards in SHARD_COUNTS:
             coordinator = Coordinator(
                 _factory,
@@ -96,7 +86,7 @@ def test_sharded_ingest_throughput(benchmark):
                     backend,
                     round(wall, 2),
                     round(N_ROWS / wall),
-                    f"{serial_wall / wall:.2f}x" if name.startswith("engine") else "-",
+                    f"{serial_wall / wall:.2f}x",
                 )
                 for name, backend, wall, _ in results
             ],
@@ -104,7 +94,7 @@ def test_sharded_ingest_throughput(benchmark):
     )
 
     # Sharded == single-shard, exactly, for every shard count.
-    answers = {answer for name, _, _, answer in results if name.startswith("engine")}
+    answers = {answer for _, _, _, answer in results}
     assert len(answers) == 1
     # Parallel ingest must beat single-shard serial ingest whenever the
     # hardware can physically run workers concurrently.

@@ -6,7 +6,8 @@ lower bounds, the Theorem 5.1 sampling upper bound, the Lemma 6.2 net size,
 the Lemma 6.4 rounding distortions and the Theorem 6.5 combination, plus the
 ``N = 2^d`` reparameterisation used in the abstract (an ``N^α``-approximation
 in ``N^{H(1/2-α)}`` space).  Benchmarks print these values next to measured
-quantities so EXPERIMENTS.md can record "paper vs measured" for every row.
+quantities so docs/experiments.md can record "paper vs measured" for every
+row.
 """
 
 from __future__ import annotations

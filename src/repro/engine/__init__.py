@@ -4,10 +4,10 @@ The scaling layer on top of the reproduction: partition a row stream across
 shards (:mod:`~repro.engine.partition`), ingest the shards in parallel into
 mergeable estimator replicas (:mod:`~repro.engine.shard`,
 :mod:`~repro.engine.coordinator`), serve batch queries from the merged
-summary with caching and latency accounting (:mod:`~repro.engine.service`,
-:mod:`~repro.engine.stats`), and persist/restore whole engine states as
-versioned checkpoint files (:mod:`~repro.engine.checkpoint`) so the build
-and query phases can live in different processes.
+summary with caching and latency accounting (:mod:`~repro.engine.service`),
+and persist/restore whole engine states as versioned checkpoint files
+(:mod:`~repro.engine.checkpoint`) so the build and query phases can live
+in different processes.
 
 Failure handling lives in :mod:`~repro.engine.resilience`: retry/backoff
 and deadline policies, supervised worker recovery with bit-identical
@@ -32,9 +32,8 @@ from .resilience import (
     ResilienceConfig,
     RetryPolicy,
 )
-from .service import CacheInfo, QueryRequest, QueryService
+from .service import CacheInfo, LatencySummary, QueryRequest, QueryService
 from .shard import Shard
-from .stats import LatencyRecorder, LatencySummary
 
 __all__ = [
     "CacheInfo",
@@ -46,7 +45,6 @@ __all__ = [
     "FaultRule",
     "INGEST_BACKENDS",
     "IngestReport",
-    "LatencyRecorder",
     "LatencySummary",
     "PARTITION_POLICIES",
     "QueryRequest",

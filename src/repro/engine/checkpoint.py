@@ -228,6 +228,13 @@ def load_checkpoint(
 
 def load_merged_estimator(path: str | Path) -> ProjectedFrequencyEstimator:
     """Restore only the merged summary — all a query-serving tier needs."""
+    return _load_merged(path)[0]
+
+
+def _load_merged(
+    path: str | Path,
+) -> tuple[ProjectedFrequencyEstimator, dict]:
+    """Read ``path`` once: the merged summary and the config manifest."""
     started = time.perf_counter()
     with telemetry.span("checkpoint.load", path=str(path), scope="merged"):
         envelope = read_checkpoint_envelope(path)
@@ -243,7 +250,7 @@ def load_merged_estimator(path: str | Path) -> ProjectedFrequencyEstimator:
     _record_checkpoint_metrics(
         "load", Path(path).stat().st_size, time.perf_counter() - started
     )
-    return estimator
+    return estimator, envelope["config"]
 
 
 def _missing_factory() -> ProjectedFrequencyEstimator:

@@ -276,8 +276,14 @@ class WorkerSupervisor:
         )
 
     def may_degrade(self) -> bool:
-        """True when exhaustion should degrade instead of raising."""
-        return self.resilience.recovery.on_exhausted == "degrade"
+        """True when exhausting one more live shard should degrade, not raise.
+
+        Degrading needs a survivor: with at most one shard still live,
+        losing it would leave nothing to serve, so exhaustion fails as
+        under ``on_exhausted: fail``.
+        """
+        live = sum(not shard.lost for shard in self.shards)
+        return self.resilience.recovery.on_exhausted == "degrade" and live > 1
 
     def begin_recovery(self, shard_index: int):
         """Charge one recovery attempt and open the ``resilience.recover`` span."""

@@ -10,8 +10,10 @@ hitters — and adds the serving-side machinery a query tier needs:
   :meth:`~repro.engine.coordinator.Coordinator.ingest` automatically
   invalidates every cached answer — :meth:`invalidate` remains as a manual
   override);
-* per-query-kind latency recorders, fed only by cache misses so that the
-  numbers reflect actual summary work;
+* per-query-kind latency accounting in one fixed-bucket
+  :class:`~repro.telemetry.Histogram`, fed only by cache misses so that
+  the numbers reflect actual summary work, and bounded in size however
+  many queries the service answers;
 * batch entry points that answer many queries in one call.
 """
 
@@ -28,9 +30,52 @@ from ..core.dataset import ColumnQuery
 from ..core.estimator import ProjectedFrequencyEstimator
 from ..errors import InvalidParameterError
 from .resilience import DegradedAnswer
-from .stats import LatencyRecorder, LatencySummary
 
-__all__ = ["CacheInfo", "QueryRequest", "QueryService"]
+__all__ = ["CacheInfo", "LatencySummary", "QueryRequest", "QueryService"]
+
+_LATENCY_METRIC = "repro_query_latency_seconds"
+_LATENCY_HELP = "Latency of one uncached query against the summary."
+
+
+@dataclass(frozen=True)
+class LatencySummary:
+    """One query kind's uncached-answer latencies, as :meth:`QueryService.stats`
+    reports them.
+
+    ``count``, ``total_seconds``, ``mean_seconds``, ``min_seconds`` and
+    ``max_seconds`` are exact.  ``p50_seconds`` and ``p95_seconds`` come
+    from the service's fixed log-scale buckets: the upper bound of the
+    bucket holding the nearest-rank percentile, capped at ``max_seconds``.
+    That bound is never below the exact percentile and lies in the same
+    factor-of-two bucket, and ``min <= p50 <= p95 <= max`` always holds.
+    """
+
+    count: int
+    total_seconds: float
+    mean_seconds: float
+    min_seconds: float
+    max_seconds: float
+    p50_seconds: float
+    p95_seconds: float
+
+
+def _latency_histogram() -> telemetry.Histogram:
+    """A fresh per-service latency histogram, kept out of any registry."""
+    return telemetry.Histogram(_LATENCY_METRIC, _LATENCY_HELP)
+
+
+def _latency_summary(histogram: telemetry.Histogram, kind: str) -> LatencySummary:
+    """Summarise one recorded ``kind`` series of ``histogram``."""
+    series = histogram.snapshot(kind=kind)
+    return LatencySummary(
+        count=series.count,
+        total_seconds=series.total,
+        mean_seconds=series.total / series.count,
+        min_seconds=series.min,
+        max_seconds=series.max,
+        p50_seconds=min(histogram.quantile(0.5, kind=kind), series.max),
+        p95_seconds=min(histogram.quantile(0.95, kind=kind), series.max),
+    )
 
 
 @dataclass(frozen=True)
@@ -158,7 +203,7 @@ class QueryService:
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
-        self._recorders: dict[str, LatencyRecorder] = {}
+        self._latency = _latency_histogram()
 
     @property
     def estimator(self) -> ProjectedFrequencyEstimator:
@@ -216,34 +261,29 @@ class QueryService:
             >>> QueryService.from_checkpoint(path).estimator.rows_observed
             50
         """
-        from .checkpoint import (  # deferred: import cycle
-            load_merged_estimator,
-            read_checkpoint_envelope,
-        )
+        from .checkpoint import _load_merged  # deferred: import cycle
 
+        estimator, config = _load_merged(path)
         # A checkpoint of a degraded coordinator records its coverage; a
         # service restored from it keeps annotating answers.  Pre-resilience
         # checkpoints carry no coverage key and restore as full answers.
-        coverage = float(
-            read_checkpoint_envelope(path)["config"].get("coverage", 1.0)
-        )
         return cls(
-            load_merged_estimator(path),
+            estimator,
             cache_size=cache_size,
-            coverage=coverage,
+            coverage=float(config.get("coverage", 1.0)),
         )
 
     def __getstate__(self) -> dict:
         """Pickle support that never serializes transient serving state.
 
-        The LRU result cache, the latency recorders and the hit/miss
+        The LRU result cache, the latency histogram and the hit/miss
         counters are per-process serving artefacts, not summary state; a
         service that crosses a process boundary arrives cold (regression-
         tested in ``tests/test_persistence.py``).
         """
         state = self.__dict__.copy()
         state["_cache"] = OrderedDict()
-        state["_recorders"] = {}
+        state["_latency"] = _latency_histogram()
         state["_hits"] = 0
         state["_misses"] = 0
         state["_invalidations"] = 0
@@ -281,17 +321,16 @@ class QueryService:
     ) -> None:
         """Account for one computed answer and insert it into the cache."""
         self._misses += 1
-        self._recorders.setdefault(kind, LatencyRecorder()).record(elapsed)
+        self._latency.observe(elapsed, kind=kind)
         if telemetry.enabled():
             registry = telemetry.get_registry()
             registry.counter(
                 "repro_query_cache_misses_total",
                 "Queries that had to be computed from the summary.",
             ).inc(kind=kind)
-            registry.histogram(
-                "repro_query_latency_seconds",
-                "Latency of one uncached query against the summary.",
-            ).observe(elapsed, kind=kind)
+            registry.histogram(_LATENCY_METRIC, _LATENCY_HELP).observe(
+                elapsed, kind=kind
+            )
         if self._cache_size:
             self._cache[cache_key] = value
             while len(self._cache) > self._cache_size:
@@ -334,10 +373,11 @@ class QueryService:
     def stats(self) -> dict[str, LatencySummary | CacheInfo]:
         """Per-query-kind latency summaries plus the ``"cache"`` accounting.
 
-        Latency entries (cache misses only) keep their historical shape —
-        one :class:`~repro.engine.stats.LatencySummary` per query kind —
-        and the ``"cache"`` key carries the :class:`CacheInfo` counters so
-        callers get hits/misses/invalidations from the same snapshot.
+        Latency entries (cache misses only) are one :class:`LatencySummary`
+        per query kind answered so far, built from the service's
+        fixed-bucket histogram, and the ``"cache"`` key carries the
+        :class:`CacheInfo` counters so callers get hits/misses/invalidations
+        from the same snapshot.
 
         Example::
 
@@ -348,9 +388,10 @@ class QueryService:
             >>> service.stats()["cache"].misses
             0
         """
-        summaries: dict[str, LatencySummary | CacheInfo] = {
-            kind: rec.summary() for kind, rec in self._recorders.items()
-        }
+        summaries: dict[str, LatencySummary | CacheInfo] = {}
+        for labels, _ in self._latency.series():
+            kind = dict(labels)["kind"]
+            summaries[kind] = _latency_summary(self._latency, kind)
         summaries["cache"] = self.cache_info()
         return summaries
 
@@ -434,7 +475,7 @@ class QueryService:
         semantics: every entry whose key is already cached counts a hit,
         duplicates of an earlier entry in the same batch count hits exactly
         as a scalar replay would (when caching is enabled), and every first
-        occurrence counts a miss, feeds the latency recorders, and lands in
+        occurrence counts a miss, feeds the latency histogram, and lands in
         the cache under the key the scalar path uses.  Point-frequency
         misses sharing one column query answer through a single vectorized
         :meth:`~repro.core.estimator.ProjectedFrequencyEstimator.

@@ -2,9 +2,10 @@
 
 Shards are the unit of parallelism in the engine.  Each shard owns a fresh
 estimator, ingests only the rows its partition policy assigned to it, and
-exposes a :meth:`snapshot` of its summary for merging.  Shards are plain
-pickle-able objects so the coordinator can ship them to worker processes and
-get the updated summaries back.
+exposes a :meth:`snapshot` of its summary for merging.  Shards stay in the
+coordinator's process: the ``processes`` and ``sockets`` backends send
+workers the replica's snapshot bytes only, and the shard adopts the
+summary a worker sends back.
 """
 
 from __future__ import annotations

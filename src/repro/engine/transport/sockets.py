@@ -465,7 +465,8 @@ class SocketWorkerPool:
     recoveries run out under ``on_exhausted="degrade"`` the shard is
     marked lost: its rows are dropped (and counted), and ``collect``
     reports the loss so the coordinator can serve coverage-annotated
-    answers instead of failing.
+    answers instead of failing.  The last live shard is never marked
+    lost; its exhaustion fails like ``fail-fast``.
     """
 
     backend_name = "sockets"

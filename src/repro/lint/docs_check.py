@@ -1,11 +1,10 @@
-"""Documentation gate refolded into the lint finding format (DOC001/DOC002).
+"""Documentation gate in the lint finding format (DOC001/DOC002).
 
-The logic of the original ``tools/check_docs.py`` — the intra-repo
-Markdown link check and the public-docstring audit — now emits
-:class:`~repro.lint.findings.Finding` objects so the docs gate shares the
-rule catalogue, rendering and exit-code convention with every other
-checker.  ``tools/check_docs.py`` remains as a thin wrapper with its
-original string-returning API (the test suite and CI call it directly).
+The intra-repo Markdown link check and the public-docstring audit emit
+:class:`~repro.lint.findings.Finding` objects, so the docs gate shares the
+rule catalogue and rendering with every other checker.
+``tests/test_docs.py`` calls these functions directly and is what CI runs
+as the docs gate.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "check_markdown_links",
     "check_docstrings",
     "missing_docstrings_in_file",
-    "run_docs_checks",
 ]
 
 #: Markdown files whose relative links must resolve.
@@ -174,9 +172,3 @@ def check_docstrings(root) -> list:
         if py_path.exists():
             findings.extend(missing_docstrings_in_file(py_path, root))
     return findings
-
-
-def run_docs_checks(root) -> list:
-    """Both docs checks — the findings behind ``tools/check_docs.py``."""
-    root = Path(root)
-    return check_markdown_links(root) + check_docstrings(root)

@@ -1,4 +1,4 @@
-"""Streaming substrate: row streams, the estimator runner and space accounting."""
+"""Streaming substrate: row streams and space accounting."""
 
 from .memory import (
     SpaceComparison,
@@ -7,15 +7,11 @@ from .memory import (
     naive_storage_bits,
     per_subset_summaries,
 )
-from .runner import QueryMeasurement, RunReport, StreamRunner
 from .stream import RowStream
 
 __all__ = [
-    "QueryMeasurement",
     "RowStream",
-    "RunReport",
     "SpaceComparison",
-    "StreamRunner",
     "compare_space",
     "format_bits",
     "naive_storage_bits",

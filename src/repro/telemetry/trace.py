@@ -17,8 +17,11 @@ time.  Two export shapes:
 * :meth:`Tracer.to_chrome` — Chrome trace-event format, loadable in
   ``chrome://tracing`` / Perfetto.
 
-When telemetry is disabled (:func:`repro.telemetry.registry.disable`),
-:func:`span` yields a shared no-op handle without touching the clock.
+:func:`span` records only while a tracer is installed (:func:`scoped_tracer`
+or :func:`set_tracer`), so a long-running process that never asked for a
+trace keeps no spans.  Without an installed tracer, or when telemetry is
+disabled (:func:`repro.telemetry.registry.disable`), :func:`span` yields a
+shared no-op handle without touching the clock.
 
 Example::
 
@@ -223,16 +226,25 @@ class Tracer:
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-_DEFAULT_TRACER = Tracer()
+_DEFAULT_TRACER: Tracer | None = None
 
 
-def get_tracer() -> Tracer:
-    """The process-global tracer the instrumented hot paths record into."""
+def get_tracer() -> Tracer | None:
+    """The installed tracer the instrumented hot paths record into.
+
+    ``None`` when no tracer is installed, which is the default: spans are
+    then not recorded at all.
+
+    Example::
+
+        >>> get_tracer() is None
+        True
+    """
     return _DEFAULT_TRACER
 
 
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the process-global default; returns the old one."""
+def set_tracer(tracer: Tracer | None) -> Tracer | None:
+    """Install ``tracer`` (``None`` stops recording); returns the old one."""
     global _DEFAULT_TRACER
     previous = _DEFAULT_TRACER
     _DEFAULT_TRACER = tracer
@@ -260,7 +272,7 @@ def scoped_tracer(tracer: Tracer | None = None) -> Iterator[Tracer]:
 
 
 def span(name: str, **attrs: AttrValue):
-    """Open a span on the process-global tracer (no-op when disabled).
+    """Open a span on the installed tracer (no-op without one or when disabled).
 
     The one-line instrumentation entry point the engine uses::
 
@@ -268,6 +280,7 @@ def span(name: str, **attrs: AttrValue):
             ...
             current.set(rows=1024)
     """
-    if not _registry.enabled():
+    tracer = _DEFAULT_TRACER
+    if tracer is None or not _registry.enabled():
         return _null_span()
-    return _DEFAULT_TRACER.span(name, **attrs)
+    return tracer.span(name, **attrs)

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import doctest
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
+
+from repro.lint.docs_check import (
+    check_docstrings,
+    check_markdown_links,
+    missing_docstrings_in_file,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,7 +22,6 @@ DOCTEST_MODULES = (
     "repro.engine.partition",
     "repro.engine.service",
     "repro.engine.shard",
-    "repro.engine.stats",
     "repro.experiments",
     "repro.experiments.registry",
     "repro.experiments.report",
@@ -30,24 +34,12 @@ DOCTEST_MODULES = (
 )
 
 
-def _load_checker():
-    spec = importlib.util.spec_from_file_location(
-        "check_docs", REPO_ROOT / "tools" / "check_docs.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-check_docs = _load_checker()
-
-
 def test_markdown_links_resolve():
-    assert check_docs.check_markdown_links() == []
+    assert check_markdown_links(REPO_ROOT) == []
 
 
 def test_public_engine_and_experiments_symbols_have_docstrings():
-    assert check_docs.check_docstrings() == []
+    assert check_docstrings(REPO_ROOT) == []
 
 
 def test_docs_tree_exists():
@@ -58,9 +50,9 @@ def test_docs_tree_exists():
 def test_link_checker_catches_broken_links(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text("see [missing](docs/missing.md)\n")
-    problems = check_docs.check_markdown_links(tmp_path)
+    problems = check_markdown_links(tmp_path)
     assert len(problems) == 1
-    assert "missing.md" in problems[0]
+    assert "missing.md" in problems[0].message
 
 
 @pytest.mark.parametrize("module_name", DOCTEST_MODULES)
@@ -75,6 +67,6 @@ def test_docstring_examples_execute(module_name):
 def test_docstring_checker_catches_undocumented_symbols(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text('"""Module docstring."""\n\ndef public():\n    pass\n')
-    problems = check_docs._missing_docstrings_in_file(bad, tmp_path)
+    problems = missing_docstrings_in_file(bad, tmp_path)
     assert len(problems) == 1
-    assert "public" in problems[0]
+    assert "public" in problems[0].message

@@ -9,6 +9,10 @@ ingestion of the same stream.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import types
+
 import pytest
 
 from repro import (
@@ -25,8 +29,9 @@ from repro import (
     SketchPlan,
     StreamPartitioner,
     UniformSampleEstimator,
+    telemetry,
 )
-from repro.engine import LatencyRecorder
+from repro.engine import service as service_module
 
 D = 8
 DATA = Dataset.random(n_rows=600, n_columns=D, seed=4)
@@ -327,18 +332,68 @@ def test_service_cache_still_hits_between_ingests() -> None:
     assert (info.hits, info.misses) == (1, 1)
 
 
-def test_latency_recorder_percentiles() -> None:
-    recorder = LatencyRecorder()
-    for value in (0.01, 0.02, 0.03, 0.04, 0.10):
-        recorder.record(value)
-    summary = recorder.summary()
+def test_latency_recorder_percentiles(monkeypatch) -> None:
+    """The service's latency histogram: exact count/total/mean/min/max, and
+    p50/p95 as bucket bounds never below the exact nearest-rank value."""
+    service = _service()
+    assert set(service.stats()) == {"cache"}  # no kind before its first miss
+    durations = (0.01, 0.02, 0.03, 0.04, 0.10)
+    ticks = iter(
+        [tick for start, d in enumerate(durations) for tick in (start, start + d)]
+    )
+    monkeypatch.setattr(
+        service_module, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+    )
+    for column in range(len(durations)):
+        service.estimate_fp(ColumnQuery.of([column], D), 0)
+    summary = service.stats()["fp"]
     assert summary.count == 5
-    assert summary.p50_seconds == pytest.approx(0.03)
-    assert summary.p95_seconds == pytest.approx(0.10)
+    assert summary.total_seconds == pytest.approx(0.20)
     assert summary.mean_seconds == pytest.approx(0.04)
-    with pytest.raises(InvalidParameterError):
-        recorder.record(-1.0)
-    empty = LatencyRecorder()
-    assert empty.summary().count == 0
-    with pytest.raises(InvalidParameterError):
-        empty.percentile(50)
+    assert summary.min_seconds == pytest.approx(0.01)
+    assert summary.max_seconds == pytest.approx(0.10)
+    # p50's exact value is 0.03; its log-scale bucket ends at 2^15 us.
+    assert summary.p50_seconds == pytest.approx(2**15 * 1e-6)
+    # p95's bucket ends above the largest sample, so it is capped there.
+    assert summary.p95_seconds == summary.max_seconds
+    assert (
+        summary.min_seconds
+        <= summary.p50_seconds
+        <= summary.p95_seconds
+        <= summary.max_seconds
+    )
+
+
+class _ConstantEstimator(ExactBaseline):
+    """An estimator whose answers cost nothing, so only serving state shows."""
+
+    def estimate_frequency(self, query, pattern) -> float:
+        return 1.0
+
+
+def test_serving_memory_is_bounded() -> None:
+    """20,000 uncached answers with telemetry on and no tracer installed
+    leave no per-answer state behind."""
+    service = QueryService(_ConstantEstimator(n_columns=D), cache_size=0)
+    pattern = (1, 0, 1)
+    was_enabled = telemetry.enabled()
+    telemetry.enable()
+    try:
+        assert telemetry.get_tracer() is None
+        with telemetry.scoped_registry():
+            service.estimate_frequency(QUERY, pattern)  # creates every series
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(20_000):
+                    service.estimate_frequency(QUERY, pattern)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+    finally:
+        if not was_enabled:
+            telemetry.disable()
+    assert service.stats()["frequency"].count == 20_001
+    assert grown < 64 * 1024

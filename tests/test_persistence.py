@@ -6,7 +6,7 @@ to ``x`` and (2) continues absorbing the stream *bit-identically* to ``x``
 under the same input — RNG state travels with the summary.  On top of
 that: engine checkpoints restore coordinators and query services exactly,
 scenario checkpoint bundles replay byte-identical results, transient
-serving state (timings, caches, latency recorders) never crosses a pickle
+serving state (timings, caches, latency histograms) never crosses a pickle
 boundary, and the process-pool ingest backend ships compact estimator
 state instead of pickled ``Shard`` objects.
 """
@@ -38,6 +38,7 @@ from repro.engine.checkpoint import load_merged_estimator
 from repro.engine.shard import Shard
 from repro.experiments import RunParams, run_experiment, scenario_names
 from repro.persistence import (
+    dump_envelope,
     from_bytes,
     load_envelope,
     registered_tags,
@@ -305,6 +306,28 @@ def test_query_service_warm_start_from_checkpoint(tmp_path):
     assert load_merged_estimator(path).rows_observed == 500
 
 
+def test_from_checkpoint_reads_the_file_once(tmp_path, monkeypatch):
+    """One envelope decode per warm start, and a degraded checkpoint's
+    coverage still reaches the restored service."""
+    engine = _engine(lambda: ExactBaseline(n_columns=8), n_shards=2, backend="serial")
+    path = tmp_path / "engine.ckpt"
+    engine.save_checkpoint(path)
+    envelope = load_envelope(path.read_bytes())
+    envelope["config"]["coverage"] = 0.5
+    path.write_bytes(dump_envelope(envelope))
+    decodes = []
+
+    def counting_load_envelope(data):
+        decodes.append(len(data))
+        return load_envelope(data)
+
+    monkeypatch.setattr("repro.persistence.load_envelope", counting_load_envelope)
+    service = QueryService.from_checkpoint(str(path))
+    assert len(decodes) == 1
+    assert service.coverage == 0.5
+    assert service.estimator.rows_observed == 500
+
+
 def test_checkpoint_file_declares_the_checkpoint_format(tmp_path):
     """The checkpoint envelope carries the engine-checkpoint format tag."""
     engine = _engine(lambda: ExactBaseline(n_columns=8), n_shards=1, backend="serial")
@@ -331,7 +354,7 @@ def test_shard_pickle_never_carries_timing_state():
 
 
 def test_query_service_pickle_never_carries_cache_or_recorders():
-    """The LRU cache, hit counters and latency recorders stay per-process."""
+    """The LRU cache, hit counters and latency histogram stay per-process."""
     estimator = ExactBaseline(n_columns=4).observe(
         Dataset.random(n_rows=50, n_columns=4, seed=7)
     )
@@ -345,7 +368,7 @@ def test_query_service_pickle_never_carries_cache_or_recorders():
     clone = pickle.loads(pickle.dumps(service))
     info = clone.cache_info()
     assert (info.hits, info.misses, info.size, info.invalidations) == (0, 0, 0, 0)
-    # Latency recorders reset too; only the (zeroed) cache entry remains.
+    # The latency histogram resets too; only the (zeroed) cache entry remains.
     assert set(clone.stats()) == {"cache"}
     # The summary itself survives: the clone answers identically.
     assert clone.estimate_fp(query, 0) == service.estimate_fp(query, 0)

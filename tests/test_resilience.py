@@ -26,6 +26,7 @@ from repro import (
     ColumnQuery,
     Coordinator,
     Dataset,
+    EstimationError,
     ExactBaseline,
     InvalidParameterError,
     QueryService,
@@ -399,6 +400,36 @@ def test_socket_exhausted_recovery_degrades_with_coverage(tmp_path) -> None:
     assert isinstance(
         restored.estimate_fp(ColumnQuery.of([0, 1], D), 1), DegradedAnswer
     )
+
+
+def test_exhausting_the_last_live_shard_fails_instead_of_degrading() -> None:
+    """Degrading needs a survivor: when every shard's budget runs out the
+    ingest fails like on_exhausted=fail, and the next ingest starts over."""
+    serial = _serial_bytes(_exact_factory, [RowStream(MORE)])
+    # One dropped block per shard: each worker sees a sequence gap and drops
+    # its connection.  The servers were forked before the plan, so they stay
+    # up and the second ingest reconnects to them.
+    plan = FaultPlan([
+        FaultRule(action="drop", shard=0, frame=2),
+        FaultRule(action="drop", shard=1, frame=2),
+    ])
+    with _loopback_servers() as addresses:
+        with Coordinator(
+            _exact_factory, n_shards=2, backend="sockets", batch_size=64,
+            worker_addresses=addresses,
+            resilience={
+                "recovery": {"max_recoveries": 0, "on_exhausted": "degrade"}
+            },
+        ) as coordinator:
+            with installed_fault_plan(plan):
+                with pytest.raises(EstimationError, match="'sockets' backend"):
+                    coordinator.ingest(RowStream(DATA))
+            assert coordinator._socket_pool is None
+            assert coordinator.coverage == 1.0
+            report = coordinator.ingest(RowStream(MORE))
+            assert report.shards_lost == ()
+            assert report.coverage == 1.0
+            assert coordinator.merged_estimator.to_bytes() == serial
 
 
 def test_coordinator_close_is_idempotent_and_context_managed() -> None:

@@ -1,12 +1,10 @@
-"""Tests for the streaming substrate: row streams, runner and space accounting."""
+"""Tests for the streaming substrate: row streams and space accounting."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.dataset import ColumnQuery, Dataset
-from repro.core.exhaustive import ExactBaseline
-from repro.core.uniform_sample import UniformSampleEstimator
+from repro.core.dataset import Dataset
 from repro.errors import DimensionError, InvalidParameterError
 from repro.streaming.memory import (
     compare_space,
@@ -14,7 +12,6 @@ from repro.streaming.memory import (
     naive_storage_bits,
     per_subset_summaries,
 )
-from repro.streaming.runner import QueryMeasurement, StreamRunner
 from repro.streaming.stream import RowStream
 
 
@@ -129,112 +126,6 @@ class TestRowStream:
             stream.shard(2, 2)
         with pytest.raises(InvalidParameterError):
             stream.shard(0, 2, policy="modulo")
-
-
-class TestStreamRunner:
-    def test_exact_estimator_has_unit_error(self, dataset):
-        runner = StreamRunner(
-            RowStream(dataset),
-            {"exact": lambda: ExactBaseline(n_columns=6)},
-        )
-        queries = [ColumnQuery.of([0, 1], 6), ColumnQuery.of([2, 3, 4], 6)]
-        report = runner.run_fp_queries(queries, p=0)
-        assert report.worst_multiplicative_error("exact") == pytest.approx(1.0)
-        assert report.space_bits("exact") > 0
-
-    def test_multiple_estimators_reported_separately(self, dataset):
-        runner = StreamRunner(
-            RowStream(dataset),
-            {
-                "exact": lambda: ExactBaseline(n_columns=6),
-                "usample": lambda: UniformSampleEstimator(
-                    n_columns=6, sample_size=128, seed=0
-                ),
-            },
-        )
-        report = runner.run_fp_queries([ColumnQuery.of([0, 1, 2], 6)], p=1)
-        assert len(report.for_estimator("exact")) == 1
-        assert len(report.for_estimator("usample")) == 1
-        # F1 is exact for both.
-        assert report.mean_multiplicative_error("usample") == pytest.approx(1.0)
-
-    def test_unknown_estimator_name_raises(self, dataset):
-        runner = StreamRunner(
-            RowStream(dataset), {"exact": lambda: ExactBaseline(n_columns=6)}
-        )
-        report = runner.run_fp_queries([ColumnQuery.of([0], 6)], p=0)
-        with pytest.raises(InvalidParameterError):
-            report.worst_multiplicative_error("missing")
-
-    def test_requires_queries_and_estimators(self, dataset):
-        with pytest.raises(InvalidParameterError):
-            StreamRunner(RowStream(dataset), {})
-        runner = StreamRunner(
-            RowStream(dataset), {"exact": lambda: ExactBaseline(n_columns=6)}
-        )
-        with pytest.raises(InvalidParameterError):
-            runner.run_fp_queries([], p=0)
-
-
-class TestQueryMeasurementErrors:
-    @staticmethod
-    def _measurement(estimate: float, exact: float) -> QueryMeasurement:
-        return QueryMeasurement(
-            estimator_name="m",
-            query=ColumnQuery.of([0], 2),
-            p=0,
-            estimate=estimate,
-            exact=exact,
-            space_bits=1,
-            observe_seconds=0.0,
-            query_seconds=0.0,
-        )
-
-    def test_both_zero_is_a_perfect_answer(self):
-        measurement = self._measurement(estimate=0.0, exact=0.0)
-        assert measurement.multiplicative_error == 1.0
-        assert measurement.signs_agree
-
-    def test_zero_exact_with_positive_estimate_is_finite(self):
-        # The benign overshoot of an empty projection: finite penalty, and
-        # no sign disagreement (both values are on the non-negative side).
-        measurement = self._measurement(estimate=4.0, exact=0.0)
-        assert measurement.multiplicative_error == pytest.approx(5.0)
-        assert measurement.signs_agree
-
-    def test_zero_estimate_of_positive_mass_stays_infinite(self):
-        # Missing all mass is an unbounded multiplicative miss, but not a
-        # sign disagreement: zero sits on the same side as any non-negative
-        # value.
-        measurement = self._measurement(estimate=0.0, exact=9.0)
-        assert measurement.multiplicative_error == float("inf")
-        assert measurement.signs_agree
-
-    def test_negative_estimate_is_a_sign_disagreement(self):
-        measurement = self._measurement(estimate=-3.0, exact=7.0)
-        assert measurement.multiplicative_error == float("inf")
-        assert not measurement.signs_agree
-
-    def test_negative_pairs_agree(self):
-        # Both strictly negative (or negative paired with zero) is the same
-        # side of zero, not a disagreement.
-        assert self._measurement(estimate=-2.0, exact=-6.0).signs_agree
-        assert self._measurement(estimate=-2.0, exact=0.0).signs_agree
-        assert self._measurement(estimate=0.0, exact=-5.0).signs_agree
-        assert not self._measurement(estimate=3.0, exact=-5.0).signs_agree
-
-    def test_zero_boundary_distinguishable_from_sign_disagreement(self):
-        at_boundary = self._measurement(estimate=4.0, exact=0.0)
-        disagreeing = self._measurement(estimate=-4.0, exact=2.0)
-        assert at_boundary.multiplicative_error < float("inf")
-        assert at_boundary.signs_agree
-        assert disagreeing.multiplicative_error == float("inf")
-        assert not disagreeing.signs_agree
-
-    def test_ordinary_ratio_unchanged(self):
-        measurement = self._measurement(estimate=8.0, exact=4.0)
-        assert measurement.multiplicative_error == pytest.approx(2.0)
-        assert measurement.signs_agree
 
 
 class TestSpaceAccounting:
