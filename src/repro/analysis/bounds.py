@@ -21,6 +21,7 @@ from .entropy import binary_entropy, net_size_bound
 __all__ = [
     "f0_lower_bound_space",
     "usample_size",
+    "rounding_distortion",
     "theorem_6_5_space",
     "theorem_6_5_approximation",
     "abstract_tradeoff",
@@ -51,6 +52,37 @@ def usample_size(epsilon: float, delta: float) -> float:
     return math.log(1.0 / delta) / (epsilon * epsilon)
 
 
+def rounding_distortion(alpha: float, d: int, p: float) -> float:
+    """Lemma 6.4: worst-case multiplicative error of answering on an α-neighbour.
+
+    The one home of the formula: :mod:`repro.core.rounding` re-exports it
+    for :class:`~repro.core.rounding.AlphaNet`, and
+    :func:`theorem_6_5_approximation` scales it by ``β``.
+
+    Parameters
+    ----------
+    alpha:
+        Net parameter in ``(0, 1/2)``.
+    d:
+        Dimensionality of the data.
+    p:
+        Moment order (``p = 0`` for distinct counting).
+    """
+    if not 0 < alpha < 0.5:
+        raise InvalidParameterError(f"alpha must be in (0, 1/2), got {alpha}")
+    if d < 1:
+        raise InvalidParameterError(f"d must be >= 1, got {d}")
+    if p < 0:
+        raise InvalidParameterError(f"p must be non-negative, got {p}")
+    if p == 0:
+        return 2.0 ** (alpha * d)
+    if p == 1:
+        return 1.0
+    if p > 1:
+        return 2.0 ** (alpha * d * (p - 1))
+    return 2.0 ** (alpha * d * (1 - p))
+
+
 def theorem_6_5_space(d: int, alpha: float, sketch_bits: float = 1.0) -> float:
     """Space of Algorithm 1: ``~O(2^{H(1/2-α)d})`` sketches of ``sketch_bits`` each."""
     return net_size_bound(d, alpha) * sketch_bits
@@ -58,23 +90,9 @@ def theorem_6_5_space(d: int, alpha: float, sketch_bits: float = 1.0) -> float:
 
 def theorem_6_5_approximation(d: int, alpha: float, p: float, beta: float = 1.0) -> float:
     """Approximation factor of Algorithm 1: ``β · r(α, P)`` (Lemma 6.4)."""
-    if not 0 < alpha < 0.5:
-        raise InvalidParameterError(f"alpha must be in (0, 1/2), got {alpha}")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
-    if p < 0:
-        raise InvalidParameterError(f"p must be non-negative, got {p}")
     if beta < 1:
         raise InvalidParameterError(f"beta must be >= 1, got {beta}")
-    if p == 0:
-        distortion = 2.0 ** (alpha * d)
-    elif p == 1:
-        distortion = 1.0
-    elif p > 1:
-        distortion = 2.0 ** (alpha * d * (p - 1))
-    else:
-        distortion = 2.0 ** (alpha * d * (1 - p))
-    return beta * distortion
+    return beta * rounding_distortion(alpha, d, p)
 
 
 @dataclass(frozen=True)

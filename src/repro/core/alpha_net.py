@@ -222,9 +222,9 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
         Equivalence to per-row ingestion: bit-identical summaries for the
         integer-state sketches (Count-Min, Count-Sketch, AMS, KMV,
-        HyperLogLog, linear counting, BJKST); answer-equivalent (same
-        guarantees, not the same bits) for float-accumulating moment
-        sketches, whose rounding depends on addition order, and for the
+        HyperLogLog, BJKST); answer-equivalent (same guarantees, not the
+        same bits) for float-accumulating moment sketches, whose rounding
+        depends on addition order, and for the
         order-dependent Misra–Gries/SpaceSaving trackers, which consume the
         counted batch through their documented per-item fallback.
         """

@@ -12,7 +12,6 @@ summaries against the paper's space bounds.
 from __future__ import annotations
 
 import abc
-import copy
 import time
 from typing import Iterable
 
@@ -257,16 +256,6 @@ class ProjectedFrequencyEstimator(abc.ABC):
         self._rows_observed += other.rows_observed
         self._version += 1
         return self
-
-    def snapshot(self) -> "ProjectedFrequencyEstimator":
-        """An independent deep copy of the current summary state.
-
-        Snapshots are what shards ship across process boundaries: they are
-        pickle-able (every summary in this package is built from plain
-        containers and numpy state) and observing further rows on the
-        original never mutates a snapshot.
-        """
-        return copy.deepcopy(self)
 
     # -- persistence ------------------------------------------------------------
 

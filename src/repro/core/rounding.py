@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Literal
 
+from ..analysis.bounds import rounding_distortion
 from ..analysis.entropy import binary_entropy, exact_net_size, net_size_bound
 from ..errors import InvalidParameterError, QueryError
 from .dataset import ColumnQuery
@@ -30,33 +31,6 @@ __all__ = ["AlphaNet", "rounding_distortion", "NeighbourRule"]
 
 #: How :meth:`AlphaNet.round_query` picks the α-neighbour for mid-band queries.
 NeighbourRule = Literal["nearest", "shrink", "grow"]
-
-
-def rounding_distortion(alpha: float, d: int, p: float) -> float:
-    """Lemma 6.4: worst-case multiplicative error of answering on an α-neighbour.
-
-    Parameters
-    ----------
-    alpha:
-        Net parameter in ``(0, 1/2)``.
-    d:
-        Dimensionality of the data.
-    p:
-        Moment order (``p = 0`` for distinct counting).
-    """
-    if not 0 < alpha < 0.5:
-        raise InvalidParameterError(f"alpha must be in (0, 1/2), got {alpha}")
-    if d < 1:
-        raise InvalidParameterError(f"d must be >= 1, got {d}")
-    if p < 0:
-        raise InvalidParameterError(f"p must be non-negative, got {p}")
-    if p == 0:
-        return 2.0 ** (alpha * d)
-    if p == 1:
-        return 1.0
-    if p > 1:
-        return 2.0 ** (alpha * d * (p - 1))
-    return 2.0 ** (alpha * d * (1 - p))
 
 
 @dataclass(frozen=True)

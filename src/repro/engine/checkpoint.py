@@ -3,18 +3,22 @@
 The paper's two-phase model says a summary, once built, should answer
 queries *arbitrarily later* — including from a different process than the
 one that observed the stream.  A checkpoint makes that literal: one file
-(format tag ``repro/engine-checkpoint@1``, built on the
-:mod:`repro.persistence` envelope) holding the coordinator's configuration
-manifest, the merged summary and every per-shard summary, each serialized
-through the estimators' ``state_dict`` contract.
+(format tag ``repro/engine-checkpoint@2``, built on the
+:mod:`repro.persistence` envelope) holding exactly the coordinator's
+configuration manifest and the merged summary, serialized through the
+estimator's ``state_dict`` contract.  Shard replicas are not in it: each
+``ingest()`` starts fresh ones and drops them after the merge, so the
+merged summary is all the coordinator's state.  ``@1`` files, which also
+carried the last ingest's per-shard replicas, are refused.
 
 Build once, fan out many: a query tier restores the merged summary with
 :func:`load_merged_estimator` (or
 :meth:`repro.engine.service.QueryService.from_checkpoint`) without ever
 touching the raw stream, while :func:`load_checkpoint` rebuilds a full
-:class:`~repro.engine.coordinator.Coordinator` — shards included — that can
-keep ingesting exactly where the saved one stopped (bit-identically, since
-RNG state travels with the summaries).
+:class:`~repro.engine.coordinator.Coordinator` that can keep ingesting
+exactly where the saved one stopped (bit-identically, since RNG state
+travels with the summary).  Saving replaces the file atomically, so a
+failed save leaves the previous checkpoint intact.
 
 Example::
 
@@ -34,6 +38,7 @@ Example::
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,9 +77,8 @@ class CheckpointInfo:
 
 
 def save_checkpoint(coordinator: "Coordinator", path: str | Path) -> CheckpointInfo:
-    """Persist ``coordinator``'s shards, merged summary and config to ``path``."""
+    """Persist ``coordinator``'s merged summary and config to ``path``."""
     merged = coordinator._merged  # noqa: SLF001 - same-package accessor
-    shards = coordinator._shards  # noqa: SLF001
     started = time.perf_counter()
     with telemetry.span(
         "checkpoint.save", path=str(path), n_shards=coordinator.n_shards
@@ -98,33 +102,27 @@ def save_checkpoint(coordinator: "Coordinator", path: str | Path) -> CheckpointI
                 "rows_lost": coordinator._rows_lost,  # noqa: SLF001
             },
             "merged": None if merged is None else persistence.encode_state(merged),
-            "shards": [
-                {
-                    "shard_id": shard.shard_id,
-                    "rows_ingested": shard.rows_ingested,
-                    "estimator": persistence.encode_state(shard.estimator),
-                }
-                for shard in shards
-            ],
         }
         data = persistence.dump_envelope(envelope)
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
+        # Write a sibling, then rename it over the target: a write that
+        # fails part-way (a full disk, say) leaves the previous checkpoint
+        # loadable, and the partial sibling is removed.
+        temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            temporary.write_bytes(data)
+            os.replace(temporary, target)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
         save_span.set(bytes=len(data))
     _record_checkpoint_metrics("save", len(data), time.perf_counter() - started)
     return CheckpointInfo(
         path=str(target),
         n_bytes=len(data),
         n_shards=coordinator.n_shards,
-        # The merged summary accumulates across repeated ingest() calls
-        # while the shard list only reflects the latest one, so it is the
-        # authoritative row count for what the checkpoint holds.
-        rows_total=(
-            merged.rows_observed
-            if merged is not None
-            else sum(shard.rows_ingested for shard in shards)
-        ),
+        rows_total=0 if merged is None else merged.rows_observed,
         summary_bits=0 if merged is None else merged.size_in_bits(),
     )
 
@@ -175,7 +173,6 @@ def load_checkpoint(
     raises.
     """
     from .coordinator import Coordinator  # deferred: avoid import cycle
-    from .shard import Shard
 
     started = time.perf_counter()
     with telemetry.span(
@@ -192,9 +189,6 @@ def load_checkpoint(
             backend=str(config["backend"]),
             hash_seed=int(config["hash_seed"]),
             batch_size=config["batch_size"],
-            # Tolerant reads: checkpoints predating the transport layer
-            # carry no worker_addresses key, and ones predating the
-            # resilience layer no resilience/coverage keys.
             worker_addresses=config.get("worker_addresses"),
             resilience=config.get("resilience"),
         )
@@ -202,17 +196,6 @@ def load_checkpoint(
             config.get("rows_covered", 0)
         )
         coordinator._rows_lost = int(config.get("rows_lost", 0))  # noqa: SLF001
-        shards = []
-        for entry in envelope["shards"]:
-            estimator = persistence.decode_state(entry["estimator"])
-            if not isinstance(estimator, ProjectedFrequencyEstimator):
-                raise SnapshotError(
-                    f"{path}: shard {entry['shard_id']} does not hold an estimator"
-                )
-            shard = Shard(int(entry["shard_id"]), estimator)
-            shard._rows_ingested = int(entry["rows_ingested"])  # noqa: SLF001
-            shards.append(shard)
-        coordinator._shards = shards  # noqa: SLF001
         merged = envelope["merged"]
         if merged is not None:
             estimator = persistence.decode_state(merged)

@@ -11,8 +11,10 @@ a sharded one:
    *compact snapshot state* — the :mod:`repro.persistence` wire format,
    no shard bookkeeping, no timing fields — crosses the process boundary;
    see :mod:`repro.engine.transport`);
-3. the per-shard summaries are folded together through the estimator-level
-   ``merge()`` protocol, yielding one summary of the whole stream.
+3. the per-shard summaries are folded into shard 0's replica through the
+   estimator-level ``merge()`` protocol, yielding one summary of the whole
+   stream, which is folded into the summary of earlier ``ingest()`` calls.
+   The shards are then dropped: only the merged summary outlives the call.
 
 Because every partition policy produces disjoint substreams whose union is
 the input, and because merging is lossless for the default sketch plans,
@@ -254,7 +256,6 @@ class Coordinator:
             self._resilience = ResilienceConfig.from_dict(resilience)
         self._resilience.validate()
         self._socket_pool: SocketWorkerPool | None = None
-        self._shards: list[Shard] = []
         self._merged: ProjectedFrequencyEstimator | None = None
         self._rows_covered = 0
         self._rows_lost = 0
@@ -299,11 +300,6 @@ class Coordinator:
         return 1.0 if total == 0 else self._rows_covered / total
 
     @property
-    def shards(self) -> list[Shard]:
-        """The shards of the most recent :meth:`ingest` call."""
-        return list(self._shards)
-
-    @property
     def merged_estimator(self) -> ProjectedFrequencyEstimator:
         """The merged summary of every stream ingested so far."""
         if self._merged is None:
@@ -317,7 +313,9 @@ class Coordinator:
 
         Repeated calls accumulate: each batch's merged summary is folded
         into the summary of all earlier batches, so the engine can ingest an
-        unbounded sequence of stream segments.
+        unbounded sequence of stream segments.  Each call starts fresh
+        replicas from the factory and keeps none of them afterwards; the
+        returned report carries their row counts and timings.
 
         The serial backend dispatches rows to shards in a single pass with
         ``O(summary)`` memory, honouring the streaming model; the process
@@ -366,7 +364,9 @@ class Coordinator:
                 shards, bytes_shipped = self._ingest_in_processes(shards, stream)
             with telemetry.span("coordinator.merge", n_shards=self.n_shards):
                 merge_started = time.perf_counter()
-                merged = shards[0].snapshot()
+                # The shards die with this call, so shard 0's replica is
+                # folded into in place rather than copied first.
+                merged = shards[0].estimator
                 for shard in shards[1:]:
                     merged.merge(shard.estimator)
                 if self._merged is not None:
@@ -374,7 +374,6 @@ class Coordinator:
                 else:
                     self._merged = merged
                 merge_seconds = time.perf_counter() - merge_started
-            self._shards = shards
             rows_per_shard = tuple(shard.rows_ingested for shard in shards)
             rows_total = sum(rows_per_shard)
             rows_dropped = int(resilience_info["rows_dropped"])
@@ -716,11 +715,11 @@ class Coordinator:
     # -- persistence -------------------------------------------------------------
 
     def save_checkpoint(self, path: str | Path) -> "checkpoint_io.CheckpointInfo":
-        """Persist shards + merged summary + config manifest to ``path``.
+        """Persist the merged summary + config manifest to ``path``.
 
-        The file is a ``repro/engine-checkpoint@1`` payload (see
-        :mod:`repro.engine.checkpoint`); a query tier restores it with
-        :meth:`load_checkpoint` or
+        The file is a ``repro/engine-checkpoint@2`` payload (see
+        :mod:`repro.engine.checkpoint`), replaced atomically; a query tier
+        restores it with :meth:`load_checkpoint` or
         :meth:`~repro.engine.service.QueryService.from_checkpoint` in any
         later process without re-ingesting the stream.
         """
@@ -732,7 +731,7 @@ class Coordinator:
             [], ProjectedFrequencyEstimator
         ] | None = None,
     ) -> "Coordinator":
-        """Rebuild a coordinator (shards, merged summary, config) from ``path``.
+        """Rebuild a coordinator (merged summary, config) from ``path``.
 
         ``estimator_factory`` is only required to ingest *more* data after
         restoring — serving queries from the restored merged summary needs

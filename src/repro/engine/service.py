@@ -265,8 +265,7 @@ class QueryService:
 
         estimator, config = _load_merged(path)
         # A checkpoint of a degraded coordinator records its coverage; a
-        # service restored from it keeps annotating answers.  Pre-resilience
-        # checkpoints carry no coverage key and restore as full answers.
+        # service restored from it keeps annotating answers.
         return cls(
             estimator,
             cache_size=cache_size,

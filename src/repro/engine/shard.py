@@ -1,8 +1,10 @@
 """A shard: one estimator replica bound to one substream.
 
-Shards are the unit of parallelism in the engine.  Each shard owns a fresh
-estimator, ingests only the rows its partition policy assigned to it, and
-exposes a :meth:`snapshot` of its summary for merging.  Shards stay in the
+Shards are the unit of parallelism in the engine.  Each
+:meth:`~repro.engine.coordinator.Coordinator.ingest` call builds one shard
+per replica and drops them all once their summaries are merged, so no
+shard outlives that call.  A shard owns a fresh estimator and ingests only
+the rows its partition policy assigned to it.  Shards stay in the
 coordinator's process: the ``processes`` and ``sockets`` backends send
 workers the replica's snapshot bytes only, and the shard adopts the
 summary a worker sends back.
@@ -28,7 +30,7 @@ class Shard:
     Parameters
     ----------
     shard_id:
-        Position of this shard in the coordinator's shard list.
+        Position of this shard among one ingest's replicas.
     estimator:
         The fresh estimator replica this shard feeds.  It must be mergeable
         (``estimator.is_mergeable``) for the coordinator to combine shard
@@ -52,7 +54,7 @@ class Shard:
 
     @property
     def shard_id(self) -> int:
-        """Position of this shard in the coordinator's shard list."""
+        """Position of this shard among one ingest's replicas."""
         return self._shard_id
 
     @property
@@ -94,10 +96,6 @@ class Shard:
         self._rows_ingested += 1
         self._ingest_seconds += time.perf_counter() - started
 
-    def snapshot(self) -> ProjectedFrequencyEstimator:
-        """An independent copy of the shard's summary, safe to merge/ship."""
-        return self._estimator.snapshot()
-
     def adopt(
         self,
         estimator: ProjectedFrequencyEstimator,
@@ -115,18 +113,6 @@ class Shard:
         self._rows_ingested += int(rows_ingested)
         self._ingest_seconds += float(ingest_seconds)
         return self
-
-    def __getstate__(self) -> dict:
-        """Pickle support that never serializes transient serving state.
-
-        Wall-clock timings are a property of the process that measured
-        them, not of the summary; a shard that crosses a process boundary
-        arrives with its timer zeroed (regression-tested in
-        ``tests/test_persistence.py``).
-        """
-        state = self.__dict__.copy()
-        state["_ingest_seconds"] = 0.0
-        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -35,7 +35,8 @@ register_external(
     rationale=(
         "Snapshot and checkpoint files must carry the magic prefix, the\n"
         "zlib+JSON framing, a known envelope schema\n"
-        "(repro/estimator-snapshot@1 or repro/engine-checkpoint@1) and only\n"
+        "(repro/estimator-snapshot@1, or repro/engine-checkpoint@2 with\n"
+        "exactly its format, config and merged keys) and only\n"
         "type tags registered with the live @snapshottable registry;\n"
         "checkpoint bundles additionally need a well-formed manifest.json\n"
         "with resolvable per-session files.  A failing artifact cannot be\n"

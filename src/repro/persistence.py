@@ -25,8 +25,8 @@ Wire format (``repro/estimator-snapshot@1``): a fixed magic prefix
 state dict>}``.  Values that JSON cannot express natively travel as tagged
 objects (``{"__kind__": "tuple" | "set" | "map" | "bytes" | "ndarray" |
 "snapshot", ...}``); nested summaries (a sampler inside an estimator, the
-Count-Min spill sketches inside the ``ℓ_p`` sampler) are encoded
-recursively as ``"snapshot"`` values.  Compatibility policy: the format
+per-member sketches inside an α-net estimator) are encoded recursively as
+``"snapshot"`` values.  Compatibility policy: the format
 tag is bumped on any breaking change and :func:`from_bytes` refuses
 payloads with an unknown tag — there is no silent best-effort decoding.
 """
@@ -65,14 +65,18 @@ __all__ = [
 #: Format tag of a single serialized estimator or sketch.
 SNAPSHOT_FORMAT = "repro/estimator-snapshot@1"
 
-#: Format tag of an engine checkpoint (shards + merged summary + manifest).
-CHECKPOINT_FORMAT = "repro/engine-checkpoint@1"
+#: Format tag of an engine checkpoint (config manifest + merged summary).
+#: ``@1`` also carried the last ingest's per-shard replicas; it is refused.
+CHECKPOINT_FORMAT = "repro/engine-checkpoint@2"
 
 #: Magic prefix identifying every file/payload written by this module.
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\x00"
 
 #: Envelope formats :func:`load_envelope` accepts.
 _KNOWN_FORMATS = (SNAPSHOT_FORMAT, CHECKPOINT_FORMAT)
+
+#: The exact top-level keys of a :data:`CHECKPOINT_FORMAT` envelope.
+_CHECKPOINT_KEYS = ("config", "format", "merged")
 
 _CLASS_BY_TAG: dict[str, type] = {}
 _TAG_BY_CLASS: dict[type, str] = {}
@@ -341,6 +345,11 @@ def validate_envelope(envelope: object) -> list[str]:
             problems.append("'state' must be an object")
         return problems
     # CHECKPOINT_FORMAT
+    if sorted(envelope) != list(_CHECKPOINT_KEYS):
+        problems.append(
+            f"a checkpoint holds exactly the keys {list(_CHECKPOINT_KEYS)}, "
+            f"got {sorted(envelope)}"
+        )
     config = envelope.get("config")
     if not isinstance(config, dict):
         problems.append("'config' must be an object")
@@ -358,24 +367,6 @@ def validate_envelope(envelope: object) -> list[str]:
     merged = envelope.get("merged")
     if merged is not None and not _looks_like_snapshot_value(merged):
         problems.append("'merged' must be null or an encoded snapshot value")
-    shards = envelope.get("shards")
-    if not isinstance(shards, list):
-        problems.append("'shards' must be a list")
-    else:
-        for position, shard in enumerate(shards):
-            if not isinstance(shard, dict):
-                problems.append(f"shard #{position} must be an object")
-                continue
-            if not isinstance(shard.get("shard_id"), int):
-                problems.append(f"shard #{position} needs an integer shard_id")
-            if not isinstance(shard.get("rows_ingested"), int):
-                problems.append(
-                    f"shard #{position} needs an integer rows_ingested"
-                )
-            if not _looks_like_snapshot_value(shard.get("estimator")):
-                problems.append(
-                    f"shard #{position} needs an encoded estimator snapshot"
-                )
     return problems
 
 

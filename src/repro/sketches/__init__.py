@@ -1,11 +1,11 @@
 """Streaming sketch substrate.
 
 Every sketch used by the projected-frequency estimators is implemented here
-from scratch: distinct-count sketches (KMV, BJKST, HyperLogLog, linear
-counting), point-query / heavy-hitter sketches (Count-Min, Count-Sketch,
-Misra–Gries, SpaceSaving), frequency-moment sketches (AMS ``F_2``, p-stable
-``ℓ_p``), samplers (reservoir, with-replacement, Bernoulli, level-set
-``ℓ_p`` sampler) and the hash-function families they rely on.
+from scratch: distinct-count sketches (KMV, BJKST, HyperLogLog),
+point-query / heavy-hitter sketches (Count-Min, Count-Sketch, Misra–Gries,
+SpaceSaving), frequency-moment sketches (AMS ``F_2``, p-stable ``ℓ_p``),
+samplers (reservoir, with-replacement, Bernoulli) and the hash-function
+families they rely on.
 """
 
 from .ams import AMSSketch
@@ -36,8 +36,6 @@ from .hashing import (
 )
 from .hyperloglog import HyperLogLog
 from .kmv import KMVSketch, kmv_size_for_epsilon
-from .linear_counting import LinearCounting
-from .lp_sampler import LpSampler, LpSampleResult
 from .misra_gries import MisraGries
 from .reservoir import BernoulliSampler, ReservoirSampler, WithReplacementSampler
 from .space_saving import SpaceSaving, TrackedCount
@@ -54,9 +52,6 @@ __all__ = [
     "HashFamily",
     "HyperLogLog",
     "KMVSketch",
-    "LinearCounting",
-    "LpSampleResult",
-    "LpSampler",
     "MERSENNE_PRIME_61",
     "MergeableSketch",
     "MisraGries",

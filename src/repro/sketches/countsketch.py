@@ -4,9 +4,7 @@ Count-Sketch (Charikar, Chen, Farach-Colton) resembles Count-Min but pairs
 each row hash with a random sign and answers point queries by the *median*
 of the signed counters.  The resulting estimate is unbiased and its error is
 bounded in terms of the ``ℓ_2`` norm of the frequency vector rather than
-``F_1``, which makes it the natural building block for ``ℓ_2`` heavy hitters
-and for the residual-norm estimates used by the ``ℓ_p`` sampler in
-:mod:`repro.sketches.lp_sampler`.
+``F_1``, which makes it the natural building block for ``ℓ_2`` heavy hitters.
 """
 
 from __future__ import annotations

@@ -267,7 +267,7 @@ def test_coordinator_batch_path_equals_row_path(policy, n_shards):
         policy=policy,
         backend="serial",
     )
-    row_path.ingest(STREAM)
+    row_report = row_path.ingest(STREAM)
     block_path = Coordinator(
         lambda: ExactBaseline(n_columns=D, alphabet_size=3),
         n_shards=n_shards,
@@ -277,9 +277,7 @@ def test_coordinator_batch_path_equals_row_path(policy, n_shards):
     )
     report = block_path.ingest(STREAM)
     assert report.rows_total == DATA.n_rows
-    assert report.rows_per_shard == tuple(
-        shard.rows_ingested for shard in row_path.shards
-    )
+    assert report.rows_per_shard == row_report.rows_per_shard
     for p in (0, 1, 2):
         assert block_path.merged_estimator.estimate_fp(
             QUERY, p
@@ -304,7 +302,8 @@ def test_coordinator_batch_process_backend_matches_serial():
 
 def test_coordinator_batch_sampler_is_bit_identical_to_row_path():
     """Round-robin + serial: each shard sees the same substream in the same
-    order under both paths, so a seeded sampler ends up identical."""
+    order under both paths, so the seeded shard samplers, and the merge
+    that folds them together, end up identical: sample and RNG state."""
     factory = lambda: UniformSampleEstimator(  # noqa: E731
         n_columns=D, sample_size=32, alphabet_size=3, seed=4
     )
@@ -312,11 +311,11 @@ def test_coordinator_batch_sampler_is_bit_identical_to_row_path():
     block_path = Coordinator(factory, n_shards=2, backend="serial", batch_size=64)
     row_path.ingest(STREAM)
     block_path.ingest(STREAM)
-    for row_shard, block_shard in zip(row_path.shards, block_path.shards):
-        assert (
-            row_shard.estimator._sampler.sample()
-            == block_shard.estimator._sampler.sample()
-        )
+    row_state = row_path.merged_estimator._sampler.state_dict()
+    block_state = block_path.merged_estimator._sampler.state_dict()
+    assert len(row_state["reservoir"]) == 32
+    assert row_state["items_processed"] == DATA.n_rows
+    assert row_state == block_state
 
 
 def test_coordinator_validates_batch_size():

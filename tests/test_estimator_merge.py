@@ -1,9 +1,9 @@
-"""Tests for the estimator-level merge/snapshot protocol.
+"""Tests for the estimator-level merge protocol.
 
 The engine's correctness rests on ``estimator.merge`` being equivalent to
 having observed the concatenated stream on a single node.  These tests check
-that equivalence per estimator family, the capability flag, the snapshot
-isolation guarantee, and the incompatibility diagnostics.
+that equivalence per estimator family, the capability flag, and the
+incompatibility diagnostics.
 """
 
 from __future__ import annotations
@@ -184,16 +184,6 @@ def test_all_subsets_baseline_merge_equals_union() -> None:
     mismatched = AllSubsetsBaseline(n_columns=6, subset_sizes=[3])
     with pytest.raises(InvalidParameterError):
         sharded.merge(mismatched)
-
-
-def test_snapshot_is_isolated_from_further_observation() -> None:
-    estimator = ExactBaseline(n_columns=D).observe(FIRST)
-    frozen = estimator.snapshot()
-    before = frozen.estimate_fp(QUERY, 0)
-    estimator.observe(SECOND)
-    assert frozen.rows_observed == 300
-    assert frozen.estimate_fp(QUERY, 0) == before
-    assert estimator.rows_observed == 500
 
 
 def test_merge_returns_self_for_chaining() -> None:

@@ -26,7 +26,6 @@ from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.hyperloglog import HyperLogLog
 from repro.sketches.kmv import KMVSketch
-from repro.sketches.linear_counting import LinearCounting
 from repro.sketches.misra_gries import MisraGries
 from repro.sketches.reservoir import (
     BernoulliSampler,
@@ -80,15 +79,6 @@ CASES = [
         incompatible=(
             lambda: HyperLogLog(precision=8, seed=1),
             lambda: HyperLogLog(precision=10, seed=2),
-        ),
-    ),
-    MergeCase(
-        "linear-counting",
-        lambda: LinearCounting(bitmap_bits=2048, seed=1),
-        exact=True,
-        incompatible=(
-            lambda: LinearCounting(bitmap_bits=1024, seed=1),
-            lambda: LinearCounting(bitmap_bits=2048, seed=2),
         ),
     ),
     MergeCase(

@@ -1,20 +1,18 @@
-"""Tests for the distinct-count sketches (KMV, BJKST, HyperLogLog, linear counting)."""
+"""Tests for the distinct-count sketches (KMV, BJKST, HyperLogLog)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import EstimationError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.sketches.bjkst import BJKSTSketch
 from repro.sketches.hyperloglog import HyperLogLog
 from repro.sketches.kmv import KMVSketch, kmv_size_for_epsilon
-from repro.sketches.linear_counting import LinearCounting
 
 DISTINCT_SKETCHES = [
     lambda seed: KMVSketch(k=512, seed=seed),
     lambda seed: BJKSTSketch(capacity=1024, seed=seed),
     lambda seed: HyperLogLog(precision=12, seed=seed),
-    lambda seed: LinearCounting(bitmap_bits=1 << 15, seed=seed),
 ]
 
 
@@ -122,19 +120,3 @@ class TestHyperLogLogSpecifics:
         for value in range(30):
             sketch.update(value)
         assert abs(sketch.estimate() - 30) <= 3
-
-
-class TestLinearCountingSpecifics:
-    def test_saturation_raises(self):
-        sketch = LinearCounting(bitmap_bits=8, seed=0)
-        for value in range(500):
-            sketch.update(value)
-        with pytest.raises(EstimationError):
-            sketch.estimate()
-
-    def test_load_factor_tracks_fill(self):
-        sketch = LinearCounting(bitmap_bits=1024, seed=0)
-        assert sketch.load_factor == 0.0
-        for value in range(100):
-            sketch.update(value)
-        assert 0.05 < sketch.load_factor < 0.15

@@ -1,13 +1,12 @@
-"""Tests for moment sketches (AMS, p-stable) and samplers (reservoir, Lp)."""
+"""Tests for moment sketches (AMS, p-stable) and samplers (reservoir)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import EstimationError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.sketches.ams import AMSSketch
-from repro.sketches.lp_sampler import LpSampler
 from repro.sketches.reservoir import (
     BernoulliSampler,
     ReservoirSampler,
@@ -138,34 +137,3 @@ class TestReservoirSamplers:
             ReservoirSampler(capacity=0)
         with pytest.raises(InvalidParameterError):
             BernoulliSampler(rate=0.0)
-
-
-class TestLpSampler:
-    def test_sampling_from_empty_stream_fails(self):
-        with pytest.raises(EstimationError):
-            LpSampler(p=1.0).sample()
-
-    def test_distribution_tracks_fp_weights(self):
-        sampler = LpSampler(p=2.0, levels=8, level_capacity=64, seed=5)
-        counts = {"heavy": 60, "medium": 20, "light": 4}
-        for item, count in counts.items():
-            sampler.update(item, count)
-        empirical = sampler.empirical_distribution(draws=800)
-        total = sum(c**2 for c in counts.values())
-        assert empirical.get("heavy", 0) == pytest.approx(60**2 / total, abs=0.1)
-        assert empirical.get("light", 0) < 0.05
-
-    def test_sample_result_fields(self):
-        sampler = LpSampler(p=1.0, seed=6)
-        sampler.update("only", 3)
-        result = sampler.sample()
-        assert result.item == "only"
-        assert result.probability == pytest.approx(1.0)
-        assert result.frequency_estimate >= 3
-
-    def test_size_grows_with_content(self):
-        sampler = LpSampler(p=1.0, level_capacity=16, seed=7)
-        empty_bits = sampler.size_in_bits()
-        for value in range(200):
-            sampler.update(value)
-        assert sampler.size_in_bits() > empty_bits

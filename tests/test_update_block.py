@@ -4,7 +4,7 @@ The contract behind the vectorized ingest path: for every sketch,
 ``update_block(items, counts)`` must leave the summary in the same state as
 the sequential loop ``for item, count in zip(items, counts): update(item,
 count)``.  For the order-independent sketches (Count-Min, Count-Sketch, AMS,
-KMV, HyperLogLog, linear counting, BJKST, StableLp) the equivalence is
+KMV, HyperLogLog, BJKST, StableLp) the equivalence is
 *bit-identical* — asserted here on the full ``state_dict()``, across random
 seeds, duplicate-heavy blocks, empty blocks and explicit multiplicities.
 The order-dependent Misra–Gries/SpaceSaving trackers keep the documented
@@ -29,7 +29,6 @@ from repro.sketches import (
     CountSketch,
     HyperLogLog,
     KMVSketch,
-    LinearCounting,
     MisraGries,
     SpaceSaving,
     StableLpSketch,
@@ -53,7 +52,6 @@ ORDER_INDEPENDENT = {
     "ams": lambda seed: AMSSketch(width=6, depth=2, seed=seed),
     "kmv": lambda seed: KMVSketch(k=12, seed=seed),
     "hyperloglog": lambda seed: HyperLogLog(precision=5, seed=seed),
-    "linear-counting": lambda seed: LinearCounting(bitmap_bits=64, seed=seed),
     "bjkst": lambda seed: BJKSTSketch(capacity=8, seed=seed),
     "stable-lp": lambda seed: StableLpSketch(p=1.0, width=12, depth=2, seed=seed),
 }
