@@ -33,7 +33,7 @@ the transport layer's shard-server entry point:
   pretty/JSON output;
 * ``python -m repro worker`` — serve shard estimators (one per
   connection) over TCP for the ``sockets`` ingest backend (the
-  ``repro/transport@1`` protocol; point a run at it with ``--backend
+  ``repro/transport@2`` protocol; point a run at it with ``--backend
   sockets --worker host:port``, one ``--worker`` per shard).
 
 Example::
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import sys
 from pathlib import Path
 
@@ -67,6 +68,7 @@ from .experiments import (
     write_result,
 )
 from .engine.coordinator import INGEST_BACKENDS
+from .engine.transport import TRANSPORT_SCHEMA, run_worker
 from .experiments.runner import RESULT_SCHEMA
 
 __all__ = ["build_parser", "main"]
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help=(
             "serve one shard estimator over TCP for the sockets ingest "
-            "backend (repro/transport@1)"
+            f"backend ({TRANSPORT_SCHEMA})"
         ),
     )
     worker.add_argument(
@@ -585,19 +587,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from .engine.transport import run_worker
-
-    def on_ready(port: int) -> None:
+    with socket.create_server((args.host, args.port)) as listener:
+        port = listener.getsockname()[1]
         # Flush immediately so wrappers reading our stdout learn the bound
         # (possibly ephemeral) port without waiting for a full buffer.
         print(f"serving shard worker on {args.host}:{port} "
-              "(repro/transport@1); stop with a server-scoped shutdown "
+              f"({TRANSPORT_SCHEMA}); stop with a server-scoped shutdown "
               "frame or SIGINT", flush=True)
-
-    try:
-        run_worker(args.host, args.port, on_ready)
-    except KeyboardInterrupt:
-        pass
+        try:
+            run_worker(listener)
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

@@ -56,7 +56,7 @@ __all__ = ["Coordinator", "IngestReport", "INGEST_BACKENDS"]
 
 #: Supported ingest execution backends: ``serial`` in-process,
 #: ``processes`` in a per-call local worker pool, and ``sockets`` on shard
-#: servers over the framed ``repro/transport@1`` protocol.
+#: servers over the framed ``repro/transport@2`` protocol.
 INGEST_BACKENDS = ("serial", "processes", "sockets")
 
 
@@ -68,8 +68,8 @@ def _ingest_estimator_state(
     ``payload`` is the estimator's snapshot byte payload; no estimator
     object or :class:`Shard` — with its timing fields and serving
     bookkeeping — ever crosses the process boundary.  Returns
-    ``(rows_ingested, ingest_seconds, updated_payload, metrics_state)``
-    where ``metrics_state`` is the worker's *own* telemetry registry
+    ``(rows_ingested, ingest_seconds, updated_payload, worker_metrics)``
+    where ``worker_metrics`` is the worker's *own* telemetry registry
     (recorded fresh, so a forked parent's history is never double
     counted) for the coordinator to merge, or ``None`` when telemetry is
     off.
@@ -85,8 +85,8 @@ def _ingest_estimator_state(
                 estimator.observe_row(row)
             ingested = len(rows)
         elapsed = time.perf_counter() - started
-    metrics_state = worker_registry.state_dict() if telemetry.enabled() else None
-    return ingested, elapsed, estimator.to_bytes(), metrics_state
+    worker_metrics = worker_registry.state_dict() if telemetry.enabled() else None
+    return ingested, elapsed, estimator.to_bytes(), worker_metrics
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ class Coordinator:
         processes; ``"sockets"`` drives shard servers (``python -m repro
         worker``, or loopback ones from
         :func:`~repro.engine.transport.spawn_local_servers`) at
-        ``worker_addresses`` over the framed ``repro/transport@1``
+        ``worker_addresses`` over the framed ``repro/transport@2``
         protocol, keeping the connections open across ``ingest()`` calls
         and shipping estimator snapshot bytes back only at merge time;
         ``"serial"`` ingests shards one after another in-process (useful
@@ -651,7 +651,7 @@ class Coordinator:
         registry = telemetry.get_registry()
         bytes_shipped = []
         bytes_out = bytes_in = blocks = 0
-        for shard, sent, bucket, (ingested, elapsed, payload, metrics_state) in zip(
+        for shard, sent, bucket, (ingested, elapsed, payload, worker_metrics) in zip(
             shards, payloads, buckets, results
         ):
             estimator = persistence.from_bytes(bytes(payload))
@@ -661,11 +661,11 @@ class Coordinator:
                     f"{type(estimator).__name__}"
                 )
             shard.adopt(estimator, ingested, elapsed)
-            if metrics_state is not None and telemetry.enabled():
+            if worker_metrics is not None and telemetry.enabled():
                 # Workers record into a registry of their own and ship it
                 # back next to the estimator state; fold it in so block and
                 # kernel metrics survive the process boundary.
-                registry.merge_state(metrics_state)
+                registry.merge_state(worker_metrics)
             shipped_out = self._approximate_payload_bytes(sent)
             shipped_out += self._approximate_payload_bytes(bucket)
             shipped_in = self._approximate_payload_bytes(payload)

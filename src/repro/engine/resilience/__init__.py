@@ -12,10 +12,10 @@ fails.  Failures are treated as expected protocol states, not exceptions:
   into a :class:`ResilienceConfig` that rides ``EngineConfig`` and the
   ``--retry`` / ``--rpc-timeout`` / ``--recovery`` CLI flags.
 * :mod:`~repro.engine.resilience.supervisor` — per-shard recovery
-  bookkeeping (:class:`ShardSupervisor`: basis snapshot + unacked block
-  replay buffer) plus the blessed RPC wrappers
-  (:func:`connect_with_retry`, :func:`recv_bytes_with_deadline`) that
-  lint rule PRO009 requires every transport call site to use.
+  bookkeeping (:class:`ShardSupervisor`: basis snapshot + replay buffer
+  of the current segment's blocks) plus the blessed connect path
+  (:func:`connect_with_retry`) that lint rule PRO009 requires every
+  transport dial to use.
 * :mod:`~repro.engine.resilience.degrade` — :class:`DegradedAnswer`, the
   coverage-annotated answer wrapper served when recovery is exhausted
   and the coordinator keeps going on the surviving shards.
@@ -25,10 +25,10 @@ fails.  Failures are treated as expected protocol states, not exceptions:
   attempt J), so every failure mode is reproducible in tests and CI.
 
 Recovery is bit-identical by construction: a recovered worker is loaded
-from its shard's last synced snapshot bytes and replays exactly the
-blocks the supervisor has not folded into that basis, in the original
-sequence order, so the estimator observes the same rows in the same
-order as a serial ingest.  See ``docs/robustness.md``.
+from its shard's pristine snapshot bytes and replays exactly the blocks
+of the current segment, in the original sequence order, so the
+estimator observes the same rows in the same order as a serial ingest.
+See ``docs/robustness.md``.
 """
 
 from .degrade import DegradedAnswer
@@ -49,16 +49,9 @@ from .policy import (
     ResilienceConfig,
     RetryPolicy,
 )
-from .supervisor import (
-    CLIENT_FEATURES,
-    ShardSupervisor,
-    WorkerSupervisor,
-    connect_with_retry,
-    recv_bytes_with_deadline,
-)
+from .supervisor import ShardSupervisor, WorkerSupervisor, connect_with_retry
 
 __all__ = [
-    "CLIENT_FEATURES",
     "DeadlinePolicy",
     "DegradedAnswer",
     "EXHAUSTION_ACTIONS",
@@ -76,5 +69,4 @@ __all__ = [
     "connect_with_retry",
     "install_fault_plan",
     "installed_fault_plan",
-    "recv_bytes_with_deadline",
 ]

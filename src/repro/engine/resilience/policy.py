@@ -260,38 +260,30 @@ class RecoveryPolicy:
     ``mode``:
 
     * ``"respawn"`` (default) — reconnect the socket to the same
-      address, reload the shard's basis snapshot and replay its
-      unacknowledged blocks.
+      address, reload the shard's pristine replica and replay every
+      block of its current segment.
     * ``"reassign"`` — if the original address stays down, move the
       shard's connection to a surviving worker address (each connection
       owns an isolated ``ShardWorkerState``, so one server can host
       several shards).
     * ``"fail-fast"`` — the pre-resilience contract: close the pool and
       raise :class:`~repro.errors.EstimationError`.
-
-    ``sync_every`` > 0 makes the pool checkpoint each shard's estimator
-    bytes mid-ingest every that-many blocks (a ``snapshot`` RPC with
-    ``reset: false``), which trims the replay buffer; 0 keeps the basis
-    at the segment start and replays the whole current segment.
     """
 
     mode: str = "respawn"
     max_recoveries: int = 2
     on_exhausted: str = "fail"
-    sync_every: int = 0
 
     _ALIASES = {
         "mode": "mode",
         "max": "max_recoveries",
         "max_recoveries": "max_recoveries",
         "on_exhausted": "on_exhausted",
-        "sync_every": "sync_every",
     }
     _TYPES = {
         "mode": str,
         "max_recoveries": int,
         "on_exhausted": str,
-        "sync_every": int,
     }
 
     def validate(self) -> "RecoveryPolicy":
@@ -310,10 +302,6 @@ class RecoveryPolicy:
                 f"unknown on_exhausted action {self.on_exhausted!r}; choose "
                 f"from {', '.join(EXHAUSTION_ACTIONS)}"
             )
-        if self.sync_every < 0:
-            raise InvalidParameterError(
-                f"sync_every must be >= 0, got {self.sync_every}"
-            )
         return self
 
     @property
@@ -327,12 +315,11 @@ class RecoveryPolicy:
             "mode": self.mode,
             "max_recoveries": self.max_recoveries,
             "on_exhausted": self.on_exhausted,
-            "sync_every": self.sync_every,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RecoveryPolicy":
-        """Rebuild from a :meth:`to_dict` payload."""
+        """Rebuild from a :meth:`to_dict` payload (unknown keys ignored)."""
         return cls(**_coerce(
             {k: str(v) for k, v in payload.items()}, cls._TYPES
         )).validate()

@@ -1,37 +1,24 @@
-"""Per-shard recovery bookkeeping and the blessed transport RPC wrappers.
+"""Per-shard recovery bookkeeping and the blessed transport connect path.
 
 The supervision model of the socket worker pool:
 
-* Every block sent to a shard carries a monotone sequence number, and a
-  worker that negotiated the ``seq_ack`` feature drops the connection on
-  any gap in that sequence, so a lost block always becomes a recovery.
-  The pool-side :class:`ShardSupervisor` keeps the shard's **basis** —
-  estimator bytes the worker can be reloaded from — plus a **replay
-  buffer** of every block with a sequence number the basis does not
-  cover.
+* Every block sent to a shard carries a monotone sequence number, and
+  the worker drops the connection on any gap in that sequence, so a
+  lost block always becomes a recovery.  The pool-side
+  :class:`ShardSupervisor` keeps the shard's **basis** — the pristine
+  estimator bytes the worker is reloaded from, tagged with the last
+  sequence number of the previous segment — plus a **replay buffer** of
+  every block sent since.
 * On worker death or deadline breach the pool reconnects (or
   reassigns), ``load``\\ s the basis with its sequence number and
   replays the buffered blocks in sequence order.  The estimator then
   observes exactly the rows a serial ingest would have shown it, in the
-  same order, so recovery is bit-identical by construction.
-* ``RecoveryPolicy.sync_every`` trims the buffer mid-ingest: a
-  ``snapshot`` RPC with ``reset: false`` (``sync_snapshot`` feature)
-  returns the worker's current bytes and last ingested sequence number
-  without disturbing the worker's estimator; those bytes become the new
-  basis.
+  same order, so recovery is bit-identical by construction.  The buffer
+  holds at most one ``ingest()`` call's rows per shard.
 
-Features are negotiated on ``hello``: the pool advertises
-:data:`CLIENT_FEATURES`, the worker answers with the intersection it
-supports, and the pool never sends ``ping`` or non-resetting snapshots
-to a worker that did not opt in — old workers keep speaking the base
-``repro/transport@1`` protocol untouched.
-
-This module also owns the two wrappers lint rule PRO009 forces the
-transport modules through: :func:`connect_with_retry` (bounded,
-seeded-backoff socket connects) and :func:`recv_bytes_with_deadline`
-(pipe receives that poll with a timeout first, so a hung child process
-becomes a detectable :class:`~repro.errors.TransportError` instead of a
-deadlock).
+This module also owns the wrapper lint rule PRO009 forces the transport
+modules through: :func:`connect_with_retry` (bounded, seeded-backoff
+socket connects).
 """
 
 from __future__ import annotations
@@ -45,15 +32,10 @@ from . import faults
 from .policy import ResilienceConfig
 
 __all__ = [
-    "CLIENT_FEATURES",
     "ShardSupervisor",
     "WorkerSupervisor",
     "connect_with_retry",
-    "recv_bytes_with_deadline",
 ]
-
-#: Protocol extensions this engine build can drive, offered on ``hello``.
-CLIENT_FEATURES = ("heartbeat", "seq_ack", "sync_snapshot")
 
 _RETRIES_HELP = "Transport RPC retries by backend and operation."
 _RECOVERIES_HELP = "Shard worker recoveries (respawn/reconnect/reassign)."
@@ -115,48 +97,30 @@ def connect_with_retry(
     )
 
 
-def recv_bytes_with_deadline(conn, deadline: float, what: str = "reply"):
-    """The blessed pipe receive path (enforced by lint rule PRO009).
-
-    Polls the connection up to ``deadline`` seconds before receiving, so
-    a child process that stopped answering (say a forked loopback server
-    that never reports its port) surfaces as a :class:`TransportError`
-    rather than a coordinator deadlock.
-    """
-    if not conn.poll(deadline):
-        raise TransportError(
-            f"deadline breached: no {what} within {deadline:g}s"
-        )
-    return conn.recv_bytes()
-
-
 class ShardSupervisor:
     """Recovery bookkeeping for one shard of a worker pool.
 
-    Tracks the basis snapshot, the replay buffer of blocks past the
-    basis, the monotone send sequence, and the recovery/degradation
-    state.  Buffering is disabled entirely under ``fail-fast`` recovery
+    Tracks the basis snapshot (the shard's pristine replica), the replay
+    buffer of blocks past the basis, the monotone send sequence, and the
+    recovery/degradation state.  Buffering is disabled entirely under ``fail-fast`` recovery
     so the zero-overhead transport path stays zero-overhead.
     """
 
     __slots__ = (
-        "index", "pristine", "basis", "basis_seq", "buffer", "tracking",
-        "lost", "recoveries_used", "blocks_since_sync", "rows_dropped",
-        "rows_sent", "_next_seq",
+        "index", "basis", "basis_seq", "buffer", "tracking",
+        "lost", "recoveries_used", "rows_dropped", "rows_sent", "_next_seq",
     )
 
     def __init__(
         self, index: int, pristine: bytes, resilience: ResilienceConfig
     ) -> None:
         self.index = index
-        self.pristine = bytes(pristine)
-        self.basis = self.pristine
+        self.basis = bytes(pristine)
         self.basis_seq = -1
         self.buffer: list[tuple[int, object]] = []
         self.tracking = not resilience.recovery.fail_fast
         self.lost = False
         self.recoveries_used = 0
-        self.blocks_since_sync = 0
         self.rows_dropped = 0
         self.rows_sent = 0
         self._next_seq = 0
@@ -168,26 +132,10 @@ class ShardSupervisor:
         return seq
 
     def record_send(self, seq: int, block) -> None:
-        """Remember a sent block until a sync or collect covers it."""
+        """Remember a sent block until the next collect covers it."""
         if self.tracking:
             self.buffer.append((seq, block))
-            self.blocks_since_sync += 1
             self.rows_sent += int(block.shape[0])
-
-    def record_sync(self, last_seq: int, payload: bytes) -> None:
-        """Adopt a mid-ingest checkpoint: new basis, trimmed buffer."""
-        self.basis = bytes(payload)
-        self.basis_seq = int(last_seq)
-        self.buffer = [(seq, block) for seq, block in self.buffer
-                       if seq > self.basis_seq]
-        self.blocks_since_sync = 0
-
-    def needs_sync(self, sync_every: int) -> bool:
-        """True when enough blocks accumulated for a mid-ingest sync."""
-        return (
-            self.tracking and sync_every > 0
-            and self.blocks_since_sync >= sync_every
-        )
 
     def replay_blocks(self) -> tuple:
         """Blocks (seq order) a recovered worker must re-ingest."""
@@ -195,10 +143,8 @@ class ShardSupervisor:
 
     def after_collect(self) -> None:
         """Reset to the segment boundary: worker is pristine again."""
-        self.basis = self.pristine
         self.basis_seq = self._next_seq - 1
         self.buffer.clear()
-        self.blocks_since_sync = 0
         self.rows_sent = 0
 
     def mark_lost(self) -> None:

@@ -3,7 +3,7 @@
 The transport layer behind ``Coordinator(backend="sockets")``.  Two
 pieces:
 
-* :mod:`~repro.engine.transport.frames` — the ``repro/transport@1`` frame
+* :mod:`~repro.engine.transport.frames` — the ``repro/transport@2`` frame
   codec every coordinator/worker exchange uses (nothing is pickled);
 * :mod:`~repro.engine.transport.sockets` — the shard worker behind a TCP
   server (``python -m repro worker``), the coordinator-side client, and

@@ -1,4 +1,4 @@
-"""The ``repro/transport@1`` frame codec.
+"""The ``repro/transport@2`` frame codec.
 
 Every message between a coordinator and a shard worker is one *frame*::
 
@@ -13,10 +13,7 @@ empty otherwise.
 
 Nothing in a frame is ever pickled.  Socket streams add an outer ``u32``
 frame-length prefix via :func:`frame_length_prefix` /
-:func:`split_length_prefix`; wherever transport code talks over a
-:mod:`multiprocessing` pipe it uses ``Connection.send_bytes`` /
-``recv_bytes`` (never ``send``/``recv``, whose payloads are pickles —
-lint rule PRO008 enforces this).
+:func:`split_length_prefix`.
 """
 
 from __future__ import annotations
@@ -38,28 +35,19 @@ __all__ = [
 ]
 
 #: Version tag carried by every frame header; bumped on incompatible change.
-TRANSPORT_SCHEMA = "repro/transport@1"
+TRANSPORT_SCHEMA = "repro/transport@2"
 
-#: The protocol vocabulary.  Requests: ``hello`` (handshake), ``load``
-#: (install pristine estimator snapshot bytes), ``ingest_block`` (one row
-#: block), ``snapshot`` (ship summary state back + reset to pristine),
-#: ``metrics`` (peek at the worker's telemetry registry), ``shutdown``.
-#: Replies: ``hello``, ``ok``, ``block_ack``, ``snapshot_state``,
-#: ``metrics_state``, ``error``.  ``ping`` / ``pong`` are the
-#: feature-negotiated health-check pair (``heartbeat``): a worker that
-#: did not advertise the feature on ``hello`` is never pinged, so old
-#: workers keep speaking the base protocol.
+#: The protocol vocabulary.  Requests: ``hello`` (version handshake),
+#: ``load`` (install pristine estimator snapshot bytes), ``ingest_block``
+#: (one row block; only a failure is answered), ``snapshot`` (ship summary
+#: state back and reset to pristine), ``shutdown``.  Replies: ``hello``,
+#: ``ok``, ``snapshot_state``, ``error``.
 MESSAGE_TYPES = (
     "hello",
     "load",
     "ingest_block",
-    "block_ack",
     "snapshot",
     "snapshot_state",
-    "metrics",
-    "metrics_state",
-    "ping",
-    "pong",
     "shutdown",
     "ok",
     "error",
@@ -104,6 +92,11 @@ def decode_frame(frame: bytes) -> tuple[dict, bytes]:
         header = json.loads(frame[_HEADER_LEN.size:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise TransportError(f"unreadable transport frame header: {error}")
+    if not isinstance(header, dict):
+        raise TransportError(
+            "transport frame header must be a JSON object, got "
+            f"{type(header).__name__}"
+        )
     version = header.get("v")
     if version != TRANSPORT_SCHEMA:
         raise TransportError(

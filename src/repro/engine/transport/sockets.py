@@ -1,4 +1,4 @@
-"""The socket shard protocol: shard workers behind ``repro/transport@1``.
+"""The socket shard protocol: shard workers behind ``repro/transport@2``.
 
 A :class:`ShardServer` (``python -m repro worker``) is an :mod:`asyncio`
 TCP server that answers framed transport messages with a
@@ -20,12 +20,13 @@ dead connection is reconnected — to the same address under ``respawn``
 recovery, or to a *surviving* worker address under ``reassign`` (each
 server connection owns an isolated ``ShardWorkerState``, so one server
 can host several shards) — then reloaded from the shard's basis snapshot
-and replayed its unacknowledged blocks, keeping recovered ingest
-bit-identical to serial.
+(its pristine replica) and replayed every block of the current segment,
+keeping recovered ingest bit-identical to serial.
 
-:func:`spawn_local_servers` forks loopback servers on ephemeral ports —
-the harness behind the socket-loopback differential tests, the
-transport benchmarks and local crash-recovery runs.
+:func:`spawn_local_servers` binds loopback listeners on ephemeral ports
+and starts one server process on each — the harness behind the
+socket-loopback differential tests, the transport benchmarks and local
+crash-recovery runs.
 """
 
 from __future__ import annotations
@@ -33,17 +34,11 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import socket
-import struct
 
 import numpy as np
 
 from ...errors import EstimationError, TransportError
-from ..resilience import ResilienceConfig, WorkerSupervisor
-from ..resilience.supervisor import (
-    CLIENT_FEATURES,
-    connect_with_retry,
-    recv_bytes_with_deadline,
-)
+from ..resilience import ResilienceConfig, WorkerSupervisor, connect_with_retry
 from .frames import (
     apply_send_faults,
     decode_frame,
@@ -101,26 +96,21 @@ def parse_address(address) -> tuple[str, int]:
 
 
 class ShardServer:
-    """An asyncio TCP shard server speaking ``repro/transport@1``.
+    """An asyncio TCP shard server speaking ``repro/transport@2``.
 
-    Each connection gets its own :class:`ShardWorkerState`, so one server
-    process serves one shard per connection — a coordinator normally opens
-    one per shard, and shard *reassignment* after a worker loss may point
-    a second connection at a surviving server.  A ``shutdown`` frame with
-    ``scope="server"`` stops the whole server — how CI tears its loopback
-    workers down.
+    Serves the listening socket it is given; the caller binds it, so the
+    caller knows the port before any client dials.  Each connection gets
+    its own :class:`ShardWorkerState`, so one server process serves one
+    shard per connection — a coordinator normally opens one per shard,
+    and shard *reassignment* after a worker loss may point a second
+    connection at a surviving server.  A ``shutdown`` frame with
+    ``scope="server"`` stops the whole server and closes the listener —
+    how CI tears its loopback workers down.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._host = host
-        self._port = port
+    def __init__(self, listener: socket.socket) -> None:
+        self._listener = listener
         self._stop: asyncio.Event | None = None
-        self._bound_port: int | None = None
-
-    @property
-    def port(self) -> int | None:
-        """The actual bound port (useful when constructed with port 0)."""
-        return self._bound_port
 
     async def _handle_connection(self, reader, writer) -> None:
         state = ShardWorkerState()
@@ -161,41 +151,26 @@ class ShardServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def serve(self, on_ready=None) -> None:
-        """Bind, serve until a server-scoped shutdown frame arrives.
-
-        ``on_ready(port)`` is called once the socket is bound — how forked
-        loopback servers report their ephemeral port to the parent.
-        """
+    async def serve(self) -> None:
+        """Serve until a server-scoped shutdown frame arrives."""
         self._stop = asyncio.Event()
         server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, sock=self._listener
         )
-        self._bound_port = server.sockets[0].getsockname()[1]
-        if on_ready is not None:
-            on_ready(self._bound_port)
         async with server:
             await self._stop.wait()
 
 
-def run_worker(host: str = "127.0.0.1", port: int = 0, on_ready=None) -> None:
-    """Run one shard server until shut down (the ``repro worker`` entry)."""
-    asyncio.run(ShardServer(host, port).serve(on_ready))
-
-
-def _server_process_main(host: str, conn) -> None:
-    """Child entry for :func:`spawn_local_servers`: serve, report the port."""
-
-    def on_ready(port: int) -> None:
-        conn.send_bytes(struct.pack("!I", port))
-        conn.close()
-
-    run_worker(host, 0, on_ready)
+def run_worker(listener: socket.socket) -> None:
+    """Serve shards on ``listener`` until shut down (``repro worker``)."""
+    asyncio.run(ShardServer(listener).serve())
 
 
 def spawn_local_servers(count: int, host: str = "127.0.0.1"):
-    """Fork ``count`` loopback shard servers on ephemeral ports.
+    """Start ``count`` loopback shard server processes on ephemeral ports.
 
+    Each listener is bound here, so its port is known before the child
+    starts; the child inherits the listening socket and serves it.
     Returns ``(addresses, processes)`` where ``addresses`` are
     ``"host:port"`` strings ready for ``Coordinator(worker_addresses=...)``.
     Stop them with :meth:`SocketShardClient.shutdown_server` per address
@@ -208,20 +183,18 @@ def spawn_local_servers(count: int, host: str = "127.0.0.1"):
     addresses: list[str] = []
     processes = []
     for _ in range(count):
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(
-            target=_server_process_main,
-            args=(host, child_conn),
-            daemon=True,
-            name="repro-shard-server",
-        )
-        process.start()
-        child_conn.close()
-        (port,) = struct.unpack(
-            "!I",
-            recv_bytes_with_deadline(parent_conn, 30.0, what="server port"),
-        )
-        parent_conn.close()
+        # Closing the parent's copy once the child holds its own matters:
+        # a listener left open here would queue reconnects to a crashed
+        # server instead of refusing them, stalling recovery.
+        with socket.create_server((host, 0)) as listener:
+            port = listener.getsockname()[1]
+            process = context.Process(
+                target=run_worker,
+                args=(listener,),
+                daemon=True,
+                name="repro-shard-server",
+            )
+            process.start()
         addresses.append(f"{host}:{port}")
         processes.append(process)
     return addresses, processes
@@ -233,9 +206,9 @@ def spawn_local_servers(count: int, host: str = "127.0.0.1"):
 class SocketShardClient:
     """Coordinator-side peer driving one remote shard over TCP.
 
-    Blocks are pipelined (``ack=False``), with TCP as the flow control,
-    and :meth:`snapshot` is the barrier that proves every block was
-    ingested.  All traffic is framed; nothing is pickled.  The initial
+    Blocks are pipelined without per-block acks, with TCP as the flow
+    control, and :meth:`snapshot` is the barrier that proves every block
+    was ingested.  All traffic is framed; nothing is pickled.  The initial
     connect is retried per the pool's
     :class:`~repro.engine.resilience.RetryPolicy`, so a worker started a
     moment after the coordinator no longer loses the race, and every RPC
@@ -265,15 +238,12 @@ class SocketShardClient:
         self.frames_sent = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        header, _ = self._request(
-            {"type": "hello", "features": list(CLIENT_FEATURES)}
-        )
+        header, _ = self._request({"type": "hello"})
         if header.get("type") != "hello":
             raise TransportError(
                 f"worker at {self.address} answered {header.get('type')!r} "
                 "to the hello handshake"
             )
-        self.features = tuple(header.get("features") or ())
 
     def _send_frame(self, frame: bytes, fault_hook: bool = False) -> None:
         if fault_hook:
@@ -343,7 +313,6 @@ class SocketShardClient:
             "type": "ingest_block",
             "shard": shard_index,
             "seq": seq,
-            "ack": False,
             "shape": list(contiguous.shape),
             "dtype": np.dtype(contiguous.dtype).str,
         }
@@ -351,46 +320,6 @@ class SocketShardClient:
             encode_frame(header, contiguous.tobytes()), fault_hook=True
         )
         self.blocks += 1
-
-    def ping(self) -> dict:
-        """Health-check round trip (feature ``heartbeat``).
-
-        Returns the ``pong`` header — shard index, rows ingested since the
-        last snapshot, last ingested sequence number.  Raises
-        :class:`TransportError` when the worker never advertised the
-        feature.
-        """
-        if "heartbeat" not in self.features:
-            raise TransportError(
-                f"worker at {self.address} did not negotiate the "
-                "'heartbeat' feature"
-            )
-        header, _ = self._request({"type": "ping"})
-        if header.get("type") != "pong":
-            raise TransportError(
-                f"worker at {self.address} answered {header.get('type')!r} "
-                "to a ping"
-            )
-        return header
-
-    def sync(self) -> tuple[int, bytes]:
-        """Mid-ingest checkpoint (feature ``sync_snapshot``).
-
-        Returns ``(last_seq, summary_bytes)`` without resetting the
-        worker's estimator — the supervisor's basis refresh.
-        """
-        previous = self._sock.gettimeout()
-        self._sock.settimeout(self._resilience.deadlines.snapshot)
-        try:
-            header, payload = self._request({"type": "snapshot", "reset": False})
-        finally:
-            self._sock.settimeout(previous)
-        if header.get("type") != "snapshot_state":
-            raise TransportError(
-                f"worker at {self.address} answered {header.get('type')!r} "
-                "to a sync snapshot request"
-            )
-        return int(header.get("last_seq", -1)), payload
 
     def request_snapshot(self) -> None:
         """Send the snapshot barrier without waiting for the reply."""
@@ -457,7 +386,7 @@ class SocketWorkerPool:
     after every ``collect`` each worker resets itself to its pristine
     replica.  A :class:`~repro.engine.resilience.WorkerSupervisor`
     governs failures: reconnect (or reassign to a surviving address),
-    reload the basis snapshot, replay unacknowledged blocks.  Under
+    reload the basis snapshot, replay the current segment's blocks.  Under
     ``fail-fast`` recovery a failed worker or dropped connection surfaces
     as :class:`~repro.errors.EstimationError` naming the shard index and
     backend, after which the pool has closed every connection so the
@@ -605,21 +534,6 @@ class SocketWorkerPool:
         except _CLIENT_ERRORS as error:
             # A successful reconnect already replayed this block (recorded
             # above); a degraded shard silently absorbs it.
-            if not self._handle_transport_failure(shard_index, error):
-                return
-        if shard.needs_sync(self._resilience.recovery.sync_every):
-            self._sync(shard_index)
-
-    def _sync(self, shard_index: int) -> None:
-        """Mid-ingest basis refresh through the client's sync RPC."""
-        client = self._clients[shard_index]
-        if "sync_snapshot" not in client.features:
-            return
-        shard = self.supervisor.shard(shard_index)
-        try:
-            last_seq, payload = client.sync()
-            shard.record_sync(last_seq, payload)
-        except _CLIENT_ERRORS as error:
             self._handle_transport_failure(shard_index, error)
 
     def _lost_entry(self, shard_index: int) -> dict:

@@ -9,9 +9,9 @@ snapshot-bytes-only protocol:
   (:func:`repro.persistence.from_bytes`), caches the *pristine* payload
   and records the block sequence number the loaded basis already covers;
 * ``ingest_block`` feeds one inline row block through ``observe_rows``;
-  once the peer negotiated ``seq_ack``, a block whose ``seq`` does not
-  directly follow the previous one means a frame was lost in transit,
-  which is connection-fatal so the client replays from its basis;
+  a block whose ``seq`` does not directly follow the previous one means
+  a frame was lost in transit, which is connection-fatal so the client
+  replays from its basis;
 * ``snapshot`` ships the updated summary back as snapshot bytes (plus row
   count, ingest seconds and the worker's telemetry registry state) and
   resets the estimator to the cached pristine payload, giving every
@@ -29,9 +29,8 @@ import numpy as np
 from ... import persistence, telemetry
 from ...errors import TransportError
 from ..resilience import faults as _faults
-from ..resilience.supervisor import CLIENT_FEATURES as WORKER_FEATURES
 
-__all__ = ["ShardWorkerState", "WORKER_FEATURES"]
+__all__ = ["ShardWorkerState"]
 
 
 class ShardWorkerState:
@@ -55,7 +54,6 @@ class ShardWorkerState:
         self._seconds = 0.0
         self._last_seq = -1
         self._blocks_handled = 0
-        self._features: tuple[str, ...] = ()
         self._registry_scope = None
         self._registry = None
         self._rescope_registry()
@@ -81,43 +79,22 @@ class ShardWorkerState:
     def handle(self, header: dict, payload: bytes) -> tuple[dict, bytes] | None:
         """Answer one decoded frame; returns ``(reply_header, reply_payload)``.
 
-        ``ingest_block`` frames with ``ack=False`` return ``None`` (the
-        pipelined socket path treats the eventual ``snapshot`` reply as the
-        barrier); every other message produces a reply.  Handler failures
-        are reported as ``error`` frames rather than killing the loop.
+        ``ingest_block`` frames return ``None`` (the pipelined socket path
+        treats the eventual ``snapshot`` reply as the barrier); every other
+        message produces a reply.  Handler failures are reported as
+        ``error`` frames rather than killing the loop.
         """
         message_type = header.get("type")
         try:
             if message_type == "hello":
-                # Feature negotiation: answer with the intersection of what
-                # the peer asked for and what this worker build supports.  A
-                # peer that offered nothing gets nothing and the exchange
-                # degenerates to the base repro/transport@1 handshake.
-                requested = header.get("features") or []
-                self._features = tuple(
-                    f for f in WORKER_FEATURES if f in requested
-                )
-                return {"type": "hello", "features": list(self._features)}, b""
+                # decode_frame already refused any other protocol version.
+                return {"type": "hello"}, b""
             if message_type == "load":
                 return self._handle_load(header, payload)
             if message_type == "ingest_block":
                 return self._handle_block(header, payload)
             if message_type == "snapshot":
-                return self._handle_snapshot(header)
-            if message_type == "ping":
-                return {
-                    "type": "pong",
-                    "shard": self._shard_index,
-                    "rows": self._rows,
-                    "last_seq": self._last_seq,
-                }, b""
-            if message_type == "metrics":
-                state = (
-                    self._registry.state_dict()
-                    if self._registry is not None
-                    else None
-                )
-                return {"type": "metrics_state", "metrics": state}, b""
+                return self._handle_snapshot()
             if message_type == "shutdown":
                 self.close()
                 return {"type": "ok"}, b""
@@ -150,17 +127,13 @@ class ShardWorkerState:
         if self._estimator is None:
             raise TransportError("ingest_block before load: no estimator loaded")
         seq = header.get("seq")
-        if (
-            seq is not None
-            and "seq_ack" in self._features
-            and int(seq) != self._last_seq + 1
-        ):
+        if type(seq) is not int or seq != self._last_seq + 1:
             # Blocks are pipelined without per-block acks, so a frame lost
             # in transit shows up only as a gap in the sequence.  Raise
             # TransportError (connection-fatal) so the client-side
             # supervisor reloads the basis and replays the missing block.
             raise TransportError(
-                f"ingest_block seq {seq} does not follow seq "
+                f"ingest_block seq {seq!r} does not follow seq "
                 f"{self._last_seq}; a block was lost in transit"
             )
         plan = _faults.active_fault_plan()
@@ -190,42 +163,31 @@ class ShardWorkerState:
         self._seconds += time.perf_counter() - started
         self._rows += int(block.shape[0])
         self._blocks_handled += 1
-        if seq is not None:
-            self._last_seq = int(seq)
-        if header.get("ack", True):
-            return {"type": "block_ack", "seq": seq}, b""
+        self._last_seq = seq
         return None
 
-    def _handle_snapshot(self, header: dict) -> tuple[dict, bytes]:
+    def _handle_snapshot(self) -> tuple[dict, bytes]:
         if self._estimator is None or self._pristine is None:
             raise TransportError("snapshot before load: no estimator loaded")
         summary = self._estimator.to_bytes()
-        reset = header.get("reset", True)
-        metrics_state = (
-            self._registry.state_dict()
-            if reset and self._registry is not None
-            else None
+        worker_metrics = (
+            self._registry.state_dict() if self._registry is not None else None
         )
         reply = {
             "type": "snapshot_state",
             "shard": self._shard_index,
             "rows": self._rows,
             "seconds": self._seconds,
-            "last_seq": self._last_seq,
-            "metrics": metrics_state,
+            "metrics": worker_metrics,
         }
-        if reset:
-            # Reset to the pristine replica locally: the next coordinator
-            # ingest() starts from a fresh estimator without re-shipping one.
-            # Sequence numbers keep counting across ingests, so _last_seq
-            # survives the reset.
-            self._estimator = persistence.from_bytes(self._pristine)
-            self._rows = 0
-            self._seconds = 0.0
-            self._rescope_registry()
-        # reset=False is the supervisor's mid-ingest sync (feature
-        # "sync_snapshot"): current bytes + last_seq, estimator untouched,
-        # metrics withheld so the collect-time merge never double counts.
+        # Reset to the pristine replica locally: the next coordinator
+        # ingest() starts from a fresh estimator without re-shipping one.
+        # Sequence numbers keep counting across ingests, so _last_seq
+        # survives the reset.
+        self._estimator = persistence.from_bytes(self._pristine)
+        self._rows = 0
+        self._seconds = 0.0
+        self._rescope_registry()
         return reply, summary
 
     def close(self) -> None:

@@ -58,7 +58,7 @@ class ProtocolError(ReproError, RuntimeError):
 
 
 class TransportError(ReproError, RuntimeError):
-    """A transport frame or handshake violated the ``repro/transport@1`` protocol.
+    """A transport frame or handshake violated the ``repro/transport@2`` protocol.
 
     Raised by :mod:`repro.engine.transport` when a frame is malformed, carries
     an unknown version tag, or a worker reports a remote failure.  Worker

@@ -1,4 +1,4 @@
-"""Protocol-completeness rules (PRO001–PRO009).
+"""Protocol-completeness rules (PRO001–PRO007 and PRO009).
 
 The engine composes sketches and estimators through duck-typed protocols:
 checkpointing calls ``state_dict``/``load_state_dict`` and looks the class
@@ -314,6 +314,11 @@ def check_estimator_hooks(
             )
 
 
+#: Object serialisers whose import anywhere in ``engine/`` puts live
+#: objects on the wire instead of snapshot bytes (PRO006).
+_SERIALIZER_MODULES = {"pickle", "marshal"}
+
+
 @rule(
     "PRO006",
     severity="error",
@@ -324,8 +329,8 @@ def check_estimator_hooks(
         "`from_bytes`), never pickled live objects: pickling a Shard drags\n"
         "its RNG, caches and telemetry handles across the process boundary\n"
         "and couples the wire format to implementation layout.  Any use of\n"
-        "the `pickle` module inside `engine/` is flagged, and the\n"
-        "coordinator's ship/restore pair must keep routing through\n"
+        "the `pickle` or `marshal` module inside `engine/` is flagged, and\n"
+        "the coordinator's ship/restore pair must keep routing through\n"
         "`to_bytes` / `from_bytes`."
     ),
     example="import pickle  # inside src/repro/engine/",
@@ -333,23 +338,22 @@ def check_estimator_hooks(
 def check_worker_payloads(
     module: ModuleContext, project: ProjectContext
 ) -> Iterator[tuple]:
-    """Flag pickle use in engine code and drifted coordinator plumbing."""
+    """Flag pickle/marshal in engine code and drifted coordinator plumbing."""
     library = module.library_rel
     in_engine = library is None or library.startswith("engine/")
     if not in_engine:
         return
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
-            for name in node.names:
-                if name.name.split(".", 1)[0] == "pickle":
-                    yield module, node, (
-                        "pickle imported in engine code; worker payloads must "
-                        "ship snapshot bytes via the persistence layer"
-                    )
+            roots = [name.name.split(".", 1)[0] for name in node.names]
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".", 1)[0] == "pickle":
+            roots = [(node.module or "").split(".", 1)[0]]
+        else:
+            continue
+        for root in roots:
+            if root in _SERIALIZER_MODULES:
                 yield module, node, (
-                    "pickle imported in engine code; worker payloads must "
+                    f"{root} imported in engine code; worker payloads must "
                     "ship snapshot bytes via the persistence layer"
                 )
     if library != "engine/coordinator.py":
@@ -380,129 +384,41 @@ def check_worker_payloads(
             yield module, node, f"{node.name}() drifted: {message}"
 
 
-#: Modules whose import anywhere in the transport layer re-introduces an
-#: object serialiser on the wire (PRO008).  ``pickle`` is absent on
-#: purpose: PRO006 already flags it across all of ``engine/`` (transport
-#: included), and one finding per defect keeps the fixtures exact.
-_SERIALIZER_MODULES = {"marshal"}
-
-
-def _receiver_name(node: ast.AST) -> str | None:
-    """Terminal identifier of a call receiver: ``worker.conn`` → ``conn``."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-@rule(
-    "PRO008",
-    severity="error",
-    summary="transport module reintroduces object serialisation on the wire",
-    rationale=(
-        "The transport layer's wire contract is *snapshot bytes only*:\n"
-        "row blocks cross as raw buffers and estimator state crosses as\n"
-        "persistence-layer `to_bytes()` payloads inside `repro/transport@1`\n"
-        "frames.  Importing `pickle` or `marshal`, or calling the\n"
-        "pickle-based `Connection.send()` / `Connection.recv()` instead of\n"
-        "`send_bytes()` / `recv_bytes()`, silently couples the wire format\n"
-        "to Python object layout and breaks cross-version shard workers.\n"
-        "Transport code must frame bytes explicitly."
-    ),
-    example=(
-        "conn.send(estimator)  # inside src/repro/engine/transport/\n"
-        "state = conn.recv()"
-    ),
-)
-def check_transport_wire_contract(
-    module: ModuleContext, project: ProjectContext
-) -> Iterator[tuple]:
-    """Flag serialiser imports and pickled Connection traffic in transport."""
-    library = module.library_rel
-    in_transport = library is None or library.startswith("engine/transport")
-    if not in_transport:
-        return
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                root = name.name.split(".", 1)[0]
-                if root in _SERIALIZER_MODULES:
-                    yield module, node, (
-                        f"{root} imported in transport code; the wire "
-                        "carries snapshot bytes and raw buffers only"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            root = (node.module or "").split(".", 1)[0]
-            if root in _SERIALIZER_MODULES:
-                yield module, node, (
-                    f"{root} imported in transport code; the wire carries "
-                    "snapshot bytes and raw buffers only"
-                )
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr not in ("send", "recv"):
-                continue
-            receiver = _receiver_name(node.func.value)
-            # Scoped to pipe Connections by naming convention (`conn`,
-            # `self._conn`, ...): raw sockets legitimately call
-            # ``sock.send`` / ``sock.recv`` on plain bytes.
-            if receiver is None or "conn" not in receiver.lower():
-                continue
-            yield module, node, (
-                f"Connection.{node.func.attr}() pickles its argument; "
-                "transport code must frame bytes explicitly via "
-                f"{node.func.attr}_bytes()"
-            )
+# PRO008 (pickled ``Connection`` traffic in transport code) is retired
+# with the pipe it guarded; ``marshal`` moved into PRO006.  Its id is
+# never reused.
 
 
 @rule(
     "PRO009",
     severity="error",
-    summary="transport RPC bypasses the resilience deadline/retry wrappers",
+    summary="transport connect bypasses the resilience retry wrapper",
     rationale=(
-        "Transport RPC call sites must go through the blessed wrappers in\n"
-        "`engine/resilience/`: socket connects through\n"
-        "`connect_with_retry()` (bounded connect timeout, seeded backoff,\n"
-        "retry counters) and blocking pipe reads through\n"
-        "`recv_bytes_with_deadline()` (poll-with-deadline, precise\n"
-        "TransportError on breach).  A bare `socket.create_connection()`\n"
-        "hangs on an unreachable worker for the OS default timeout and\n"
-        "retries nothing; a bare `Connection.recv_bytes()` blocks forever\n"
-        "on a hung worker, so the supervisor never gets to respawn it."
+        "Transport socket connects must go through the blessed wrapper in\n"
+        "`engine/resilience/`: `connect_with_retry()` (bounded connect\n"
+        "timeout, seeded backoff, retry counters).  A bare\n"
+        "`socket.create_connection()` hangs on an unreachable worker for\n"
+        "the OS default timeout and retries nothing, so the supervisor\n"
+        "never gets to recover the shard."
     ),
-    example=(
-        "sock = socket.create_connection((host, port))\n"
-        "frame = conn.recv_bytes()  # inside src/repro/engine/transport/"
-    ),
+    example="socket.create_connection((host, port))  # in engine/transport/",
 )
 def check_transport_rpc_wrappers(
     module: ModuleContext, project: ProjectContext
 ) -> Iterator[tuple]:
-    """Flag bare connects and unbounded pipe reads in transport code."""
+    """Flag bare socket connects in transport code."""
     library = module.library_rel
     in_transport = library is None or library.startswith("engine/transport")
     if not in_transport:
         return
     for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "create_connection":
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "create_connection"
+        ):
             yield module, node, (
                 "bare socket.create_connection() in transport code; dial "
                 "through resilience.connect_with_retry() so connects carry "
                 "a bounded timeout, seeded backoff and retry accounting"
-            )
-        elif isinstance(func, ast.Attribute) and func.attr == "recv_bytes":
-            receiver = _receiver_name(func.value)
-            # Same Connection naming convention as PRO008: raw sockets
-            # read via ``sock.recv`` and are deadline-bounded by
-            # ``settimeout``; pipe Connections have no such knob.
-            if receiver is None or "conn" not in receiver.lower():
-                continue
-            yield module, node, (
-                "bare Connection.recv_bytes() in transport code blocks "
-                "without a deadline; read through "
-                "resilience.recv_bytes_with_deadline() so a hung worker "
-                "surfaces as a TransportError the supervisor can recover"
             )

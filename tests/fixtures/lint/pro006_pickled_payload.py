@@ -1,6 +1,11 @@
-# Golden fixture: PRO006 — pickle used for worker payloads.
+# Golden fixture: PRO006 — pickle or marshal used for worker payloads.
+import marshal
 import pickle
 
 
 def ship(payload):
     return pickle.dumps(payload)
+
+
+def ship_code(code):
+    return marshal.dumps(code)

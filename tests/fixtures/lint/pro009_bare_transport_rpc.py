@@ -1,10 +1,6 @@
-# Golden fixture: PRO009 — transport RPCs bypassing the resilience wrappers.
+# Golden fixture: PRO009 — a transport connect bypassing the retry wrapper.
 import socket
 
 
 def dial(host, port):
     return socket.create_connection((host, port))
-
-
-def collect(conn):
-    return conn.recv_bytes()

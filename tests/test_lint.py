@@ -443,12 +443,12 @@ def test_regression_renaming_a_metric_fails_lint(tmp_path):
 
 
 def test_regression_bare_transport_recv_fails_lint(tmp_path):
-    """Dropping the deadline wrapper from a pipe read re-introduces PRO009."""
+    """Dialing around the retry wrapper re-introduces PRO009."""
     source = (REPO_ROOT / "src/repro/engine/transport/sockets.py").read_text()
-    call = 'recv_bytes_with_deadline(parent_conn, 30.0, what="server port")'
+    call = "connect_with_retry("
     assert call in source
     mutated = tmp_path / "sockets.py"
-    mutated.write_text(source.replace(call, "parent_conn.recv_bytes()"))
+    mutated.write_text(source.replace(call, "socket.create_connection("))
     report = lint.run_lint([str(mutated)], root=REPO_ROOT)
     assert "PRO009" in {finding.rule for finding in report.findings}
     assert lint.exit_code(report) == 1

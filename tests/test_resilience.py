@@ -2,7 +2,7 @@
 
 The load-bearing property is **bit-identical recovery**: a shard worker
 killed, hung or cut off mid-ingest is reconnected or reassigned,
-reloaded from its basis snapshot and replayed its unacked blocks, after
+reloaded from its basis snapshot and replayed its segment's blocks, after
 which the merged summary equals (``to_bytes()``) a clean serial ingest of
 the same stream.  The degradation half pins the exhaustion contract:
 once the :class:`RecoveryPolicy` is spent with ``on_exhausted="degrade"``
@@ -35,7 +35,6 @@ from repro import (
 )
 from repro import persistence, telemetry
 from repro.engine.resilience import (
-    CLIENT_FEATURES,
     DeadlinePolicy,
     DegradedAnswer,
     FaultPlan,
@@ -148,6 +147,29 @@ def test_recovery_policy_parse_and_validate() -> None:
         RecoveryPolicy.parse("respawn,on_exhausted=shrug")
 
 
+def test_checkpoint_written_with_sync_every_still_loads(tmp_path) -> None:
+    """``sync_every`` is gone: old checkpoints carrying it still load and
+    serve, while the ``--recovery`` grammar rejects it by name."""
+    coordinator = Coordinator(
+        _exact_factory, n_shards=2, backend="serial", batch_size=64
+    )
+    coordinator.ingest(RowStream(DATA))
+    path = tmp_path / "engine.ckpt"
+    coordinator.save_checkpoint(path)
+    envelope = persistence.load_envelope(path.read_bytes())
+    envelope["config"]["resilience"]["recovery"]["sync_every"] = 2
+    path.write_bytes(persistence.dump_envelope(envelope))
+
+    query = ColumnQuery.of([0, 2], D)
+    expected = coordinator.merged_estimator.estimate_fp(query, 1)
+    restored = Coordinator.load_checkpoint(path, _exact_factory)
+    assert restored.resilience == coordinator.resilience
+    assert restored.merged_estimator.estimate_fp(query, 1) == expected
+    assert QueryService.from_checkpoint(path).estimate_fp(query, 1) == expected
+    with pytest.raises(InvalidParameterError, match="known keys: "):
+        RecoveryPolicy.parse("reassign,sync_every=2")
+
+
 def test_resilience_config_round_trip_tolerates_unknown_keys() -> None:
     config = ResilienceConfig().with_cli_overrides(
         retry="4,seed=3", rpc_timeout="45", recovery="reassign,max=1"
@@ -235,9 +257,6 @@ def test_shard_supervisor_replay_buffer_and_sync() -> None:
         shard.record_send(shard.assign_seq(), _block(rows))
     assert shard.rows_sent == 60
     assert [seq for seq, _ in shard.replay_blocks()] == [0, 1, 2]
-    shard.record_sync(1, b"mid-ingest")
-    assert shard.basis == b"mid-ingest"
-    assert [seq for seq, _ in shard.replay_blocks()] == [2]
     shard.after_collect()
     assert shard.basis == b"pristine"
     assert shard.basis_seq == 2
@@ -284,12 +303,6 @@ def test_worker_supervisor_policy_decisions() -> None:
     assert supervisor.retries == 1
 
 
-def test_client_features_are_stable() -> None:
-    # The wire-negotiated extension set; renaming one silently downgrades
-    # every worker to the base protocol.
-    assert CLIENT_FEATURES == ("heartbeat", "seq_ack", "sync_snapshot")
-
-
 # -- degraded answers ------------------------------------------------------------
 
 
@@ -314,8 +327,8 @@ def test_query_service_rejects_bad_coverage() -> None:
 
 
 def test_socket_crash_after_sync_recovers_bit_identical(tmp_path) -> None:
-    """A server killed after a mid-ingest sync: the survivor reloads the
-    synced basis at its sequence number and replays the rest: same bytes."""
+    """A server killed mid-segment: the survivor reloads the pristine
+    basis at its sequence number and replays the segment: same bytes."""
     serial = _serial_bytes(_usample_factory, [RowStream(DATA)])
     plan = FaultPlan(
         [FaultRule(action="crash", shard=1, after_blocks=2)],
@@ -325,7 +338,7 @@ def test_socket_crash_after_sync_recovers_bit_identical(tmp_path) -> None:
         with Coordinator(
             _usample_factory, n_shards=2, backend="sockets", batch_size=64,
             worker_addresses=addresses,
-            resilience={"recovery": {"mode": "reassign", "sync_every": 2}},
+            resilience={"recovery": {"mode": "reassign"}},
         ) as coordinator:
             report = coordinator.ingest(RowStream(DATA))
             assert report.recoveries >= 1

@@ -13,8 +13,12 @@ the coordinator stays usable afterwards.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import socket
+import struct
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -31,6 +35,9 @@ from repro import (
 )
 from repro.engine.resilience import FaultPlan, FaultRule, installed_fault_plan
 from repro.engine.transport import (
+    MESSAGE_TYPES,
+    TRANSPORT_SCHEMA,
+    ShardWorkerState,
     SocketShardClient,
     decode_frame,
     encode_frame,
@@ -113,7 +120,7 @@ def test_frame_roundtrip_preserves_header_and_payload() -> None:
     header, payload = decode_frame(frame)
     assert header["type"] == "load"
     assert header["shard"] == 3
-    assert header["v"] == "repro/transport@1"
+    assert header["v"] == "repro/transport@2"
     assert payload == b"\x00snapshot\xff"
 
 
@@ -122,7 +129,7 @@ def test_frame_rejects_unknown_type_and_bad_version() -> None:
         encode_frame({"type": "teleport"})
     frame = bytearray(encode_frame({"type": "ok"}))
     # Forge a frame claiming a different protocol version.
-    forged = frame.replace(b"repro/transport@1", b"repro/transport@9")
+    forged = frame.replace(b"repro/transport@2", b"repro/transport@9")
     with pytest.raises(TransportError, match="version mismatch"):
         decode_frame(bytes(forged))
 
@@ -133,6 +140,78 @@ def test_frame_rejects_truncation() -> None:
         decode_frame(frame[:2])
     with pytest.raises(TransportError, match="truncated"):
         decode_frame(frame[:-3])
+
+
+@pytest.mark.parametrize(
+    "header", [b"[1, 2]", b'"x"', b"42", b"null"],
+    ids=["list", "str", "int", "null"],
+)
+def test_frame_rejects_a_header_that_is_not_an_object(header: bytes) -> None:
+    # Valid JSON of the wrong shape must fail as a protocol error, which
+    # both the worker loop and the pool's recovery path catch.
+    with pytest.raises(TransportError, match="must be a JSON object"):
+        decode_frame(struct.pack("!I", len(header)) + header)
+
+
+def test_transport_vocabulary_is_fixed() -> None:
+    # Changing the vocabulary is an incompatible change: bump the version.
+    assert TRANSPORT_SCHEMA == "repro/transport@2"
+    assert MESSAGE_TYPES == (
+        "hello", "load", "ingest_block", "snapshot", "snapshot_state",
+        "shutdown", "ok", "error",
+    )
+
+
+def test_frame_from_a_version_1_peer_is_refused() -> None:
+    frame = encode_frame({"type": "hello"})
+    old = frame.replace(b"repro/transport@2", b"repro/transport@1")
+    with pytest.raises(
+        TransportError, match="repro/transport@1.*repro/transport@2"
+    ):
+        decode_frame(old)
+
+
+# -- worker: block sequence check -------------------------------------------------
+
+
+def _block(seq: int | None) -> tuple[dict, bytes]:
+    rows = np.ones((2, D), dtype=np.int64)
+    header = {
+        "type": "ingest_block",
+        "shard": 0,
+        "shape": list(rows.shape),
+        "dtype": rows.dtype.str,
+    }
+    if seq is not None:
+        header["seq"] = seq
+    return header, rows.tobytes()
+
+
+def _loaded_worker() -> ShardWorkerState:
+    """A worker after a bare ``hello`` and a ``load`` from sequence -1."""
+    state = ShardWorkerState()
+    reply, _ = state.handle({"type": "hello"}, b"")
+    assert reply["type"] == "hello"
+    reply, _ = state.handle(
+        {"type": "load", "shard": 0}, _exact_factory().to_bytes()
+    )
+    assert reply["type"] == "ok"
+    return state
+
+
+def test_worker_rejects_a_gap_in_the_block_sequence() -> None:
+    state = _loaded_worker()
+    state.handle(*_block(0))
+    with pytest.raises(TransportError, match="seq 2 does not follow seq 0"):
+        state.handle(*_block(2))
+    state.close()
+
+
+def test_worker_rejects_a_block_without_a_sequence_number() -> None:
+    state = _loaded_worker()
+    with pytest.raises(TransportError, match="seq None does not follow"):
+        state.handle(*_block(None))
+    state.close()
 
 
 # -- differential harness: sockets ----------------------------------------------
@@ -220,6 +299,25 @@ def test_socket_bytes_shipped_accounting(loopback_workers) -> None:
         shipped > row_bytes_per_shard // 2
         for shipped in report.bytes_shipped_per_shard
     )
+
+
+def test_spawn_local_servers_under_the_spawn_start_method(monkeypatch) -> None:
+    """Without fork the child inherits the listener itself, and the parent
+    keeps no copy: once the server exits its port refuses connects."""
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    (address,), (process,) = spawn_local_servers(1)
+    try:
+        SocketShardClient(address).shutdown_server()  # hello, then stop
+        process.join(timeout=30)
+        assert not process.is_alive()
+    finally:
+        if process.is_alive():  # pragma: no cover - teardown hardening
+            process.terminate()
+    host, port = address.rsplit(":", 1)
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, int(port)), timeout=5).close()
 
 
 def test_socket_backend_requires_matching_addresses() -> None:
