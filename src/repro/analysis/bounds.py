@@ -52,11 +52,22 @@ def usample_size(epsilon: float, delta: float) -> float:
     return math.log(1.0 / delta) / (epsilon * epsilon)
 
 
-def rounding_distortion(alpha: float, d: int, p: float) -> float:
+def rounding_distortion(
+    alpha: float,
+    d: int,
+    p: float,
+    *,
+    rounding_cost: int | None = None,
+    alphabet_size: int = 2,
+) -> float:
     """Lemma 6.4: worst-case multiplicative error of answering on an α-neighbour.
 
-    The one home of the formula: :mod:`repro.core.rounding` re-exports it
-    for :class:`~repro.core.rounding.AlphaNet`, and
+    Rounding ``C`` to ``C'`` changes ``k = |C Δ C'|`` columns, and each
+    changed column merges (or splits) up to ``Q`` patterns, so the
+    distortion is ``Q^k`` for ``F_0``, ``Q^{k(p-1)}`` for ``p > 1``,
+    ``Q^{k(1-p)}`` for ``p < 1`` and 1 for ``p = 1``.  The one home of the
+    formula: :mod:`repro.core.rounding` re-exports it for
+    :class:`~repro.core.rounding.AlphaNet`, and
     :func:`theorem_6_5_approximation` scales it by ``β``.
 
     Parameters
@@ -67,6 +78,12 @@ def rounding_distortion(alpha: float, d: int, p: float) -> float:
         Dimensionality of the data.
     p:
         Moment order (``p = 0`` for distinct counting).
+    rounding_cost:
+        The rounding distance ``k``; defaults to the paper's ``α d``.  A
+        concrete net passes its integer worst case
+        (:meth:`~repro.core.rounding.AlphaNet.max_rounding_cost`).
+    alphabet_size:
+        The alphabet ``Q`` of the data; defaults to binary.
     """
     if not 0 < alpha < 0.5:
         raise InvalidParameterError(f"alpha must be in (0, 1/2), got {alpha}")
@@ -74,13 +91,23 @@ def rounding_distortion(alpha: float, d: int, p: float) -> float:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     if p < 0:
         raise InvalidParameterError(f"p must be non-negative, got {p}")
+    if rounding_cost is not None and rounding_cost < 0:
+        raise InvalidParameterError(
+            f"rounding_cost must be non-negative, got {rounding_cost}"
+        )
+    if alphabet_size < 2:
+        raise InvalidParameterError(
+            f"alphabet_size must be >= 2, got {alphabet_size}"
+        )
+    k = alpha * d if rounding_cost is None else rounding_cost
+    base = float(alphabet_size)
     if p == 0:
-        return 2.0 ** (alpha * d)
+        return base**k
     if p == 1:
         return 1.0
     if p > 1:
-        return 2.0 ** (alpha * d * (p - 1))
-    return 2.0 ** (alpha * d * (1 - p))
+        return base ** (k * (p - 1))
+    return base ** (k * (1 - p))
 
 
 def theorem_6_5_space(d: int, alpha: float, sketch_bits: float = 1.0) -> float:

@@ -2,7 +2,7 @@
 
 from .alpha_net import AlphaNetEstimator, SketchPlan, TheoremSixFiveGuarantee
 from .dataset import ColumnQuery, Dataset
-from .estimator import EstimatorRegistry, ProjectedFrequencyEstimator, pattern_words
+from .estimator import ProjectedFrequencyEstimator, pattern_words
 from .exhaustive import AllSubsetsBaseline, ExactBaseline
 from .frequency import FrequencyVector, exact_fp, exact_heavy_hitters
 from .problems import (
@@ -21,7 +21,6 @@ __all__ = [
     "AlphaNetEstimator",
     "ColumnQuery",
     "Dataset",
-    "EstimatorRegistry",
     "ExactBaseline",
     "FpEstimation",
     "FrequencyEstimation",

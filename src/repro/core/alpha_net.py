@@ -381,11 +381,6 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
     def _resolve(self, query: ColumnQuery) -> tuple[int, ColumnQuery]:
         """Index (and identity) of the net member used to answer ``query``."""
-        if query.dimension != self.n_columns:
-            raise EstimationError(
-                f"query dimension {query.dimension} does not match estimator "
-                f"dimension {self.n_columns}"
-            )
         neighbour = self._net.round_query(query, self._neighbour_rule)
         index = self._member_index.get(neighbour.columns)
         if index is None:
@@ -396,6 +391,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
     def rounded_query(self, query: ColumnQuery) -> ColumnQuery:
         """The net member whose sketch answers ``query`` (for inspection)."""
+        self._check_query(query)
         _, neighbour = self._resolve(query)
         return neighbour
 
@@ -403,6 +399,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
     def estimate_fp(self, query: ColumnQuery, p: float) -> float:
         """Estimate ``F_p(A, C)`` from the rounded neighbour's sketch."""
+        self._check_query(query)
         if p < 0:
             raise InvalidParameterError(f"p must be non-negative, got {p}")
         if p == 1:
@@ -430,6 +427,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         point queries this is approximated by querying the zero-filled
         extension, the dominant completion for sparse data).
         """
+        self._check_query(query)
         if self._point_sketches is None:
             raise EstimationError("this estimator keeps no point-query sketches")
         index, neighbour = self._resolve(query)
@@ -448,6 +446,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         block kernel is bit-identical to its scalar path (see
         ``docs/architecture.md``, *Batch query kernels*).
         """
+        self._check_query(query)
         if self._point_sketches is None:
             raise EstimationError("this estimator keeps no point-query sketches")
         index, neighbour = self._resolve(query)
@@ -492,6 +491,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         ``heavy_hitters`` implementation that does not need candidates
         (Misra–Gries / SpaceSaving) or a small alphabet/projection.
         """
+        self._check_query(query)
         if not 0 < phi < 1:
             raise InvalidParameterError(f"phi must be in (0, 1), got {phi}")
         if self._point_sketches is None:
@@ -524,8 +524,15 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
     # -- guarantees -------------------------------------------------------------------
 
     def guarantee(self, p: float, beta: float) -> TheoremSixFiveGuarantee:
-        """The Theorem 6.5 guarantee for this configuration and moment order."""
-        distortion = self._net.distortion(p)
+        """The Theorem 6.5 guarantee for this configuration and moment order.
+
+        The distortion is Lemma 6.4's for the worst rounding this estimator
+        can actually perform: the configured neighbour rule on this net's
+        integer bands, over this estimator's alphabet.
+        """
+        distortion = self._net.distortion(
+            p, self._neighbour_rule, self.alphabet_size
+        )
         return TheoremSixFiveGuarantee(
             approximation_factor=beta * distortion,
             sketch_count=self.member_count,

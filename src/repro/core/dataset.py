@@ -8,7 +8,8 @@ the *frequency vector* ``f(A, C)`` counting how often each pattern
 ``w ∈ [Q]^{|C|}`` occurs among the projected rows.
 
 :class:`Dataset` wraps a NumPy integer array with alphabet validation and
-provides projection, streaming iteration and exact frequency computation.
+provides projection and streaming iteration; the exact frequency vector of
+a projection is :meth:`repro.core.frequency.FrequencyVector.from_dataset`.
 :class:`ColumnQuery` is a validated, canonicalised column subset.
 """
 
@@ -235,27 +236,6 @@ class Dataset:
         return Dataset(
             self._array[:, list(resolved.columns)], alphabet_size=self._alphabet_size
         )
-
-    def iter_projected_rows(
-        self, query: ColumnQuery | Iterable[int]
-    ) -> Iterator[Word]:
-        """Iterate over projected rows ``A^C_i`` as words, in stream order."""
-        resolved = self._resolve_query(query)
-        column_list = list(resolved.columns)
-        for row in self._array:
-            yield tuple(int(value) for value in row[column_list])
-
-    def pattern_counts(self, query: ColumnQuery | Iterable[int]) -> dict[Word, int]:
-        """Exact projected pattern counts ``{w : f_w(A, C)}`` (sparse form).
-
-        Only patterns that actually occur are present; the dense frequency
-        vector of length ``Q^{|C|}`` is available through
-        :class:`repro.core.frequency.FrequencyVector`.
-        """
-        counts: dict[Word, int] = {}
-        for pattern in self.iter_projected_rows(query):
-            counts[pattern] = counts.get(pattern, 0) + 1
-        return counts
 
     def concatenate(self, other: "Dataset") -> "Dataset":
         """Stack another dataset's rows below this one (same ``d`` and ``Q``)."""

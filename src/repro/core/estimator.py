@@ -22,7 +22,7 @@ from ..coding.words import Word
 from ..errors import EstimationError, InvalidParameterError, SnapshotError
 from .dataset import ColumnQuery, Dataset
 
-__all__ = ["ProjectedFrequencyEstimator", "EstimatorRegistry", "pattern_words"]
+__all__ = ["ProjectedFrequencyEstimator", "pattern_words"]
 
 
 def pattern_words(patterns: object) -> list[Word]:
@@ -355,6 +355,19 @@ class ProjectedFrequencyEstimator(abc.ABC):
 
     # -- query phase -----------------------------------------------------------
 
+    def _check_query(self, query: ColumnQuery) -> None:
+        """Refuse a query built for another dimension.
+
+        Every query entry point calls this first, before any shortcut, so
+        a foreign query fails the same way on every estimator instead of
+        being answered (or escaping as an ``IndexError``).
+        """
+        if query.dimension != self._n_columns:
+            raise EstimationError(
+                f"query dimension {query.dimension} does not match estimator "
+                f"dimension {self._n_columns}"
+            )
+
     def estimate_fp(self, query: ColumnQuery, p: float) -> float:
         """Estimate the projected moment ``F_p(A, C)``."""
         raise EstimationError(
@@ -404,27 +417,3 @@ class ProjectedFrequencyEstimator(abc.ABC):
     @abc.abstractmethod
     def size_in_bits(self) -> int:
         """Structural space usage of the summary, in bits."""
-
-
-class EstimatorRegistry:
-    """Name → factory registry so benchmarks can sweep estimator families."""
-
-    def __init__(self) -> None:
-        self._factories: dict[str, type] = {}
-
-    def register(self, name: str, factory: type) -> None:
-        """Register an estimator factory under ``name``."""
-        self._factories[name] = factory
-
-    def create(self, name: str, **kwargs) -> ProjectedFrequencyEstimator:
-        """Instantiate the estimator registered under ``name``."""
-        if name not in self._factories:
-            raise EstimationError(
-                f"no estimator registered under {name!r}; "
-                f"known: {sorted(self._factories)}"
-            )
-        return self._factories[name](**kwargs)
-
-    def names(self) -> list[str]:
-        """Registered estimator names, sorted."""
-        return sorted(self._factories)

@@ -96,16 +96,9 @@ class ExactBaseline(ProjectedFrequencyEstimator):
         self._buffer = []
 
     def _frequencies(self, query: ColumnQuery) -> FrequencyVector:
-        rows = self._materialise()
-        projected = rows[:, list(query.columns)]
-        patterns, counts = np.unique(projected, axis=0, return_counts=True)
-        mapping = {
-            tuple(pattern): int(count)
-            for pattern, count in zip(patterns.tolist(), counts.tolist())
-        }
-        return FrequencyVector.from_counts(
-            mapping, alphabet_size=self.alphabet_size, pattern_length=len(query)
-        )
+        self._check_query(query)
+        projected = self._materialise()[:, list(query.columns)]
+        return FrequencyVector.from_rows(projected, self.alphabet_size)
 
     def frequencies(self, query: ColumnQuery) -> FrequencyVector:
         """The exact projected frequency vector (public accessor)."""
@@ -126,6 +119,7 @@ class ExactBaseline(ProjectedFrequencyEstimator):
         so entry ``i`` is bit-identical to
         ``estimate_frequency(query, patterns[i])``.
         """
+        self._check_query(query)
         words = pattern_words(patterns)
         if not words:
             return np.zeros(0, dtype=np.float64)
@@ -273,6 +267,7 @@ class AllSubsetsBaseline(ProjectedFrequencyEstimator):
         }
 
     def estimate_fp(self, query: ColumnQuery, p: float) -> float:
+        self._check_query(query)
         if p == 1:
             return float(self.rows_observed)
         if p != 0:

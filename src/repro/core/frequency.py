@@ -24,6 +24,7 @@ import numpy as np
 
 from ..coding.words import Word, word_to_index
 from ..errors import InvalidParameterError, QueryError
+from ..sketches.base import as_item_block, collapse_block
 from .dataset import ColumnQuery, Dataset
 
 __all__ = ["FrequencyVector", "exact_fp", "exact_heavy_hitters"]
@@ -48,18 +49,28 @@ class FrequencyVector:
     pattern_length: int
 
     @classmethod
+    def from_rows(cls, rows: np.ndarray, alphabet_size: int) -> "FrequencyVector":
+        """Count an ``(n, k)`` integer block of projected rows.
+
+        The one projected-count path of the library: the block collapses
+        through :func:`~repro.sketches.base.collapse_block`, so patterns are
+        keyed in first-occurrence order, the order every summary sees them.
+        """
+        block = as_item_block(np.asarray(rows), caller="FrequencyVector.from_rows")
+        unique, counts = collapse_block(block)
+        return cls(
+            counts=dict(zip(map(tuple, unique.tolist()), counts.tolist())),
+            alphabet_size=int(alphabet_size),
+            pattern_length=int(block.shape[1]),
+        )
+
+    @classmethod
     def from_dataset(
         cls, dataset: Dataset, query: ColumnQuery | Iterable[int]
     ) -> "FrequencyVector":
         """Compute the exact frequency vector ``f(A, C)``."""
-        if not isinstance(query, ColumnQuery):
-            query = dataset.query(query)
-        counts = dataset.pattern_counts(query)
-        return cls(
-            counts=dict(counts),
-            alphabet_size=dataset.alphabet_size,
-            pattern_length=len(query),
-        )
+        projected = dataset.project(query)
+        return cls.from_rows(projected.to_array(), dataset.alphabet_size)
 
     @classmethod
     def from_counts(

@@ -3,16 +3,19 @@
 Definition 6.1 fixes, for ``α ∈ (0, 1/2)``, the α-net of ``P([d])`` as the
 family of subsets whose size is at most ``(1/2 - α) d`` or at least
 ``(1/2 + α) d``.  Any query ``C`` outside the net can be *rounded* to an
-α-neighbour ``C'`` in the net with ``|C Δ C'| ≤ α d`` by removing (or
-adding) at most ``α d`` columns, and Lemma 6.4 bounds the deterministic
-error ("rounding distortion") incurred by answering on ``C'`` instead of
-``C``:
+α-neighbour ``C'`` in the net by removing (or adding) ``k = |C Δ C'|``
+columns, and Lemma 6.4 bounds the deterministic error ("rounding
+distortion") incurred by answering on ``C'`` instead of ``C``.  Over an
+alphabet of size ``Q``:
 
-* ``F_0``:  ``r(α, F_0) = 2^{α d}``
-* ``F_p``, ``p > 1``:  ``r(α, F_p) = 2^{α d (p - 1)}``
-* ``F_p``, ``p < 1``:  ``r(α, F_p) = 2^{α d (1 - p)}``
+* ``F_0``:  ``r(α, F_0) = Q^k``
+* ``F_p``, ``p > 1``:  ``r(α, F_p) = Q^{k (p - 1)}``
+* ``F_p``, ``p < 1``:  ``r(α, F_p) = Q^{k (1 - p)}``
 
-(and no distortion at all for ``p = 1``).
+(and no distortion at all for ``p = 1``).  The paper's binary statement has
+``Q = 2`` and ``k = α d``; a concrete net keeps integer band edges, so its
+worst rounding cost :meth:`AlphaNet.max_rounding_cost` can exceed ``α d``,
+and the ``shrink``/``grow`` rules can pay more than ``nearest``.
 """
 
 from __future__ import annotations
@@ -163,22 +166,34 @@ class AlphaNet:
         neighbour = self.round_query(query, rule)
         return query.symmetric_difference_size(neighbour)
 
-    def max_rounding_cost(self) -> int:
-        """Worst-case ``|C Δ C'|`` under the ``nearest`` rule over all query sizes.
+    def max_rounding_cost(self, rule: NeighbourRule = "nearest") -> int:
+        """Worst-case ``|C Δ C'|`` under ``rule`` over all query sizes.
 
-        The mid-band sizes are ``low_size < s < high_size``; the nearest rule
-        pays ``min(s - low_size, high_size - s)``, maximised at the middle of
-        the band, which is at most ``α d`` up to rounding of the band edges.
+        The cost depends on a query's size only, so one representative
+        query per mid-band size (``low_size < s < high_size``) goes through
+        :meth:`rounding_cost`; the result therefore agrees with
+        :meth:`round_query` by construction.
         """
-        worst = 0
-        for size in range(self.low_size + 1, self.high_size):
-            if size < 1:
-                continue
-            shrink_cost = size - self.low_size if self.low_size >= 1 else math.inf
-            grow_cost = self.high_size - size
-            worst = max(worst, int(min(shrink_cost, grow_cost)))
-        return worst
+        return max(
+            (
+                self.rounding_cost(ColumnQuery.of(range(size), self.d), rule)
+                for size in range(max(self.low_size + 1, 1), self.high_size)
+            ),
+            default=0,
+        )
 
-    def distortion(self, p: float) -> float:
-        """Rounding distortion ``r(α, F_p)`` of Lemma 6.4 for this net."""
-        return rounding_distortion(self.alpha, self.d, p)
+    def distortion(
+        self, p: float, rule: NeighbourRule = "nearest", alphabet_size: int = 2
+    ) -> float:
+        """Rounding distortion ``r(α, F_p)`` of Lemma 6.4 for this net.
+
+        Uses the net's worst rounding cost under ``rule`` and data over an
+        alphabet of ``alphabet_size`` symbols.
+        """
+        return rounding_distortion(
+            self.alpha,
+            self.d,
+            p,
+            rounding_cost=self.max_rounding_cost(rule),
+            alphabet_size=alphabet_size,
+        )

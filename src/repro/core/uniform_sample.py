@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..coding.words import Word, project_word
+from ..coding.words import Word
 from ..errors import EstimationError, InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
 from ..sketches.reservoir import ReservoirSampler, WithReplacementSampler
@@ -179,17 +179,22 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
         return self.rows_observed / len(sample)
 
     def sample_frequencies(self, query: ColumnQuery) -> FrequencyVector:
-        """Frequency vector of the *sampled* rows projected onto ``query``."""
-        counts: dict[Word, int] = {}
-        for row in self._sampler.sample():
-            pattern = project_word(row, query.columns)
-            counts[pattern] = counts.get(pattern, 0) + 1
-        return FrequencyVector.from_counts(
-            counts, alphabet_size=self.alphabet_size, pattern_length=len(query)
+        """Frequency vector of the *sampled* rows projected onto ``query``.
+
+        A with-replacement sample may hold one row several times; every
+        draw counts.
+        """
+        self._check_query(query)
+        sample = np.array(self._sampler.sample(), dtype=np.int64).reshape(
+            -1, self.n_columns
+        )
+        return FrequencyVector.from_rows(
+            sample[:, list(query.columns)], self.alphabet_size
         )
 
     def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
         """Estimate ``f_{e(pattern)}(A, C)`` as ``(n / t) ×`` its sample count."""
+        self._check_query(query)
         if len(pattern) != len(query):
             raise EstimationError(
                 f"pattern length {len(pattern)} does not match query size "
@@ -207,6 +212,7 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
         to ``estimate_frequency(query, patterns[i])``: the same integer
         sample count times the same ``n / t`` scale factor.
         """
+        self._check_query(query)
         words = pattern_words(patterns)
         for word in words:
             if len(word) != len(query):
@@ -234,6 +240,7 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
         preserve the recall guarantee because over-estimating the threshold is
         impossible when the norm estimate is itself conservative.
         """
+        self._check_query(query)
         if not 0 < phi < 1:
             raise InvalidParameterError(f"phi must be in (0, 1), got {phi}")
         if p <= 0:
@@ -272,6 +279,7 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
         natural plug-in heuristic so benchmarks can show exactly where and
         how it fails.
         """
+        self._check_query(query)
         if p < 0:
             raise InvalidParameterError(f"p must be non-negative, got {p}")
         if p == 1:

@@ -4,8 +4,10 @@ Every sketch used by the projected-frequency estimators is implemented here
 from scratch: distinct-count sketches (KMV, BJKST, HyperLogLog),
 point-query / heavy-hitter sketches (Count-Min, Count-Sketch, Misra–Gries,
 SpaceSaving), frequency-moment sketches (AMS ``F_2``, p-stable ``ℓ_p``),
-samplers (reservoir, with-replacement, Bernoulli) and the hash-function
-families they rely on.
+row samplers (reservoir, with-replacement) and the hash-function families
+they rely on.  :func:`~repro.sketches.base.collapse_block` is the one
+projected-count kernel: the sketches' ``update_block`` kernels and the
+exact frequency vectors of :mod:`repro.core` all count patterns through it.
 """
 
 from .ams import AMSSketch
@@ -26,9 +28,7 @@ from .countsketch import CountSketch
 from .hashing import (
     MERSENNE_PRIME_61,
     HashFamily,
-    MultiplyShiftHash,
     PolynomialHash,
-    TabulationHash,
     hash_to_unit_interval,
     stable_hash64,
     stable_hash64_patterns,
@@ -37,14 +37,13 @@ from .hashing import (
 from .hyperloglog import HyperLogLog
 from .kmv import KMVSketch, kmv_size_for_epsilon
 from .misra_gries import MisraGries
-from .reservoir import BernoulliSampler, ReservoirSampler, WithReplacementSampler
+from .reservoir import ReservoirSampler, WithReplacementSampler
 from .space_saving import SpaceSaving, TrackedCount
 from .stable_lp import StableLpSketch, median_of_absolute_stable, sample_p_stable
 
 __all__ = [
     "AMSSketch",
     "BJKSTSketch",
-    "BernoulliSampler",
     "CountMinSketch",
     "CountSketch",
     "DistinctCountSketch",
@@ -55,14 +54,12 @@ __all__ = [
     "MERSENNE_PRIME_61",
     "MergeableSketch",
     "MisraGries",
-    "MultiplyShiftHash",
     "PointQuerySketch",
     "PolynomialHash",
     "ReservoirSampler",
     "Sketch",
     "SpaceSaving",
     "StableLpSketch",
-    "TabulationHash",
     "TrackedCount",
     "WithReplacementSampler",
     "as_item_block",

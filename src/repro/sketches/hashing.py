@@ -4,12 +4,8 @@ Every sketch in :mod:`repro.sketches` consumes *hashable items* (bytes,
 strings, ints or tuples thereof).  The families implemented here provide the
 independence guarantees the classical analyses require:
 
-* :class:`MultiplyShiftHash` — 2-universal hashing of 64-bit integers via the
-  Dietzfelbinger multiply-shift scheme.
 * :class:`PolynomialHash` — k-wise independent hashing by evaluating a random
   degree ``k-1`` polynomial over the Mersenne prime ``2^61 - 1``.
-* :class:`TabulationHash` — simple tabulation hashing (3-independent, and
-  behaves like full randomness for most streaming applications).
 * :func:`stable_hash64` — a deterministic, seed-able 64-bit hash of arbitrary
   Python objects, used to map items into the integer domain the families
   operate on.
@@ -23,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,9 +32,7 @@ __all__ = [
     "EncodedPatternBlock",
     "encode_pattern_block",
     "hash_to_unit_interval",
-    "MultiplyShiftHash",
     "PolynomialHash",
-    "TabulationHash",
     "HashFamily",
     "bit_length64",
     "trailing_zeros64",
@@ -266,58 +259,6 @@ def trailing_zeros64(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class MultiplyShiftHash:
-    """Dietzfelbinger's 2-universal multiply-shift hash of 64-bit keys.
-
-    Maps a 64-bit integer to ``output_bits`` bits via
-    ``(a * x + b) >> (64 - output_bits)`` with a random odd multiplier ``a``
-    and random offset ``b``.
-
-    Parameters
-    ----------
-    output_bits:
-        Number of output bits, ``1 <= output_bits <= 64``.
-    seed:
-        Seed controlling the random draw of ``a`` and ``b``.
-    """
-
-    output_bits: int
-    seed: int = 0
-    _a: int = field(init=False, repr=False)
-    _b: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.output_bits <= 64:
-            raise InvalidParameterError(
-                f"output_bits must be in [1, 64], got {self.output_bits}"
-            )
-        rng = np.random.default_rng(self.seed)
-        self._a = (int(rng.integers(0, 1 << 63)) << 1) | 1
-        self._b = int(rng.integers(0, 1 << 63))
-
-    @property
-    def range_size(self) -> int:
-        """Number of distinct output values, ``2**output_bits``."""
-        return 1 << self.output_bits
-
-    def __call__(self, item: object) -> int:
-        key = stable_hash64(item, self.seed)
-        return ((self._a * key + self._b) & _MASK64) >> (64 - self.output_bits)
-
-    def evaluate_block(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized bucket computation over pre-hashed ``uint64`` keys.
-
-        ``keys`` must come from :func:`stable_hash64_patterns` called with
-        *this* function's seed; entry ``i`` of the result then equals the
-        scalar ``__call__`` on the corresponding item.  The multiply wraps
-        modulo ``2^64`` exactly as the masked Python-int arithmetic does.
-        """
-        keys = _as_uint64(keys)
-        mixed = keys * np.uint64(self._a) + np.uint64(self._b)
-        return mixed >> np.uint64(64 - self.output_bits)
-
-
-@dataclass
 class PolynomialHash:
     """k-wise independent hashing over the Mersenne prime ``2^61 - 1``.
 
@@ -406,63 +347,6 @@ class PolynomialHash:
         return np.where(parity == np.uint64(1), np.int64(1), np.int64(-1))
 
 
-@dataclass
-class TabulationHash:
-    """Simple tabulation hashing of 64-bit keys.
-
-    The key is split into eight bytes; each byte indexes a table of random
-    64-bit words and the results are XORed.  Simple tabulation is
-    3-independent and known to support most hashing-based algorithms as if it
-    were fully random.
-
-    Parameters
-    ----------
-    output_bits:
-        Number of output bits, ``1 <= output_bits <= 64``.
-    seed:
-        Seed controlling the table contents.
-    """
-
-    output_bits: int = 64
-    seed: int = 0
-    _tables: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.output_bits <= 64:
-            raise InvalidParameterError(
-                f"output_bits must be in [1, 64], got {self.output_bits}"
-            )
-        rng = np.random.default_rng(self.seed)
-        self._tables = rng.integers(0, 1 << 64, size=(8, 256), dtype=np.uint64)
-
-    @property
-    def range_size(self) -> int:
-        """Number of distinct output values, ``2**output_bits``."""
-        return 1 << self.output_bits
-
-    def __call__(self, item: object) -> int:
-        key = stable_hash64(item, self.seed)
-        value = 0
-        for byte_index in range(8):
-            byte = (key >> (8 * byte_index)) & 0xFF
-            value ^= int(self._tables[byte_index, byte])
-        return value >> (64 - self.output_bits)
-
-    def evaluate_block(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized ``__call__`` over pre-hashed ``uint64`` keys.
-
-        ``keys`` must come from :func:`stable_hash64_patterns` called with
-        *this* function's seed; each of the eight byte lanes becomes one
-        fancy-indexed table gather followed by an XOR fold.
-        """
-        keys = _as_uint64(keys)
-        value = np.zeros(len(keys), dtype=np.uint64)
-        for byte_index in range(8):
-            bytes_lane = (keys >> np.uint64(8 * byte_index)) & np.uint64(0xFF)
-            value ^= self._tables[byte_index, bytes_lane.astype(np.intp)]
-        return value >> np.uint64(64 - self.output_bits)
-
-
 class HashFamily:
     """Factory producing independent hash functions from a master seed.
 
@@ -484,10 +368,6 @@ class HashFamily:
         self._counter += 1
         return stable_hash64(("family", self._seed, self._counter)) & _MASK64
 
-    def multiply_shift(self, output_bits: int) -> MultiplyShiftHash:
-        """Draw a fresh :class:`MultiplyShiftHash` with ``output_bits`` bits."""
-        return MultiplyShiftHash(output_bits=output_bits, seed=self._next_seed())
-
     def polynomial(
         self, independence: int = 2, range_size: int | None = None
     ) -> PolynomialHash:
@@ -495,10 +375,6 @@ class HashFamily:
         return PolynomialHash(
             independence=independence, range_size=range_size, seed=self._next_seed()
         )
-
-    def tabulation(self, output_bits: int = 64) -> TabulationHash:
-        """Draw a fresh :class:`TabulationHash`."""
-        return TabulationHash(output_bits=output_bits, seed=self._next_seed())
 
     def unit_interval_seed(self) -> int:
         """Draw a seed suitable for :func:`hash_to_unit_interval`."""
@@ -509,25 +385,3 @@ class HashFamily:
         if count < 0:
             raise InvalidParameterError(f"count must be non-negative, got {count}")
         return [self._next_seed() for _ in range(count)]
-
-
-def pairwise_collision_rate(
-    hash_function, items: Sequence[object] | Iterable[object]
-) -> float:
-    """Empirical pairwise collision rate of ``hash_function`` over ``items``.
-
-    Used by the test-suite to sanity-check universality: for a 2-universal
-    family into ``m`` buckets the expected rate is at most ``1/m``.
-    """
-    values = [hash_function(item) for item in items]
-    n = len(values)
-    if n < 2:
-        return 0.0
-    collisions = 0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs += 1
-            if values[i] == values[j]:
-                collisions += 1
-    return collisions / pairs

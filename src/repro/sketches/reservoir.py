@@ -1,4 +1,4 @@
-"""Reservoir sampling and Bernoulli row sampling.
+"""Reservoir sampling of rows, without and with replacement.
 
 Uniform row sampling is the workhorse of the paper's positive results:
 Theorem 5.1 / Corollary 5.2 show that a uniform sample of
@@ -26,7 +26,7 @@ a semantically different one.
 
 from __future__ import annotations
 
-from typing import Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..persistence import (
 )
 from .base import Sketch
 
-__all__ = ["ReservoirSampler", "WithReplacementSampler", "BernoulliSampler"]
+__all__ = ["ReservoirSampler", "WithReplacementSampler"]
 
 RowT = TypeVar("RowT")
 
@@ -343,107 +343,3 @@ class WithReplacementSampler(Sketch[RowT], Generic[RowT]):
 
     def size_in_bits(self) -> int:
         return 64 * self._draws + 5 * 64
-
-
-@snapshottable("sketch.bernoulli")
-class BernoulliSampler(Sketch[RowT], Generic[RowT]):
-    """Keep each row independently with probability ``rate``.
-
-    Useful for sub-sampling experiments where the sample size should scale
-    with the stream length (for example the subsample-and-find-heavy-hitters
-    approach to ``ℓ_p`` sampling discussed in Section 5.4).
-    """
-
-    def __init__(self, rate: float, seed: int = 0) -> None:
-        if not 0 < rate <= 1:
-            raise InvalidParameterError(f"rate must be in (0, 1], got {rate}")
-        self._rate = float(rate)
-        self._rng = np.random.default_rng(seed)
-        self._sample: list[RowT] = []
-        self._items_processed = 0
-
-    @property
-    def rate(self) -> float:
-        """Per-row retention probability."""
-        return self._rate
-
-    @property
-    def items_processed(self) -> int:
-        return self._items_processed
-
-    def update(self, item: RowT, count: int = 1) -> None:
-        if count < 1:
-            raise InvalidParameterError(f"count must be >= 1, got {count}")
-        for _ in range(count):
-            self._items_processed += 1
-            if self._rng.random() < self._rate:
-                self._sample.append(item)
-
-    def update_block(self, items: "Sequence[RowT] | np.ndarray") -> None:
-        """Absorb a block with a single retention-mask draw.
-
-        One ``random(m)`` call decides every retention; only the retained
-        items are materialised.  Bit-identical to the per-item path for the
-        same seed.
-        """
-        total = len(items)
-        if total == 0:
-            return
-        mask = self._rng.random(total) < self._rate
-        for index in np.nonzero(mask)[0]:
-            self._sample.append(_materialise_item(items, int(index)))
-        self._items_processed += total
-
-    def merge(self, other: "BernoulliSampler[RowT]") -> None:
-        """Fold ``other`` into ``self`` by concatenating the retained rows.
-
-        Exact: Bernoulli retention decisions are independent per row, so the
-        union of two samples at the same rate is distributed identically to
-        sampling the concatenated stream.
-        """
-        if not isinstance(other, BernoulliSampler):
-            raise InvalidParameterError(
-                "can only merge with another BernoulliSampler"
-            )
-        if other._rate != self._rate:
-            raise InvalidParameterError(
-                "Bernoulli samplers must share the rate to be merged"
-            )
-        self._items_processed += other._items_processed
-        self._sample.extend(other._sample)
-
-    def state_dict(self) -> dict:
-        """Retention rate, RNG state, retained rows and stream length."""
-        return {
-            "rate": self._rate,
-            "rng": rng_state_dict(self._rng),
-            "sample": list(self._sample),
-            "items_processed": self._items_processed,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore sample and RNG so further updates are bit-identical."""
-        require_keys(
-            state, ("rate", "rng", "sample", "items_processed"), "BernoulliSampler"
-        )
-        self.__init__(rate=float(state["rate"]))  # type: ignore[misc]
-        self._rng = rng_from_state(state["rng"])
-        self._sample = list(state["sample"])
-        self._items_processed = int(state["items_processed"])
-
-    def sample(self) -> list[RowT]:
-        """Return a copy of the retained rows."""
-        return list(self._sample)
-
-    def __len__(self) -> int:
-        return len(self._sample)
-
-    def __iter__(self) -> Iterator[RowT]:
-        return iter(self._sample)
-
-    def scale_factor(self) -> float:
-        """Multiplier converting sample counts into stream-count estimates."""
-        return 1.0 / self._rate
-
-    def size_in_bits(self) -> int:
-        return 64 * len(self._sample) + 5 * 64

@@ -28,7 +28,6 @@ from repro import (
 from repro.errors import EstimationError, InvalidParameterError
 from repro.sketches.hashing import stable_hash64, stable_hash64_rows
 from repro.sketches.reservoir import (
-    BernoulliSampler,
     ReservoirSampler,
     WithReplacementSampler,
 )
@@ -99,25 +98,6 @@ def test_with_replacement_block_kernel_chunks_large_blocks():
     block_fed._BLOCK_ELEMENT_BUDGET = 7 * draws  # force several chunks
     block_fed.update_block(rows)
     assert block_fed.sample() == row_fed.sample()
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    n_items=st.integers(min_value=0, max_value=120),
-    rate=st.floats(min_value=0.05, max_value=1.0),
-    splits=st.lists(st.integers(min_value=1, max_value=119), max_size=5),
-    seed=st.integers(min_value=0, max_value=50),
-)
-def test_bernoulli_block_kernel_is_bit_identical(n_items, rate, splits, seed):
-    rows = np.arange(n_items * 2, dtype=np.int64).reshape(n_items, 2)
-    row_fed = BernoulliSampler(rate=rate, seed=seed)
-    for row in rows:
-        row_fed.update(tuple(int(v) for v in row))
-    block_fed = BernoulliSampler(rate=rate, seed=seed)
-    for block in _blocks(rows, splits):
-        block_fed.update_block(block)
-    assert block_fed.sample() == row_fed.sample()
-    assert block_fed.items_processed == row_fed.items_processed
 
 
 # -- estimator-level equivalence --------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.core.alpha_net import AlphaNetEstimator, SketchPlan
@@ -9,6 +12,7 @@ from repro.core.dataset import ColumnQuery, Dataset
 from repro.core.exhaustive import AllSubsetsBaseline, ExactBaseline
 from repro.core.frequency import FrequencyVector
 from repro.errors import EstimationError, InvalidParameterError
+from repro.sketches.kmv import KMVSketch
 from repro.sketches.misra_gries import MisraGries
 
 
@@ -157,6 +161,55 @@ class TestNeighbourRuleAblation:
         assert len(shrink.rounded_query(query)) < len(query) < len(
             grow.rounded_query(query)
         )
+
+
+def _exact_f0_net(d: int, alphabet_size: int, rule: str = "nearest") -> AlphaNetEstimator:
+    # A KMV sketch below its capacity counts distinct items exactly (beta = 1).
+    return AlphaNetEstimator(
+        n_columns=d,
+        alpha=0.25,
+        plan=SketchPlan(distinct_factory=lambda index: KMVSketch(k=1024, seed=index)),
+        alphabet_size=alphabet_size,
+        neighbour_rule=rule,
+    )
+
+
+def _every_pattern_on(columns: list[int], d: int, alphabet_size: int) -> Dataset:
+    """One row per pattern of ``columns``, zero in every other column."""
+    patterns = list(itertools.product(range(alphabet_size), repeat=len(columns)))
+    rows = np.zeros((len(patterns), d), dtype=np.int64)
+    rows[:, columns] = patterns
+    return Dataset(rows, alphabet_size=alphabet_size)
+
+
+class TestTheoremSixFiveGuarantee:
+    """The reported factor covers the net's real worst rounding."""
+
+    def test_integer_band_edges_cost_a_third_column(self):
+        # d = 10, alpha = 0.25: the bands end at 2 and 8 columns, so a
+        # 5-column query rounds to 2 columns, 3 > alpha * d = 2.5 away.
+        estimator = _exact_f0_net(d=10, alphabet_size=2)
+        estimator.observe(_every_pattern_on([0, 1, 2, 3, 4], d=10, alphabet_size=2))
+        query = ColumnQuery.of(range(5), 10)
+        estimate = estimator.estimate_fp(query, 0)
+        assert (estimate, 2**5) == (4.0, 32)
+        guarantee = estimator.guarantee(p=0, beta=1.0)
+        assert guarantee.distortion == 8.0
+        assert 32 / estimate <= guarantee.approximation_factor
+
+    @pytest.mark.parametrize("rule", ["shrink", "grow"])
+    def test_one_sided_rules_report_their_longer_rounding(self, rule):
+        estimator = _exact_f0_net(d=10, alphabet_size=2, rule=rule)
+        assert estimator.guarantee(p=0, beta=1.0).distortion == 32.0
+
+    def test_qary_columns_merge_q_patterns_each(self):
+        # Q = 4, d = 8, alpha = 0.25: a 4-column query drops 2 columns, and
+        # each dropped column merges 4 patterns into one.
+        estimator = _exact_f0_net(d=8, alphabet_size=4)
+        estimator.observe(_every_pattern_on([0, 1, 2, 3], d=8, alphabet_size=4))
+        estimate = estimator.estimate_fp(ColumnQuery.of(range(4), 8), 0)
+        assert (estimate, 4**4) == (16.0, 256)
+        assert 256 / estimate <= estimator.guarantee(p=0, beta=1.0).approximation_factor
 
 
 class TestExactBaseline:

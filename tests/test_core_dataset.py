@@ -86,18 +86,6 @@ class TestProjection:
         assert projected.shape == (2, 2)
         assert projected.row(0) == (1, 1)
 
-    def test_iter_projected_rows_matches_project(self):
-        dataset = Dataset.random(50, 6, seed=1)
-        query = dataset.query([1, 4])
-        via_iter = list(dataset.iter_projected_rows(query))
-        via_project = list(dataset.project(query).iter_rows())
-        assert via_iter == via_project
-
-    def test_pattern_counts_sum_to_n(self):
-        dataset = Dataset.random(200, 7, seed=2)
-        counts = dataset.pattern_counts([0, 3, 6])
-        assert sum(counts.values()) == 200
-
     def test_query_dimension_mismatch_rejected(self):
         dataset = Dataset.random(10, 4, seed=3)
         foreign = ColumnQuery.of([0], 9)

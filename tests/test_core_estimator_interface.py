@@ -1,14 +1,18 @@
-"""Tests for the estimator base interface, registry and capability probing."""
+"""Tests for the estimator base interface, query checks and capability probing."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.alpha_net import AlphaNetEstimator, SketchPlan
 from repro.core.dataset import ColumnQuery, Dataset
-from repro.core.estimator import EstimatorRegistry, ProjectedFrequencyEstimator
-from repro.core.exhaustive import ExactBaseline
+from repro.core.estimator import ProjectedFrequencyEstimator
+from repro.core.exhaustive import AllSubsetsBaseline, ExactBaseline
 from repro.core.uniform_sample import UniformSampleEstimator
 from repro.errors import EstimationError
+from repro.sketches.countmin import CountMinSketch
+from repro.sketches.kmv import KMVSketch
 
 
 class _CountOnlyEstimator(ProjectedFrequencyEstimator):
@@ -67,22 +71,65 @@ class TestEstimatorBase:
         assert exact.supports("heavy_hitters")
 
 
-class TestEstimatorRegistry:
-    def test_register_create_and_names(self):
-        registry = EstimatorRegistry()
-        registry.register("exact", ExactBaseline)
-        registry.register("usample", UniformSampleEstimator)
-        assert registry.names() == ["exact", "usample"]
+# -- queries built for another dimension ------------------------------------------
 
-        exact = registry.create("exact", n_columns=5)
-        assert isinstance(exact, ExactBaseline)
-        usample = registry.create("usample", n_columns=5, sample_size=16)
-        assert isinstance(usample, UniformSampleEstimator)
-        assert usample.sample_size == 16
+FOREIGN_D = 6
 
-    def test_unknown_name_raises_with_known_names_listed(self):
-        registry = EstimatorRegistry()
-        registry.register("exact", ExactBaseline)
-        with pytest.raises(EstimationError) as excinfo:
-            registry.create("missing", n_columns=3)
-        assert "exact" in str(excinfo.value)
+_FOREIGN_ESTIMATORS = {
+    "exact": lambda: ExactBaseline(n_columns=FOREIGN_D),
+    "usample": lambda: UniformSampleEstimator(n_columns=FOREIGN_D, sample_size=32),
+    "all-subsets": lambda: AllSubsetsBaseline(n_columns=FOREIGN_D, subset_sizes=[2]),
+    "alpha-net": lambda: AlphaNetEstimator(
+        n_columns=FOREIGN_D,
+        alpha=0.25,
+        plan=SketchPlan(
+            distinct_factory=lambda index: KMVSketch(k=16, seed=index),
+            point_factory=lambda index: CountMinSketch(width=32, depth=2, seed=index),
+        ),
+    ),
+}
+
+_ENTRY_POINTS = {
+    "estimate_fp_p0": lambda e, q: e.estimate_fp(q, 0),
+    "estimate_fp_p1": lambda e, q: e.estimate_fp(q, 1),
+    "estimate_frequency": lambda e, q: e.estimate_frequency(q, (0,) * len(q)),
+    "estimate_frequency_block": lambda e, q: e.estimate_frequency_block(
+        q, np.zeros((2, len(q)), dtype=np.int64)
+    ),
+    "heavy_hitters": lambda e, q: e.heavy_hitters(q, phi=0.1),
+    "frequencies": lambda e, q: e.frequencies(q),
+    "sample_frequencies": lambda e, q: e.sample_frequencies(q),
+    "rounded_query": lambda e, q: e.rounded_query(q),
+}
+
+_QUERY_PATHS = ("estimate_frequency", "estimate_frequency_block", "heavy_hitters")
+_FP = ("estimate_fp_p0", "estimate_fp_p1")
+
+_CASES = [
+    (estimator, entry)
+    for estimator, entries in (
+        ("exact", _FP + _QUERY_PATHS + ("frequencies",)),
+        ("usample", _FP + _QUERY_PATHS + ("sample_frequencies",)),
+        ("all-subsets", _FP),
+        ("alpha-net", _FP + _QUERY_PATHS + ("rounded_query",)),
+    )
+    for entry in entries
+]
+
+_FOREIGN_QUERIES = {
+    # Columns inside [0, d) but the query was built for d = 10.
+    "wrong-dimension": ColumnQuery.of([0, 1], 10),
+    # A column the estimator's rows do not have.
+    "column-beyond-d": ColumnQuery.of([1, 8], 10),
+}
+
+
+@pytest.mark.parametrize("query_kind", sorted(_FOREIGN_QUERIES))
+@pytest.mark.parametrize(
+    "estimator_name, entry", _CASES, ids=[f"{e}-{p}" for e, p in _CASES]
+)
+def test_query_for_another_dimension_is_refused(estimator_name, entry, query_kind):
+    estimator = _FOREIGN_ESTIMATORS[estimator_name]()
+    estimator.observe(Dataset.random(40, FOREIGN_D, seed=2))
+    with pytest.raises(EstimationError, match="dimension"):
+        _ENTRY_POINTS[entry](estimator, _FOREIGN_QUERIES[query_kind])

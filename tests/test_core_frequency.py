@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.dataset import ColumnQuery, Dataset
+from repro.core.exhaustive import ExactBaseline
 from repro.core.frequency import FrequencyVector, exact_fp, exact_heavy_hitters
+from repro.core.uniform_sample import UniformSampleEstimator
 from repro.errors import InvalidParameterError, QueryError
 
 # The Section 2 running example: A in {0,1}^{5x3}, C = first two columns.
@@ -138,3 +141,85 @@ class TestApproximationRatioAndWrappers:
         constant = FrequencyVector.from_dataset(dataset, ColumnQuery.of([2], 3))
         assert diverse.distinct_patterns() == 4
         assert constant.distinct_patterns() == 1
+
+
+def _reference_counts(rows: np.ndarray) -> dict:
+    """Pattern counts by an independent ``np.unique`` over the rows."""
+    patterns, counts = np.unique(rows, axis=0, return_counts=True)
+    return dict(zip(map(tuple, patterns.tolist()), counts.tolist()))
+
+
+def _first_occurrence_order(rows: np.ndarray) -> list:
+    return list(dict.fromkeys(map(tuple, rows.tolist())))
+
+
+class TestOneCountingContract:
+    """Every exact or sampled projected count agrees on counts and key order."""
+
+    @pytest.fixture(params=[(2, 3), (3, 5)], ids=["binary", "q3"])
+    def case(self, request):
+        alphabet_size, seed = request.param
+        dataset = Dataset.random(240, 6, alphabet_size=alphabet_size, seed=seed)
+        query = ColumnQuery.of([0, 2, 5], 6)
+        return dataset, query, dataset.to_array()[:, list(query.columns)]
+
+    def _vectors(self, dataset, query):
+        exact = ExactBaseline(n_columns=6, alphabet_size=dataset.alphabet_size)
+        exact.observe(dataset)
+        usample = UniformSampleEstimator(
+            n_columns=6,
+            sample_size=dataset.n_rows,
+            alphabet_size=dataset.alphabet_size,
+            seed=1,
+        )
+        usample.observe(dataset)
+        return {
+            "from_dataset": FrequencyVector.from_dataset(dataset, query),
+            "exact_baseline": exact.frequencies(query),
+            "usample": usample.sample_frequencies(query),
+        }
+
+    def test_counts_match_an_independent_count(self, case):
+        dataset, query, projected = case
+        expected = _reference_counts(projected)
+        assert max(expected.values()) > 1  # the data repeats patterns
+        for name, vector in self._vectors(dataset, query).items():
+            assert dict(vector.counts) == expected, name
+            assert vector.total_rows() == dataset.n_rows, name
+            assert vector.pattern_length == len(query), name
+
+    def test_keys_come_in_first_occurrence_order(self, case):
+        dataset, query, projected = case
+        order = _first_occurrence_order(projected)
+        for name, vector in self._vectors(dataset, query).items():
+            assert list(vector.counts) == order, name
+
+    def test_with_replacement_draws_count_with_multiplicity(self, case):
+        dataset, query, _ = case
+        usample = UniformSampleEstimator(
+            n_columns=6,
+            sample_size=3 * dataset.n_rows,
+            alphabet_size=dataset.alphabet_size,
+            with_replacement=True,
+            seed=4,
+        )
+        usample.observe(dataset)
+        drawn = np.array(usample.state_dict()["summary"]["sampler"].sample())
+        projected = drawn[:, list(query.columns)]
+        vector = usample.sample_frequencies(query)
+        assert len(set(map(tuple, drawn.tolist()))) < len(drawn)
+        assert vector.total_rows() == 3 * dataset.n_rows
+        assert dict(vector.counts) == _reference_counts(projected)
+        assert list(vector.counts) == _first_occurrence_order(projected)
+
+    def test_exact_baseline_fractional_moment_is_bit_identical(self, case):
+        dataset, query, _ = case
+        exact = ExactBaseline(n_columns=6, alphabet_size=dataset.alphabet_size)
+        exact.observe(dataset)
+        assert exact.estimate_fp(query, 0.5) == exact_fp(dataset, query, 0.5)
+
+    def test_from_rows_rejects_a_block_that_is_not_2d_integer(self):
+        with pytest.raises(InvalidParameterError):
+            FrequencyVector.from_rows(np.zeros(4, dtype=np.int64), alphabet_size=2)
+        with pytest.raises(InvalidParameterError):
+            FrequencyVector.from_rows(np.zeros((4, 2)), alphabet_size=2)

@@ -53,7 +53,6 @@ from repro.persistence import (
 from repro.sketches import (
     AMSSketch,
     BJKSTSketch,
-    BernoulliSampler,
     CountMinSketch,
     CountSketch,
     HyperLogLog,
@@ -104,7 +103,6 @@ SKETCH_CASES = [
     SketchCase("stable-lp", lambda: StableLpSketch(p=1.0, width=16, depth=3, seed=1), lambda s: s.estimate()),
     SketchCase("reservoir", lambda: ReservoirSampler(capacity=25, seed=1), lambda s: s.sample()),
     SketchCase("with-replacement", lambda: WithReplacementSampler(draws=12, seed=1), lambda s: s.sample()),
-    SketchCase("bernoulli", lambda: BernoulliSampler(rate=0.25, seed=1), lambda s: s.sample()),
 ]
 
 

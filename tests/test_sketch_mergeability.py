@@ -28,7 +28,6 @@ from repro.sketches.hyperloglog import HyperLogLog
 from repro.sketches.kmv import KMVSketch
 from repro.sketches.misra_gries import MisraGries
 from repro.sketches.reservoir import (
-    BernoulliSampler,
     ReservoirSampler,
     WithReplacementSampler,
 )
@@ -315,17 +314,6 @@ def test_with_replacement_merge_with_empty_side() -> None:
     assert len(first.sample()) == 8
 
 
-def test_bernoulli_merge_concatenates_at_equal_rate() -> None:
-    first = BernoulliSampler[int](rate=0.5, seed=1)
-    second = BernoulliSampler[int](rate=0.5, seed=2)
-    first.update_many(range(40))
-    second.update_many(range(40, 80))
-    kept = len(first.sample()) + len(second.sample())
-    first.merge(second)
-    assert len(first.sample()) == kept
-    assert first.items_processed == 80
-
-
 @pytest.mark.parametrize(
     "make_one, make_other",
     [
@@ -336,10 +324,6 @@ def test_bernoulli_merge_concatenates_at_equal_rate() -> None:
         (
             lambda: WithReplacementSampler[int](draws=8, seed=0),
             lambda: WithReplacementSampler[int](draws=4, seed=0),
-        ),
-        (
-            lambda: BernoulliSampler[int](rate=0.5, seed=0),
-            lambda: BernoulliSampler[int](rate=0.25, seed=0),
         ),
         (
             lambda: ReservoirSampler[int](capacity=8, seed=0),

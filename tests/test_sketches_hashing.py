@@ -11,11 +11,8 @@ from repro.errors import InvalidParameterError
 from repro.sketches.hashing import (
     MERSENNE_PRIME_61,
     HashFamily,
-    MultiplyShiftHash,
     PolynomialHash,
-    TabulationHash,
     hash_to_unit_interval,
-    pairwise_collision_rate,
     stable_hash64,
     stable_hash64_patterns,
 )
@@ -42,23 +39,6 @@ class TestStableHash:
         assert 0.35 < sum(values) / len(values) < 0.65
 
 
-class TestMultiplyShift:
-    def test_output_within_range(self):
-        h = MultiplyShiftHash(output_bits=10, seed=1)
-        assert all(0 <= h(i) < h.range_size for i in range(500))
-
-    def test_collision_rate_is_universal(self):
-        h = MultiplyShiftHash(output_bits=12, seed=5)
-        rate = pairwise_collision_rate(h, range(300))
-        assert rate <= 3.0 / h.range_size
-
-    def test_rejects_invalid_bits(self):
-        with pytest.raises(InvalidParameterError):
-            MultiplyShiftHash(output_bits=0)
-        with pytest.raises(InvalidParameterError):
-            MultiplyShiftHash(output_bits=65)
-
-
 class TestPolynomialHash:
     def test_range_restriction(self):
         h = PolynomialHash(independence=2, range_size=97, seed=2)
@@ -78,17 +58,6 @@ class TestPolynomialHash:
         a = PolynomialHash(independence=3, range_size=50, seed=4)
         b = PolynomialHash(independence=3, range_size=50, seed=4)
         assert [a(i) for i in range(20)] == [b(i) for i in range(20)]
-
-
-class TestTabulationHash:
-    def test_output_within_range(self):
-        h = TabulationHash(output_bits=16, seed=0)
-        assert all(0 <= h(i) < h.range_size for i in range(500))
-
-    def test_collision_rate(self):
-        h = TabulationHash(output_bits=14, seed=1)
-        rate = pairwise_collision_rate(h, range(300))
-        assert rate <= 3.0 / h.range_size
 
 
 class TestHashFamily:
@@ -127,8 +96,6 @@ class TestHashFamily:
 # kernels shows up as a mismatch at these keys.
 # --------------------------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
-
 BOUNDARY_KEYS = [
     0,
     1,
@@ -147,10 +114,6 @@ BOUNDARY_KEYS = [
 HASH_SEEDS = [0, 1, 7, 1234]
 
 
-def _multiply_shift_reference(h: MultiplyShiftHash, key: int) -> int:
-    return ((h._a * key + h._b) & _MASK64) >> (64 - h.output_bits)
-
-
 def _field_value_reference(h: PolynomialHash, key: int) -> int:
     key %= MERSENNE_PRIME_61
     value = 0
@@ -159,26 +122,11 @@ def _field_value_reference(h: PolynomialHash, key: int) -> int:
     return value
 
 
-def _tabulation_reference(h: TabulationHash, key: int) -> int:
-    value = 0
-    for byte_index in range(8):
-        value ^= int(h._tables[byte_index, (key >> (8 * byte_index)) & 0xFF])
-    return value >> (64 - h.output_bits)
-
-
 def _keys_array(keys) -> np.ndarray:
     return np.array(list(keys), dtype=np.uint64)
 
 
 class TestBoundaryKeys:
-    @pytest.mark.parametrize("seed", HASH_SEEDS)
-    @pytest.mark.parametrize("output_bits", [1, 10, 63, 64])
-    def test_multiply_shift_block_at_boundaries(self, seed, output_bits):
-        h = MultiplyShiftHash(output_bits=output_bits, seed=seed)
-        block = h.evaluate_block(_keys_array(BOUNDARY_KEYS))
-        expected = [_multiply_shift_reference(h, key) for key in BOUNDARY_KEYS]
-        assert block.tolist() == expected
-
     @pytest.mark.parametrize("seed", HASH_SEEDS)
     @pytest.mark.parametrize("independence", [2, 4])
     def test_polynomial_field_value_block_at_boundaries(self, seed, independence):
@@ -215,24 +163,6 @@ class TestBoundaryKeys:
         block = h.field_value_block(_keys_array(multiples))
         assert block.tolist() == [h._coefficients[-1]] * len(multiples)
 
-    @pytest.mark.parametrize("seed", HASH_SEEDS)
-    @pytest.mark.parametrize("output_bits", [1, 16, 64])
-    def test_tabulation_block_at_boundaries(self, seed, output_bits):
-        h = TabulationHash(output_bits=output_bits, seed=seed)
-        block = h.evaluate_block(_keys_array(BOUNDARY_KEYS))
-        expected = [_tabulation_reference(h, key) for key in BOUNDARY_KEYS]
-        assert block.tolist() == expected
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_multiply_shift_fuzz(self, keys, seed):
-        h = MultiplyShiftHash(output_bits=32, seed=seed)
-        block = h.evaluate_block(_keys_array(keys))
-        assert block.tolist() == [_multiply_shift_reference(h, key) for key in keys]
-
     @settings(max_examples=50, deadline=None)
     @given(
         keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1),
@@ -246,16 +176,6 @@ class TestBoundaryKeys:
         assert h.evaluate_block(array).tolist() == [v % 101 for v in values]
         assert h.sign_block(array).tolist() == [1 if v & 1 else -1 for v in values]
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_tabulation_fuzz(self, keys, seed):
-        h = TabulationHash(output_bits=24, seed=seed)
-        block = h.evaluate_block(_keys_array(keys))
-        assert block.tolist() == [_tabulation_reference(h, key) for key in keys]
-
     @pytest.mark.parametrize("seed", HASH_SEEDS)
     def test_item_level_block_matches_scalar_calls(self, seed):
         # End to end: packing items into a block, keying it through
@@ -264,19 +184,17 @@ class TestBoundaryKeys:
         rng = np.random.default_rng(seed)
         block = rng.integers(0, 50, size=(64, 3), dtype=np.int64)
         items = [tuple(row) for row in block.tolist()]
-        ms = MultiplyShiftHash(output_bits=20, seed=seed)
         poly = PolynomialHash(independence=4, range_size=127, seed=seed + 1)
-        tab = TabulationHash(output_bits=20, seed=seed + 2)
-        for h in (ms, poly, tab):
-            keys = stable_hash64_patterns(block, h.seed)
-            assert h.evaluate_block(keys).tolist() == [h(item) for item in items]
         poly_keys = stable_hash64_patterns(block, poly.seed)
+        assert poly.evaluate_block(poly_keys).tolist() == [
+            poly(item) for item in items
+        ]
         assert poly.sign_block(poly_keys).tolist() == [
             poly.sign(item) for item in items
         ]
 
     def test_block_kernels_reject_bad_key_arrays(self):
-        h = MultiplyShiftHash(output_bits=8, seed=0)
+        h = PolynomialHash(independence=2, range_size=256, seed=0)
         with pytest.raises(InvalidParameterError, match="1-D"):
             h.evaluate_block(np.zeros((2, 2), dtype=np.uint64))
         with pytest.raises(InvalidParameterError, match="uint64"):

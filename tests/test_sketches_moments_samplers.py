@@ -8,7 +8,6 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.sketches.ams import AMSSketch
 from repro.sketches.reservoir import (
-    BernoulliSampler,
     ReservoirSampler,
     WithReplacementSampler,
 )
@@ -125,15 +124,6 @@ class TestReservoirSamplers:
     def test_with_replacement_empty_stream(self):
         assert WithReplacementSampler(draws=5).sample() == []
 
-    def test_bernoulli_sampler_rate(self):
-        sampler = BernoulliSampler(rate=0.1, seed=3)
-        for value in range(5000):
-            sampler.update(value)
-        assert 300 < len(sampler) < 700
-        assert sampler.scale_factor() == pytest.approx(10.0)
-
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             ReservoirSampler(capacity=0)
-        with pytest.raises(InvalidParameterError):
-            BernoulliSampler(rate=0.0)

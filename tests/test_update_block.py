@@ -37,9 +37,7 @@ from repro.sketches import (
     stable_hash64_patterns,
 )
 from repro.sketches.hashing import (
-    MultiplyShiftHash,
     PolynomialHash,
-    TabulationHash,
     bit_length64,
     trailing_zeros64,
 )
@@ -297,11 +295,8 @@ def test_evaluate_block_matches_scalar_calls(family_seed, item_seed):
     block = rng.integers(-50, 50, size=(30, 3), dtype=np.int64)
     items = [tuple(int(v) for v in row) for row in block.tolist()]
     functions = [
-        MultiplyShiftHash(output_bits=9, seed=family_seed),
-        MultiplyShiftHash(output_bits=64, seed=family_seed + 1),
         PolynomialHash(independence=2, range_size=53, seed=family_seed),
         PolynomialHash(independence=4, range_size=None, seed=family_seed + 1),
-        TabulationHash(output_bits=13, seed=family_seed),
     ]
     for function in functions:
         keys = stable_hash64_patterns(block, function.seed)
@@ -316,7 +311,7 @@ def test_evaluate_block_matches_scalar_calls(family_seed, item_seed):
 
 
 def test_evaluate_block_validates_keys():
-    function = MultiplyShiftHash(output_bits=8, seed=0)
+    function = PolynomialHash(independence=2, range_size=256, seed=0)
     with pytest.raises(InvalidParameterError):
         function.evaluate_block(np.zeros((2, 2), dtype=np.uint64))  # 2-D
     with pytest.raises(InvalidParameterError):
