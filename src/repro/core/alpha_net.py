@@ -18,7 +18,6 @@ to answer arbitrary late-arriving queries.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from ..sketches.base import (
     FrequencyMomentSketch,
     PointQuerySketch,
     collapse_block,
+    merge_all,
 )
 from ..sketches.countmin import CountMinSketch
 from ..sketches.kmv import KMVSketch
@@ -268,7 +268,9 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         For the default plans (KMV / Count-Min / p-stable, all built with a
         per-member seed) the merged state is *identical* to having streamed
         the concatenated input into one estimator, so sharded ingestion is
-        lossless for Algorithm 1.
+        lossless for Algorithm 1.  Every member pair of every family is
+        checked before the first one merges, so a sketch incompatibility
+        in a later family cannot leave ``self`` partly merged.
         """
         assert isinstance(other, AlphaNetEstimator)
         if other._net.alpha != self._net.alpha or (
@@ -278,10 +280,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
                 "alpha-net estimators must share alpha and the same net "
                 "members to be merged"
             )
-        # Merge into clones and commit only on full success, so a sketch
-        # incompatibility surfacing in a later family cannot leave ``self``
-        # partially merged (and thus double-counting) behind a caught error.
-        merged_families: list[list] = []
+        pairs: list = []
         for ours, theirs in (
             (self._distinct_sketches, other._distinct_sketches),
             (self._moment_sketches, other._moment_sketches),
@@ -292,16 +291,9 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
                     "alpha-net estimators must keep the same sketch families "
                     "to be merged"
                 )
-            if ours is None or theirs is None:
-                merged_families.append(None)
-                continue
-            clones = copy.deepcopy(ours)
-            for mine, its in zip(clones, theirs):
-                mine.merge(its)
-            merged_families.append(clones)
-        self._distinct_sketches, self._moment_sketches, self._point_sketches = (
-            merged_families
-        )
+            if ours is not None and theirs is not None:
+                pairs.extend(zip(ours, theirs))
+        merge_all(pairs)
 
     # -- persistence ------------------------------------------------------------
 
@@ -428,6 +420,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         extension, the dominant completion for sparse data).
         """
         self._check_query(query)
+        self._check_patterns(query, (pattern,))
         if self._point_sketches is None:
             raise EstimationError("this estimator keeps no point-query sketches")
         index, neighbour = self._resolve(query)
@@ -447,18 +440,13 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         ``docs/architecture.md``, *Batch query kernels*).
         """
         self._check_query(query)
+        words = pattern_words(patterns)
+        self._check_patterns(query, words)
         if self._point_sketches is None:
             raise EstimationError("this estimator keeps no point-query sketches")
         index, neighbour = self._resolve(query)
-        words = pattern_words(patterns)
         if not words:
             return np.zeros(0, dtype=np.float64)
-        for word in words:
-            if len(word) != len(query):
-                raise EstimationError(
-                    f"pattern length {len(word)} does not match query size "
-                    f"{len(query)}"
-                )
         position = {column: i for i, column in enumerate(query.columns)}
         translated = np.zeros((len(words), len(neighbour.columns)), dtype=np.int64)
         for j, column in enumerate(neighbour.columns):
@@ -472,10 +460,6 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
     def _translate_pattern(
         self, pattern: Word, query: ColumnQuery, neighbour: ColumnQuery
     ) -> Word:
-        if len(pattern) != len(query):
-            raise EstimationError(
-                f"pattern length {len(pattern)} does not match query size {len(query)}"
-            )
         by_column = dict(zip(query.columns, pattern))
         return tuple(by_column.get(column, 0) for column in neighbour.columns)
 

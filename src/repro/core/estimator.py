@@ -204,6 +204,8 @@ class ProjectedFrequencyEstimator(abc.ABC):
         Implementations may assume ``other`` is the same concrete type with a
         matching ``n_columns``/``alphabet_size`` (checked by :meth:`merge`)
         and must not touch ``_rows_observed`` — the caller accounts for it.
+        They refuse before changing anything; sketch lists merge through
+        :func:`~repro.sketches.base.merge_all`.
         """
         raise EstimationError(
             f"{type(self).__name__} does not support merging"
@@ -229,6 +231,10 @@ class ProjectedFrequencyEstimator(abc.ABC):
         each shard observes a substream independently and the union summary
         is recovered by merging, mirroring the sketch-level ``merge()``
         contract of :class:`~repro.sketches.base.MergeableSketch`.
+
+        A refused merge changes nothing: every check, down to each sketch
+        pair's :meth:`~repro.sketches.base.MergeableSketch.check_mergeable`,
+        runs before the first sketch is merged.
 
         Raises
         ------
@@ -367,6 +373,20 @@ class ProjectedFrequencyEstimator(abc.ABC):
                 f"query dimension {query.dimension} does not match estimator "
                 f"dimension {self._n_columns}"
             )
+
+    def _check_patterns(self, query: ColumnQuery, patterns: Iterable[Word]) -> None:
+        """Refuse a pattern whose length is not the query's size.
+
+        The scalar and block frequency entry points call this after
+        :meth:`_check_query`, so a pattern of another length fails on every
+        estimator instead of being counted as absent.
+        """
+        for pattern in patterns:
+            if len(pattern) != len(query):
+                raise EstimationError(
+                    f"pattern length {len(pattern)} does not match query size "
+                    f"{len(query)}"
+                )
 
     def estimate_fp(self, query: ColumnQuery, p: float) -> float:
         """Estimate the projected moment ``F_p(A, C)``."""

@@ -25,7 +25,7 @@ import numpy as np
 from ..coding.words import Word, project_word
 from ..errors import EstimationError, InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
-from ..sketches.base import DistinctCountSketch
+from ..sketches.base import DistinctCountSketch, merge_all
 from ..sketches.kmv import KMVSketch
 from .dataset import ColumnQuery, Dataset
 from .estimator import ProjectedFrequencyEstimator, pattern_words
@@ -108,6 +108,8 @@ class ExactBaseline(ProjectedFrequencyEstimator):
         return self._frequencies(query).frequency_moment(p)
 
     def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
+        self._check_query(query)
+        self._check_patterns(query, (pattern,))
         return float(self._frequencies(query).frequency(pattern))
 
     def estimate_frequency_block(self, query: ColumnQuery, patterns) -> np.ndarray:
@@ -121,6 +123,7 @@ class ExactBaseline(ProjectedFrequencyEstimator):
         """
         self._check_query(query)
         words = pattern_words(patterns)
+        self._check_patterns(query, words)
         if not words:
             return np.zeros(0, dtype=np.float64)
         frequencies = self._frequencies(query)
@@ -219,15 +222,14 @@ class AllSubsetsBaseline(ProjectedFrequencyEstimator):
             self._sketches[index].update(project_word(row, subset.columns))
 
     def _merge_summaries(self, other: "ProjectedFrequencyEstimator") -> None:
-        """Merge the per-subset sketches pairwise."""
+        """Merge the per-subset sketches pairwise, all of them or none."""
         assert isinstance(other, AllSubsetsBaseline)
         if other._subset_index != self._subset_index:
             raise InvalidParameterError(
                 "all-subsets baselines must materialise the same subsets to "
                 "be merged"
             )
-        for mine, its in zip(self._sketches, other._sketches):
-            mine.merge(its)
+        merge_all(zip(self._sketches, other._sketches))
 
     def _summary_state(self) -> dict:
         """Materialised subset sizes plus every per-subset sketch.

@@ -129,14 +129,7 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
         to *which* uniform sample is kept, so the merged summary retains the
         full accuracy guarantee for the concatenated stream)."""
         assert isinstance(other, UniformSampleEstimator)
-        if other._sample_size != self._sample_size:
-            raise InvalidParameterError(
-                "uniform-sample estimators must share sample_size to be merged"
-            )
-        if other._with_replacement != self._with_replacement:
-            raise InvalidParameterError(
-                "cannot merge with- and without-replacement sample summaries"
-            )
+        # The sampler refuses another sample size or replacement mode.
         self._sampler.merge(other._sampler)  # type: ignore[arg-type]
 
     # -- persistence ------------------------------------------------------------
@@ -195,11 +188,7 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
     def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
         """Estimate ``f_{e(pattern)}(A, C)`` as ``(n / t) ×`` its sample count."""
         self._check_query(query)
-        if len(pattern) != len(query):
-            raise EstimationError(
-                f"pattern length {len(pattern)} does not match query size "
-                f"{len(query)}"
-            )
+        self._check_patterns(query, (pattern,))
         sample_count = self.sample_frequencies(query).frequency(pattern)
         return sample_count * self._scale_factor()
 
@@ -214,12 +203,7 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
         """
         self._check_query(query)
         words = pattern_words(patterns)
-        for word in words:
-            if len(word) != len(query):
-                raise EstimationError(
-                    f"pattern length {len(word)} does not match query size "
-                    f"{len(query)}"
-                )
+        self._check_patterns(query, words)
         if not words:
             return np.zeros(0, dtype=np.float64)
         frequencies = self.sample_frequencies(query)

@@ -146,9 +146,9 @@ def _record_checkpoint_metrics(op: str, n_bytes: int, seconds: float) -> None:
 def read_checkpoint_envelope(path: str | Path) -> dict:
     """Load and schema-check a checkpoint file's envelope (no object decoding).
 
-    The cheap inspection entry point used by ``tools/check_snapshot_schema.py``
-    and anyone who wants the config manifest without paying for summary
-    reconstruction.
+    :func:`load_checkpoint` and :func:`load_merged_estimator` read their
+    file through it; it is also the cheap way to get the config manifest
+    without paying for summary reconstruction.
     """
     envelope = persistence.load_envelope(Path(path).read_bytes())
     if envelope["format"] != persistence.CHECKPOINT_FORMAT:

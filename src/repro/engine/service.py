@@ -571,15 +571,3 @@ class QueryService:
     ) -> list[float]:
         """Serve ``F_p`` for a batch of queries."""
         return [self.estimate_fp(query, p) for query in queries]
-
-    def batch_estimate_frequency(
-        self, requests: Iterable[tuple[ColumnQuery, Word]]
-    ) -> list[float]:
-        """Serve point frequencies for a batch of ``(query, pattern)`` pairs."""
-        return [self.estimate_frequency(query, pattern) for query, pattern in requests]
-
-    def batch_heavy_hitters(
-        self, queries: Sequence[ColumnQuery], phi: float, p: float = 1.0
-    ) -> list[dict[Word, float]]:
-        """Serve heavy hitters for a batch of queries."""
-        return [self.heavy_hitters(query, phi, p) for query in queries]

@@ -32,7 +32,6 @@ from .hashing import (
     hash_to_unit_interval,
     stable_hash64,
     stable_hash64_patterns,
-    stable_hash64_rows,
 )
 from .hyperloglog import HyperLogLog
 from .kmv import KMVSketch, kmv_size_for_epsilon
@@ -71,6 +70,5 @@ __all__ = [
     "sample_p_stable",
     "stable_hash64",
     "stable_hash64_patterns",
-    "stable_hash64_rows",
     "validate_counts",
 ]

@@ -44,6 +44,7 @@ class AMSSketch(FrequencyMomentSketch[Hashable]):
     """
 
     p = 2.0
+    _merge_config = ("width", "depth", "seed")
 
     def __init__(self, width: int = 64, depth: int = 5, seed: int = 0) -> None:
         if width < 1:
@@ -127,16 +128,7 @@ class AMSSketch(FrequencyMomentSketch[Hashable]):
                 self._counters[row, column] += int((signs * multiplicities).sum())
 
     def merge(self, other: "AMSSketch") -> None:
-        if not isinstance(other, AMSSketch):
-            raise InvalidParameterError("can only merge with another AMSSketch")
-        if (
-            other._width != self._width
-            or other._depth != self._depth
-            or other._seed != self._seed
-        ):
-            raise InvalidParameterError(
-                "AMS sketches must share width, depth and seed to be merged"
-            )
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         self._counters += other._counters
 

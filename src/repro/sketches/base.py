@@ -39,6 +39,7 @@ __all__ = [
     "as_query_block",
     "validate_counts",
     "collapse_block",
+    "merge_all",
 ]
 
 ItemT = TypeVar("ItemT", bound=Hashable)
@@ -279,18 +280,68 @@ class MergeableSketch(Sketch[ItemT]):
     build per-subset sketches in a single pass over distributed data.  The
     merge must be an *idempotent-free* union: the result must summarise the
     concatenation of the two input streams.
+
+    A merge is all or nothing.  :meth:`check_mergeable` is the one place a
+    merge refuses, and every :meth:`merge` calls it before changing
+    anything, so a refused merge leaves ``self`` unchanged.
     """
+
+    #: Names of the properties two sketches must agree on to merge, stated
+    #: once per class (``("width", "depth", "seed")`` for Count-Min).
+    _merge_config: tuple[str, ...]
+
+    def check_mergeable(self, other: object) -> None:
+        """Raise unless :meth:`merge` can fold ``other`` into ``self``.
+
+        Changes nothing.  ``other`` must be an instance of the same class
+        with the same merge configuration.
+
+        Raises
+        ------
+        InvalidParameterError
+            If ``other`` is of another class or differs in configuration.
+        """
+        name = type(self).__name__
+        if type(other) is not type(self):
+            raise InvalidParameterError(
+                f"cannot merge a {type(other).__name__} into a {name}"
+            )
+        for field in self._merge_config:
+            ours, theirs = getattr(self, field), getattr(other, field)
+            if ours != theirs:
+                raise InvalidParameterError(
+                    f"{name} summaries must share {', '.join(self._merge_config)} "
+                    f"to be merged ({field}: {ours} != {theirs})"
+                )
 
     @abc.abstractmethod
     def merge(self, other: "MergeableSketch[ItemT]") -> None:
         """Fold ``other`` into ``self`` in place.
 
+        Implementations call :meth:`check_mergeable` first and refuse
+        nothing after it.
+
         Raises
         ------
         InvalidParameterError
-            If the two sketches are structurally incompatible (different
-            widths, seeds, or parameters).
+            If the two sketches are structurally incompatible (another
+            class, or different widths, seeds or parameters).
         """
+
+
+def merge_all(pairs: Iterable[tuple[MergeableSketch, MergeableSketch]]) -> None:
+    """Fold every ``(target, source)`` pair in place, or none of them.
+
+    Every pair passes :meth:`MergeableSketch.check_mergeable` before the
+    first merge, so a refusal anywhere leaves every target unchanged.  The
+    estimators that hold one sketch per column subset merge through this
+    without copying their sketches first.
+    """
+    pairs = list(pairs)
+    for target, source in pairs:
+        target.check_mergeable(source)
+    for target, source in pairs:
+        target.merge(source)
 
 
 class DistinctCountSketch(MergeableSketch[ItemT]):

@@ -49,6 +49,8 @@ class BJKSTSketch(DistinctCountSketch[Hashable]):
         Hash seed; two sketches must share a seed to be mergeable.
     """
 
+    _merge_config = ("capacity", "seed")
+
     def __init__(self, capacity: int = 576, seed: int = 0) -> None:
         if capacity < 4:
             raise InvalidParameterError(f"capacity must be >= 4, got {capacity}")
@@ -129,12 +131,7 @@ class BJKSTSketch(DistinctCountSketch[Hashable]):
             self._shrink()
 
     def merge(self, other: "BJKSTSketch") -> None:
-        if not isinstance(other, BJKSTSketch):
-            raise InvalidParameterError("can only merge with another BJKSTSketch")
-        if other._capacity != self._capacity or other._seed != self._seed:
-            raise InvalidParameterError(
-                "BJKST sketches must share capacity and seed to be merged"
-            )
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         self._level = max(self._level, other._level)
         merged = {

@@ -43,6 +43,8 @@ class CountMinSketch(PointQuerySketch[Hashable]):
         to be mergeable.
     """
 
+    _merge_config = ("width", "depth", "seed")
+
     def __init__(self, width: int = 272, depth: int = 5, seed: int = 0) -> None:
         if width < 2:
             raise InvalidParameterError(f"width must be >= 2, got {width}")
@@ -126,16 +128,7 @@ class CountMinSketch(PointQuerySketch[Hashable]):
             np.add.at(self._table[row], buckets.astype(np.intp), multiplicities)
 
     def merge(self, other: "CountMinSketch") -> None:
-        if not isinstance(other, CountMinSketch):
-            raise InvalidParameterError("can only merge with another CountMinSketch")
-        if (
-            other._width != self._width
-            or other._depth != self._depth
-            or other._seed != self._seed
-        ):
-            raise InvalidParameterError(
-                "CountMin sketches must share width, depth and seed to be merged"
-            )
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         self._table += other._table
 

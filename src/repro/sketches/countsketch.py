@@ -39,6 +39,8 @@ class CountSketch(PointQuerySketch[Hashable]):
         to be mergeable.
     """
 
+    _merge_config = ("width", "depth", "seed")
+
     def __init__(self, width: int = 256, depth: int = 5, seed: int = 0) -> None:
         if width < 2:
             raise InvalidParameterError(f"width must be >= 2, got {width}")
@@ -132,16 +134,7 @@ class CountSketch(PointQuerySketch[Hashable]):
             )
 
     def merge(self, other: "CountSketch") -> None:
-        if not isinstance(other, CountSketch):
-            raise InvalidParameterError("can only merge with another CountSketch")
-        if (
-            other._width != self._width
-            or other._depth != self._depth
-            or other._seed != self._seed
-        ):
-            raise InvalidParameterError(
-                "CountSketch instances must share width, depth and seed to be merged"
-            )
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         self._table += other._table
 

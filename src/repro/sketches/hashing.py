@@ -27,7 +27,6 @@ from ..errors import InvalidParameterError
 __all__ = [
     "MERSENNE_PRIME_61",
     "stable_hash64",
-    "stable_hash64_rows",
     "stable_hash64_patterns",
     "EncodedPatternBlock",
     "encode_pattern_block",
@@ -172,17 +171,6 @@ def stable_hash64_patterns(block: np.ndarray, seed: int = 0) -> np.ndarray:
     ``evaluate_block`` kernels without changing a single output bucket.
     """
     return encode_pattern_block(block).hash64(seed)
-
-
-def stable_hash64_rows(block: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Row-wise :func:`stable_hash64` over an ``(m, d)`` integer block.
-
-    Identical computation to :func:`stable_hash64_patterns` (a row *is* a
-    pattern over the full column set); the name is kept for the
-    content-addressed shard-routing call sites, which place a block's rows
-    exactly where the row-at-a-time path would.
-    """
-    return stable_hash64_patterns(block, seed)
 
 
 def _as_uint64(values: np.ndarray) -> np.ndarray:
@@ -375,10 +363,6 @@ class HashFamily:
         return PolynomialHash(
             independence=independence, range_size=range_size, seed=self._next_seed()
         )
-
-    def unit_interval_seed(self) -> int:
-        """Draw a seed suitable for :func:`hash_to_unit_interval`."""
-        return self._next_seed()
 
     def draw_seeds(self, count: int) -> list[int]:
         """Draw ``count`` independent integer seeds."""

@@ -51,6 +51,8 @@ class HyperLogLog(DistinctCountSketch[Hashable]):
         Hash seed; two sketches must share a seed to be mergeable.
     """
 
+    _merge_config = ("precision", "seed")
+
     def __init__(self, precision: int = 12, seed: int = 0) -> None:
         if not 4 <= precision <= 18:
             raise InvalidParameterError(
@@ -132,12 +134,7 @@ class HyperLogLog(DistinctCountSketch[Hashable]):
         np.maximum.at(self._registers, register_indices, ranks)
 
     def merge(self, other: "HyperLogLog") -> None:
-        if not isinstance(other, HyperLogLog):
-            raise InvalidParameterError("can only merge with another HyperLogLog")
-        if other._precision != self._precision or other._seed != self._seed:
-            raise InvalidParameterError(
-                "HyperLogLog sketches must share precision and seed to be merged"
-            )
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         np.maximum(self._registers, other._registers, out=self._registers)
 

@@ -56,6 +56,8 @@ class KMVSketch(DistinctCountSketch[Hashable]):
         Hash seed; two sketches must share a seed to be mergeable.
     """
 
+    _merge_config = ("k", "seed")
+
     def __init__(self, k: int = 256, seed: int = 0) -> None:
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -128,12 +130,7 @@ class KMVSketch(DistinctCountSketch[Hashable]):
             self._insert_value(value)
 
     def merge(self, other: "KMVSketch") -> None:
-        if not isinstance(other, KMVSketch):
-            raise InvalidParameterError("can only merge with another KMVSketch")
-        if other._seed != self._seed or other._k != self._k:
-            raise InvalidParameterError(
-                "KMV sketches must share k and seed to be merged"
-            )
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         for negated in other._heap:
             self._insert_value(-negated)

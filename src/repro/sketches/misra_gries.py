@@ -45,6 +45,8 @@ class MisraGries(PointQuerySketch[Hashable]):  # repro: noqa[PRO004]
     threshold is still reported.
     """
 
+    _merge_config = ("k",)
+
     def __init__(self, k: int = 100) -> None:
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -88,10 +90,7 @@ class MisraGries(PointQuerySketch[Hashable]):  # repro: noqa[PRO004]
             self._counters[item] = remaining
 
     def merge(self, other: "MisraGries") -> None:
-        if not isinstance(other, MisraGries):
-            raise InvalidParameterError("can only merge with another MisraGries")
-        if other._k != self._k:
-            raise InvalidParameterError("MisraGries summaries must share k to merge")
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         combined = dict(self._counters)
         for item, count in other._counters.items():

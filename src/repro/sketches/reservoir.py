@@ -37,7 +37,7 @@ from ..persistence import (
     rng_state_dict,
     snapshottable,
 )
-from .base import Sketch
+from .base import MergeableSketch
 
 __all__ = ["ReservoirSampler", "WithReplacementSampler"]
 
@@ -58,7 +58,7 @@ def _materialise_item(items: "Sequence[RowT] | np.ndarray", index: int):
 
 
 @snapshottable("sketch.reservoir")
-class ReservoirSampler(Sketch[RowT], Generic[RowT]):
+class ReservoirSampler(MergeableSketch[RowT], Generic[RowT]):
     """Uniform sample without replacement of fixed capacity.
 
     Parameters
@@ -68,6 +68,8 @@ class ReservoirSampler(Sketch[RowT], Generic[RowT]):
     seed:
         Seed of the random number generator used for replacement decisions.
     """
+
+    _merge_config = ("capacity",)
 
     def __init__(self, capacity: int, seed: int = 0) -> None:
         if capacity < 1:
@@ -141,14 +143,7 @@ class ReservoirSampler(Sketch[RowT], Generic[RowT]):
         probability exactly ``t / (n_1 + n_2)`` — unlike the earlier
         weight-rescaling loop, which over-represented the shorter stream.
         """
-        if not isinstance(other, ReservoirSampler):
-            raise InvalidParameterError(
-                "can only merge with another ReservoirSampler"
-            )
-        if other._capacity != self._capacity:
-            raise InvalidParameterError(
-                "reservoir samplers must share capacity to be merged"
-            )
+        self.check_mergeable(other)
         ours, theirs = list(self._reservoir), list(other._reservoir)
         n_ours, n_theirs = self._items_processed, other._items_processed
         self._items_processed += other._items_processed
@@ -195,12 +190,6 @@ class ReservoirSampler(Sketch[RowT], Generic[RowT]):
     def __iter__(self) -> Iterator[RowT]:
         return iter(self._reservoir)
 
-    def sampling_rate(self) -> float:
-        """Effective sampling rate ``min(1, t / n)`` observed so far."""
-        if self._items_processed == 0:
-            return 1.0
-        return min(1.0, self._capacity / self._items_processed)
-
     def size_in_bits(self) -> int:
         # Row payload widths vary; account 64 bits per retained reference
         # plus the generator state.  Callers that need exact payload space
@@ -209,13 +198,15 @@ class ReservoirSampler(Sketch[RowT], Generic[RowT]):
 
 
 @snapshottable("sketch.with_replacement")
-class WithReplacementSampler(Sketch[RowT], Generic[RowT]):
+class WithReplacementSampler(MergeableSketch[RowT], Generic[RowT]):
     """``t`` independent uniform draws from the stream (with replacement).
 
     Implemented as ``t`` independent single-slot reservoirs, which yields
     exactly the distribution of ``t`` i.i.d. uniform indices over the stream
     regardless of its length.
     """
+
+    _merge_config = ("draws",)
 
     def __init__(self, draws: int, seed: int = 0) -> None:
         if draws < 1:
@@ -288,14 +279,7 @@ class WithReplacementSampler(Sketch[RowT], Generic[RowT]):
         exactly the distribution of one uniform draw from the concatenated
         stream (slots are independent single-slot reservoirs).
         """
-        if not isinstance(other, WithReplacementSampler):
-            raise InvalidParameterError(
-                "can only merge with another WithReplacementSampler"
-            )
-        if other._draws != self._draws:
-            raise InvalidParameterError(
-                "with-replacement samplers must share the draw count to be merged"
-            )
+        self.check_mergeable(other)
         total = self._items_processed + other._items_processed
         if other._items_processed == 0:
             return

@@ -59,6 +59,8 @@ class SpaceSaving(PointQuerySketch[Hashable]):  # repro: noqa[PRO004]
     is still tracked.
     """
 
+    _merge_config = ("k",)
+
     def __init__(self, k: int = 100) -> None:
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -105,10 +107,7 @@ class SpaceSaving(PointQuerySketch[Hashable]):  # repro: noqa[PRO004]
         self._errors[item] = victim_count
 
     def merge(self, other: "SpaceSaving") -> None:
-        if not isinstance(other, SpaceSaving):
-            raise InvalidParameterError("can only merge with another SpaceSaving")
-        if other._k != self._k:
-            raise InvalidParameterError("SpaceSaving summaries must share k to merge")
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         combined_counts = dict(self._counts)
         combined_errors = dict(self._errors)

@@ -83,6 +83,8 @@ class StableLpSketch(FrequencyMomentSketch[Hashable]):
         Hash seed; sketches must share all parameters to be mergeable.
     """
 
+    _merge_config = ("p", "width", "depth", "seed")
+
     def __init__(
         self, p: float, width: int = 128, depth: int = 3, seed: int = 0
     ) -> None:
@@ -190,17 +192,7 @@ class StableLpSketch(FrequencyMomentSketch[Hashable]):
                 self._counters[row] = np.add.accumulate(ledger, axis=0)[-1]
 
     def merge(self, other: "StableLpSketch") -> None:
-        if not isinstance(other, StableLpSketch):
-            raise InvalidParameterError("can only merge with another StableLpSketch")
-        if (
-            other.p != self.p
-            or other._width != self._width
-            or other._depth != self._depth
-            or other._seed != self._seed
-        ):
-            raise InvalidParameterError(
-                "stable sketches must share p, width, depth and seed to be merged"
-            )
+        self.check_mergeable(other)
         self._items_processed += other._items_processed
         self._counters += other._counters
 

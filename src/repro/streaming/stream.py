@@ -17,7 +17,7 @@ import numpy as np
 from ..coding.words import Word
 from ..core.dataset import Dataset
 from ..errors import DimensionError, InvalidParameterError
-from ..sketches.hashing import stable_hash64, stable_hash64_rows
+from ..sketches.hashing import stable_hash64, stable_hash64_patterns
 
 __all__ = [
     "RowStream",
@@ -69,7 +69,7 @@ def shard_assignment_block(
             start_index + np.arange(block.shape[0], dtype=np.int64)
         ) % n_shards
     if policy == "hash":
-        hashes = stable_hash64_rows(block, hash_seed)
+        hashes = stable_hash64_patterns(block, hash_seed)
         return (hashes % np.uint64(n_shards)).astype(np.int64)
     raise InvalidParameterError(
         f"unknown shard policy {policy!r}; expected one of {SHARD_POLICIES}"

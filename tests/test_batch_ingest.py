@@ -26,7 +26,7 @@ from repro import (
     UniformSampleEstimator,
 )
 from repro.errors import EstimationError, InvalidParameterError
-from repro.sketches.hashing import stable_hash64, stable_hash64_rows
+from repro.sketches.hashing import stable_hash64_patterns
 from repro.sketches.reservoir import (
     ReservoirSampler,
     WithReplacementSampler,
@@ -220,19 +220,12 @@ def test_shard_assignment_block_matches_per_row(policy):
     assert vectorized.tolist() == reference
 
 
-def test_stable_hash64_rows_matches_scalar_hash():
-    block = np.array([[0, 1, 2], [2, 1, 0], [-3, 7, 5]], dtype=np.int64)
-    hashes = stable_hash64_rows(block, seed=9)
-    for value, row in zip(hashes, block):
-        assert int(value) == stable_hash64(tuple(int(v) for v in row), 9)
-
-
-def test_stable_hash64_rows_validates_input():
+def test_stable_hash64_patterns_validates_input():
     with pytest.raises(InvalidParameterError):
-        stable_hash64_rows(np.zeros(4, dtype=np.int64))
+        stable_hash64_patterns(np.zeros(4, dtype=np.int64))
     with pytest.raises(InvalidParameterError):
-        stable_hash64_rows(np.zeros((2, 2), dtype=np.float64))
-    assert stable_hash64_rows(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
+        stable_hash64_patterns(np.zeros((2, 2), dtype=np.float64))
+    assert stable_hash64_patterns(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
 
 
 # -- coordinator batch pipeline ---------------------------------------------------

@@ -133,3 +133,23 @@ def test_query_for_another_dimension_is_refused(estimator_name, entry, query_kin
     estimator.observe(Dataset.random(40, FOREIGN_D, seed=2))
     with pytest.raises(EstimationError, match="dimension"):
         _ENTRY_POINTS[entry](estimator, _FOREIGN_QUERIES[query_kind])
+
+
+# -- patterns of another length ----------------------------------------------------
+
+_PATTERN_ENTRY_POINTS = {
+    "estimate_frequency": lambda e, q: e.estimate_frequency(q, (0, 1, 1)),
+    "estimate_frequency_block": lambda e, q: e.estimate_frequency_block(
+        q, np.zeros((2, 3), dtype=np.int64)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PATTERN_ENTRY_POINTS))
+@pytest.mark.parametrize("estimator_name", ["exact", "usample", "alpha-net"])
+def test_pattern_of_another_length_is_refused(estimator_name, entry):
+    estimator = _FOREIGN_ESTIMATORS[estimator_name]()
+    estimator.observe(Dataset.random(40, FOREIGN_D, seed=2))
+    query = ColumnQuery.of([0, 3], FOREIGN_D)
+    with pytest.raises(EstimationError, match="pattern length 3 does not match"):
+        _PATTERN_ENTRY_POINTS[entry](estimator, query)

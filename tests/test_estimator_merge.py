@@ -8,6 +8,7 @@ incompatibility diagnostics.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -22,6 +23,8 @@ from repro import (
     UniformSampleEstimator,
 )
 from repro.core.estimator import ProjectedFrequencyEstimator
+from repro.sketches.countmin import CountMinSketch
+from repro.sketches.kmv import KMVSketch
 
 D = 8
 FIRST = Dataset.random(n_rows=300, n_columns=D, seed=11)
@@ -125,8 +128,6 @@ def test_alpha_net_merge_incompatible_nets_raise() -> None:
 def test_alpha_net_failed_merge_leaves_target_unchanged() -> None:
     """A mismatch surfacing in a later sketch family must not leave the
     target partially merged (double-counted distinct sketches)."""
-    from repro.sketches.countmin import CountMinSketch
-    from repro.sketches.kmv import KMVSketch
 
     def make(point_seed: int) -> AlphaNetEstimator:
         plan = SketchPlan(
@@ -137,10 +138,10 @@ def test_alpha_net_failed_merge_leaves_target_unchanged() -> None:
 
     base = make(point_seed=9).observe(FIRST)
     incompatible = make(point_seed=900).observe(SECOND)
-    before = base.estimate_fp(QUERY, 0)
+    before = base.to_bytes()
     with pytest.raises(InvalidParameterError):
         base.merge(incompatible)
-    assert base.estimate_fp(QUERY, 0) == before
+    assert base.to_bytes() == before
     assert base.rows_observed == 300
 
 
@@ -161,13 +162,17 @@ def test_uniform_sample_merge_preserves_estimator_contract() -> None:
 
 
 def test_uniform_sample_merge_incompatible_configs_raise() -> None:
-    base = UniformSampleEstimator(n_columns=D, sample_size=16)
+    base = UniformSampleEstimator(n_columns=D, sample_size=16).observe(FIRST)
+    before = base.to_bytes()
     with pytest.raises(InvalidParameterError):
-        base.merge(UniformSampleEstimator(n_columns=D, sample_size=32))
+        base.merge(UniformSampleEstimator(n_columns=D, sample_size=32).observe(SECOND))
     with pytest.raises(InvalidParameterError):
         base.merge(
-            UniformSampleEstimator(n_columns=D, sample_size=16, with_replacement=True)
+            UniformSampleEstimator(
+                n_columns=D, sample_size=16, with_replacement=True
+            ).observe(SECOND)
         )
+    assert base.to_bytes() == before
 
 
 def test_all_subsets_baseline_merge_equals_union() -> None:
@@ -184,6 +189,41 @@ def test_all_subsets_baseline_merge_equals_union() -> None:
     mismatched = AllSubsetsBaseline(n_columns=6, subset_sizes=[3])
     with pytest.raises(InvalidParameterError):
         sharded.merge(mismatched)
+
+
+def test_all_subsets_refused_merge_leaves_target_unchanged() -> None:
+    """Source sketches that differ from subset 5 onward must be refused
+    before subsets 0-4 merge: a partial merge leaves those sketches counting
+    500 rows in a baseline that observed 300."""
+
+    def make(late_seed: int) -> AllSubsetsBaseline:
+        return AllSubsetsBaseline(
+            n_columns=5,
+            subset_sizes=[2],
+            sketch_factory=lambda index: KMVSketch(
+                k=64, seed=index if index < 5 else late_seed + index
+            ),
+        )
+
+    def sketch_states(baseline: AllSubsetsBaseline) -> list[dict]:
+        return [
+            {
+                key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in sketch.state_dict().items()
+            }
+            for sketch in baseline.state_dict()["summary"]["sketches"]
+        ]
+
+    base = make(late_seed=0).observe(Dataset.random(n_rows=300, n_columns=5, seed=7))
+    source = make(late_seed=1000).observe(
+        Dataset.random(n_rows=200, n_columns=5, seed=8)
+    )
+    assert base.subset_count == 10
+    before = sketch_states(base)
+    with pytest.raises(InvalidParameterError):
+        base.merge(source)
+    assert sketch_states(base) == before
+    assert base.rows_observed == 300
 
 
 def test_merge_returns_self_for_chaining() -> None:

@@ -302,18 +302,9 @@ def test_estimate_frequency_block_matches_scalar(estimator):
 
 @pytest.mark.parametrize("estimator", _estimators())
 def test_estimate_frequency_block_rejects_bad_patterns(estimator):
-    # The block path mirrors each scalar path's treatment of a wrong-length
-    # pattern: α-net and uniform-sample raise; the exact baseline answers
-    # the (necessarily absent) key with 0.0.
-    if isinstance(estimator, ExactBaseline):
-        assert estimator.estimate_frequency(EST_QUERY, (0, 1)) == 0.0
-        assert np.array_equal(
-            estimator.estimate_frequency_block(EST_QUERY, [(0, 1)]),
-            np.zeros(1),
-        )
-    else:
-        with pytest.raises(EstimationError, match="does not match query size"):
-            estimator.estimate_frequency_block(EST_QUERY, [(0, 1)])
+    # The block path refuses a wrong-length pattern as every scalar path does.
+    with pytest.raises(EstimationError, match="does not match query size"):
+        estimator.estimate_frequency_block(EST_QUERY, [(0, 1)])
     with pytest.raises(EstimationError, match="2-D"):
         estimator.estimate_frequency_block(
             EST_QUERY, np.zeros((2, 2, 2), dtype=np.int64)

@@ -6,7 +6,7 @@ behave like summarising the concatenated stream — bit-for-bit for sketches
 whose merge is lossless (linear sketches, hash-state unions), and within the
 documented error guarantee for the counter-based summaries whose merge is
 lossy (Misra-Gries, SpaceSaving).  Merging structurally incompatible
-configurations must raise.
+configurations must raise, and leave the target's state unchanged.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +132,14 @@ CASES = [
 ]
 
 
+def _state(sketch: MergeableSketch) -> dict:
+    """``state_dict()`` with arrays as lists, so two states compare with ``==``."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in sketch.state_dict().items()
+    }
+
+
 def _answers(sketch: MergeableSketch) -> list[float]:
     """The sketch's estimates, in a form comparable across instances."""
     if isinstance(sketch, (CountMinSketch, CountSketch, MisraGries, SpaceSaving)):
@@ -169,18 +178,24 @@ def test_merge_incompatible_configs_raise(case: MergeCase) -> None:
         sketch, other = case.make(), make_other()
         sketch.update_many(STREAM_ONE)
         other.update_many(STREAM_TWO)
+        before = _state(sketch)
         with pytest.raises(InvalidParameterError):
             sketch.merge(other)
+        assert _state(sketch) == before
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
 def test_merge_rejects_foreign_sketch_type(case: MergeCase) -> None:
     sketch = case.make()
+    sketch.update_many(STREAM_ONE)
     foreign: MergeableSketch = (
         KMVSketch(k=8, seed=0) if not isinstance(sketch, KMVSketch) else MisraGries(k=8)
     )
+    foreign.update_many(STREAM_TWO)
+    before = _state(sketch)
     with pytest.raises(InvalidParameterError):
         sketch.merge(foreign)  # type: ignore[arg-type]
+    assert _state(sketch) == before
 
 
 @settings(max_examples=25, deadline=None)
@@ -335,5 +350,7 @@ def test_sampler_merge_incompatibilities_raise(make_one, make_other) -> None:
     one, other = make_one(), make_other()
     one.update_many(range(10))
     other.update_many(range(10))
+    before = _state(one)
     with pytest.raises(InvalidParameterError):
         one.merge(other)
+    assert _state(one) == before
