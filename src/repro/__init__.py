@@ -64,7 +64,6 @@ from .engine import (
     IngestReport,
     QueryRequest,
     QueryService,
-    Shard,
     StreamPartitioner,
     load_checkpoint,
     load_merged_estimator,
@@ -135,7 +134,6 @@ __all__ = [
     "RowStream",
     "RunParams",
     "SNAPSHOT_FORMAT",
-    "Shard",
     "SketchPlan",
     "SnapshotError",
     "StreamPartitioner",

@@ -105,7 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--batch-size",
             type=int,
             default=None,
-            help="override the engine ingest block size (0 forces the per-row path)",
+            help=(
+                "override the engine ingest block size (0: per-row on "
+                "serial, 4096-row blocks on the worker backends)"
+            ),
         )
         subparser.add_argument(
             "--backend",

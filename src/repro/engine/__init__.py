@@ -1,13 +1,12 @@
 """Sharded, mergeable, parallel ingest + query-serving engine.
 
-The scaling layer on top of the reproduction: partition a row stream across
-shards (:mod:`~repro.engine.partition`), ingest the shards in parallel into
-mergeable estimator replicas (:mod:`~repro.engine.shard`,
-:mod:`~repro.engine.coordinator`), serve batch queries from the merged
-summary with caching and latency accounting (:mod:`~repro.engine.service`),
-and persist/restore whole engine states as versioned checkpoint files
-(:mod:`~repro.engine.checkpoint`) so the build and query phases can live
-in different processes.
+The scaling layer on top of the reproduction: route a row stream to shards
+(:mod:`~repro.engine.partition`), ingest the shards in parallel into
+mergeable estimator replicas (:mod:`~repro.engine.coordinator`), serve
+batch queries from the merged summary with caching and latency accounting
+(:mod:`~repro.engine.service`), and persist/restore whole engine states
+as versioned checkpoint files (:mod:`~repro.engine.checkpoint`) so the
+build and query phases can live in different processes.
 
 Failure handling lives in :mod:`~repro.engine.resilience`: retry/backoff
 and deadline policies, supervised worker recovery with bit-identical
@@ -33,7 +32,6 @@ from .resilience import (
     RetryPolicy,
 )
 from .service import CacheInfo, LatencySummary, QueryRequest, QueryService
-from .shard import Shard
 
 __all__ = [
     "CacheInfo",
@@ -52,7 +50,6 @@ __all__ = [
     "RecoveryPolicy",
     "ResilienceConfig",
     "RetryPolicy",
-    "Shard",
     "StreamPartitioner",
     "load_checkpoint",
     "load_merged_estimator",

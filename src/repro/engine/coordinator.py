@@ -3,18 +3,20 @@
 :class:`Coordinator` turns the single-node observe-then-query protocol into
 a sharded one:
 
-1. a :class:`~repro.engine.partition.StreamPartitioner` assigns every row of
-   the input stream to one of ``n_shards`` shards;
-2. each :class:`~repro.engine.shard.Shard` feeds its rows to a fresh
-   estimator replica — serially, in per-call worker processes, or on
-   socket shard workers (in every parallel mode only the estimator's
-   *compact snapshot state* — the :mod:`repro.persistence` wire format,
-   no shard bookkeeping, no timing fields — crosses the process boundary;
+1. a :class:`~repro.engine.partition.StreamPartitioner` routes the input
+   stream to ``n_shards`` shards, one ``(shard, rows)`` sub-block at a time
+   (:meth:`~repro.engine.partition.StreamPartitioner.route`, the routing
+   loop every backend shares);
+2. each shard's rows feed a fresh estimator replica — serially, in
+   per-call worker processes, or on socket shard workers (in every
+   parallel mode only the estimator's *compact snapshot state* — the
+   :mod:`repro.persistence` wire format, no timing fields — crosses the
+   process boundary, and one function adopts what the workers send back;
    see :mod:`repro.engine.transport`);
 3. the per-shard summaries are folded into shard 0's replica through the
    estimator-level ``merge()`` protocol, yielding one summary of the whole
    stream, which is folded into the summary of earlier ``ingest()`` calls.
-   The shards are then dropped: only the merged summary outlives the call.
+   The replicas are then dropped: only the merged summary outlives the call.
 
 Because every partition policy produces disjoint substreams whose union is
 the input, and because merging is lossless for the default sketch plans,
@@ -36,7 +38,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import persistence, telemetry
-from ..coding.words import Word
 from ..core.estimator import ProjectedFrequencyEstimator
 from ..errors import (
     EstimationError,
@@ -49,7 +50,6 @@ from . import checkpoint as checkpoint_io
 from .partition import StreamPartitioner
 from .resilience import ResilienceConfig
 from .service import QueryService
-from .shard import Shard
 from .transport import DEFAULT_TRANSPORT_BLOCK_ROWS, SocketWorkerPool
 
 __all__ = ["Coordinator", "IngestReport", "INGEST_BACKENDS"]
@@ -60,33 +60,29 @@ __all__ = ["Coordinator", "IngestReport", "INGEST_BACKENDS"]
 INGEST_BACKENDS = ("serial", "processes", "sockets")
 
 
-def _ingest_estimator_state(
-    payload: bytes, rows
-) -> tuple[int, float, bytes, dict | None]:
+def _ingest_estimator_state(payload: bytes, rows: np.ndarray) -> dict:
     """Worker entry point: restore compact estimator state, ingest, ship back.
 
-    ``payload`` is the estimator's snapshot byte payload; no estimator
-    object or :class:`Shard` — with its timing fields and serving
-    bookkeeping — ever crosses the process boundary.  Returns
-    ``(rows_ingested, ingest_seconds, updated_payload, worker_metrics)``
-    where ``worker_metrics`` is the worker's *own* telemetry registry
-    (recorded fresh, so a forked parent's history is never double
-    counted) for the coordinator to merge, or ``None`` when telemetry is
-    off.
+    ``payload`` is the estimator's snapshot byte payload and ``rows`` the
+    shard's one ``(m, d)`` block, fed through a single ``observe_rows``
+    call; no estimator object ever crosses the process boundary.  Returns
+    the entry shape of :meth:`~repro.engine.transport.SocketWorkerPool.collect`:
+    ``rows``, ``seconds``, the updated snapshot ``payload`` and
+    ``metrics``, the worker's *own* telemetry registry (recorded fresh, so
+    a forked parent's history is never double counted) for the coordinator
+    to merge, or ``None`` when telemetry is off.
     """
     estimator = persistence.from_bytes(bytes(payload))
     with telemetry.scoped_registry() as worker_registry:
         started = time.perf_counter()
-        if isinstance(rows, np.ndarray):
-            estimator.observe_rows(rows)
-            ingested = int(rows.shape[0])
-        else:
-            for row in rows:
-                estimator.observe_row(row)
-            ingested = len(rows)
+        estimator.observe_rows(rows)
         elapsed = time.perf_counter() - started
-    worker_metrics = worker_registry.state_dict() if telemetry.enabled() else None
-    return ingested, elapsed, estimator.to_bytes(), worker_metrics
+    return {
+        "rows": int(rows.shape[0]),
+        "seconds": elapsed,
+        "payload": estimator.to_bytes(),
+        "metrics": worker_registry.state_dict() if telemetry.enabled() else None,
+    }
 
 
 @dataclass(frozen=True)
@@ -112,11 +108,13 @@ class IngestReport:
     wall_seconds: float
     shard_seconds: tuple[float, ...]
     merge_seconds: float
-    #: Transport bytes that crossed the process boundary per shard (frames
-    #: out plus snapshot bytes back).  Zeros under the serial backend (and
-    #: whenever ``n_shards == 1`` short-circuits to it); an estimate of the
-    #: pickled payload sizes under ``processes``; exact frame accounting
-    #: under ``sockets``.  Empty for reports predating the transport layer.
+    #: Transport bytes that crossed the process boundary per shard (state
+    #: and rows out plus snapshot bytes back).  Zeros under the serial
+    #: backend (and whenever ``n_shards == 1`` short-circuits to it); under
+    #: ``processes`` the snapshot bytes both ways plus the raw bytes of the
+    #: shard's one row block (pickle framing not counted); exact frame
+    #: accounting under ``sockets``.  Empty for reports predating the
+    #: transport layer.
     bytes_shipped_per_shard: tuple[int, ...] = ()
     #: Shards given up on after recovery exhaustion (``on_exhausted:
     #: degrade``), as of this ingest.  Empty on healthy runs and on
@@ -180,21 +178,27 @@ class Coordinator:
         ingest time so checkpoint restores can rebuild a sockets
         coordinator before the serving tier knows its worker fleet.
     batch_size:
-        When set, rows travel the engine as ``(m, d)`` ndarray blocks of at
-        most this many rows: the stream is chunked with
-        :meth:`~repro.streaming.stream.RowStream.iter_batches`, routed with
-        one vectorized assignment per block, and shards ingest through the
-        estimators' :meth:`observe_rows` fast path (worker processes receive
-        one ndarray each instead of a pickled list of tuples).  Sketch-backed
-        estimators carry each block all the way down to the sketches'
-        counted ``update_block`` scatter kernels, so batch ingest is the
-        blessed path for the α-net estimator in particular.  ``None`` keeps
-        the row-at-a-time path.  Both paths produce identical summaries for
-        identical seeds, with two carve-outs for sketch plans:
-        float-accumulating moment sketches may differ in the last ulp, and
-        order-dependent Misra-Gries/SpaceSaving trackers may answer
-        differently (with the same guarantees) because counted batches
-        change the arrival order; see docs/architecture.md.
+        Rows travel the engine as ``(m, d)`` ndarray blocks of at most this
+        many rows: :meth:`~repro.engine.partition.StreamPartitioner.route`
+        reads the stream in
+        :meth:`~repro.streaming.stream.RowStream.iter_batches` blocks, places
+        each with one vectorized assignment, and shards ingest through the
+        estimators' :meth:`observe_rows` fast path (``serial`` and
+        ``sockets`` once per routed sub-block, each ``processes`` worker
+        once on its shard's concatenated rows).  Sketch-backed estimators
+        carry each block all the way down to the sketches' counted
+        ``update_block`` scatter kernels, so batch ingest is the blessed
+        path for the α-net estimator in particular.  ``None`` routes
+        :data:`~repro.engine.transport.DEFAULT_TRANSPORT_BLOCK_ROWS`-row
+        blocks on the worker backends and keeps ``serial`` (and any
+        one-shard coordinator) row at a time, the engine's only per-row
+        path.  Block and per-row ingest produce identical summaries for
+        identical seeds, apart from the estimator's ``version`` counter,
+        with two carve-outs for sketch plans: float-accumulating moment
+        sketches may differ in the last ulp, and order-dependent
+        Misra-Gries/SpaceSaving trackers may answer differently (with the
+        same guarantees) because counted batches change the arrival order;
+        see docs/architecture.md.
     resilience:
         A :class:`~repro.engine.resilience.ResilienceConfig` (or its
         ``to_dict`` form) governing transport retries, per-RPC deadlines
@@ -317,21 +321,24 @@ class Coordinator:
         replicas from the factory and keeps none of them afterwards; the
         returned report carries their row counts and timings.
 
-        The serial backend dispatches rows to shards in a single pass with
-        ``O(summary)`` memory, honouring the streaming model; the process
-        backend materialises each shard's rows once, because workers receive
-        their input by pickle.
+        The serial backend consumes the routed sub-blocks (or rows) as they
+        arrive, in a single pass with ``O(summary + block)`` memory,
+        honouring the streaming model.  The processes backend materialises
+        each shard's rows as one ndarray, because a worker receives its
+        whole input in one call; the sockets backend streams sub-blocks,
+        but unless recovery is ``fail-fast`` its supervisor buffers this
+        call's blocks for replay.
         """
         started = time.perf_counter()
-        shards = [Shard(index, self._factory()) for index in range(self.n_shards)]
+        estimators = [self._factory() for _ in range(self.n_shards)]
         # Anything that will need a merge later — multiple replicas now, or
         # folding this batch into previously ingested ones — must be
         # mergeable, and saying so before ingesting beats failing after.
         if (self.n_shards > 1 or self._merged is not None) and (
-            not shards[0].estimator.is_mergeable
+            not estimators[0].is_mergeable
         ):
             raise EstimationError(
-                f"{type(shards[0].estimator).__name__} is not mergeable; it "
+                f"{type(estimators[0]).__name__} is not mergeable; it "
                 "cannot be sharded or ingested incrementally"
             )
         with telemetry.span(
@@ -340,41 +347,31 @@ class Coordinator:
             policy=self._partitioner.policy,
             n_shards=self.n_shards,
         ) as ingest_span:
-            bytes_shipped: tuple[int, ...] = tuple(0 for _ in shards)
             resilience_info = {
                 "shards_lost": (), "rows_dropped": 0,
                 "retries": 0, "recoveries": 0,
             }
             if self._backend == "serial" or self.n_shards == 1:
-                if self._batch_size is not None:
-                    for start, block in stream.iter_batches(self._batch_size):
-                        assignment = self._partitioner.assign_block(start, block)
-                        for shard_index in range(self.n_shards):
-                            rows = block[assignment == shard_index]
-                            if rows.shape[0]:
-                                shards[shard_index].ingest_block(rows)
-                else:
-                    for index, row in enumerate(stream):
-                        shards[self._partitioner.assign(index, row)].ingest_row(row)
+                results = self._ingest_serial(estimators, stream)
             elif self._backend == "sockets":
-                shards, bytes_shipped, resilience_info = (
-                    self._ingest_transport(shards, stream)
+                results, resilience_info = self._ingest_transport(
+                    estimators, stream
                 )
             else:
-                shards, bytes_shipped = self._ingest_in_processes(shards, stream)
+                results = self._ingest_in_processes(estimators, stream)
             with telemetry.span("coordinator.merge", n_shards=self.n_shards):
                 merge_started = time.perf_counter()
-                # The shards die with this call, so shard 0's replica is
-                # folded into in place rather than copied first.
-                merged = shards[0].estimator
-                for shard in shards[1:]:
-                    merged.merge(shard.estimator)
+                # The replicas die with this call, so shard 0's is folded
+                # into in place rather than copied first.
+                merged = estimators[0]
+                for estimator in estimators[1:]:
+                    merged.merge(estimator)
                 if self._merged is not None:
                     self._merged.merge(merged)
                 else:
                     self._merged = merged
                 merge_seconds = time.perf_counter() - merge_started
-            rows_per_shard = tuple(shard.rows_ingested for shard in shards)
+            rows_per_shard = tuple(int(result["rows"]) for result in results)
             rows_total = sum(rows_per_shard)
             rows_dropped = int(resilience_info["rows_dropped"])
             rows_routed = rows_total + rows_dropped
@@ -388,9 +385,14 @@ class Coordinator:
                 rows_total=rows_total,
                 rows_per_shard=rows_per_shard,
                 wall_seconds=time.perf_counter() - started,
-                shard_seconds=tuple(shard.ingest_seconds for shard in shards),
+                shard_seconds=tuple(
+                    float(result["seconds"]) for result in results
+                ),
                 merge_seconds=merge_seconds,
-                bytes_shipped_per_shard=bytes_shipped,
+                bytes_shipped_per_shard=tuple(
+                    int(result["bytes_sent"]) + int(result["bytes_received"])
+                    for result in results
+                ),
                 shards_lost=tuple(resilience_info["shards_lost"]),
                 rows_dropped=rows_dropped,
                 coverage=(
@@ -445,8 +447,39 @@ class Coordinator:
                 estimator=type(self._merged).__name__,
             )
 
-    def _pristine_payloads(self, shards: list[Shard]) -> list[bytes]:
-        """Each shard's fresh replica as snapshot bytes: all a worker receives.
+    def _ingest_serial(
+        self, estimators: list[ProjectedFrequencyEstimator], stream: RowStream
+    ) -> list[dict]:
+        """Feed every replica in this process; one result entry per shard.
+
+        With ``batch_size`` set each routed sub-block goes through
+        ``observe_rows``; with ``batch_size=None`` the stream is dispatched
+        row by row through ``observe_row``, the engine's only per-row path.
+        Nothing crosses a process boundary, so no bytes are shipped.
+        """
+        results = [
+            {"rows": 0, "seconds": 0.0, "bytes_sent": 0, "bytes_received": 0}
+            for _ in estimators
+        ]
+        if self._batch_size is None:
+            for index, row in enumerate(stream):
+                shard = self._partitioner.assign(index, row)
+                row_started = time.perf_counter()
+                estimators[shard].observe_row(row)
+                results[shard]["seconds"] += time.perf_counter() - row_started
+                results[shard]["rows"] += 1
+            return results
+        for shard, rows in self._partitioner.route(stream, self._batch_size):
+            block_started = time.perf_counter()
+            estimators[shard].observe_rows(rows)
+            results[shard]["seconds"] += time.perf_counter() - block_started
+            results[shard]["rows"] += int(rows.shape[0])
+        return results
+
+    def _pristine_payloads(
+        self, estimators: list[ProjectedFrequencyEstimator]
+    ) -> list[bytes]:
+        """Each fresh replica as snapshot bytes: all a worker receives.
 
         Both worker backends ship estimator snapshot bytes only, never a
         pickled estimator, so an estimator that cannot encode itself (no
@@ -454,28 +487,85 @@ class Coordinator:
         snapshot registry) is refused here, before any worker starts.
         """
         try:
-            return [shard.estimator.to_bytes() for shard in shards]
+            return [estimator.to_bytes() for estimator in estimators]
         except SnapshotError as error:
             raise EstimationError(
-                f"{type(shards[0].estimator).__name__} is not snapshottable "
+                f"{type(estimators[0]).__name__} is not snapshottable "
                 f"({error}); the '{self._backend}' backend ships estimator "
                 "snapshot bytes only (see repro.engine.transport)"
             ) from error
 
-    def _ingest_transport(
-        self, shards: list[Shard], stream: RowStream
-    ) -> tuple[list[Shard], tuple[int, ...], dict]:
-        """Stream row blocks to socket shard workers.
+    def _adopt_worker_results(
+        self,
+        estimators: list[ProjectedFrequencyEstimator],
+        results: list[dict],
+        started: float,
+    ) -> dict:
+        """Install what the workers sent back, for both worker backends.
 
-        Unlike :meth:`_ingest_in_processes`, which materialises every
-        shard's rows up front, the sockets backend walks the stream once
-        in :data:`~repro.engine.transport.DEFAULT_TRANSPORT_BLOCK_ROWS`
-        blocks (or ``batch_size`` blocks when set) and ships each shard's
-        per-batch sub-block as its own ``ingest_block`` frame.  Workers
-        therefore replay the serial backend's exact ``observe_rows`` call
-        sequence, which is what makes the merged summary bit-identical to a
-        serial ingest.  Snapshot bytes cross the boundary only once, at the
-        collect barrier.
+        ``results`` holds one :meth:`SocketWorkerPool.collect` entry per
+        shard.  Each live entry's snapshot ``payload`` is decoded,
+        type-checked and replaces that shard's replica, and its worker
+        ``metrics`` registry is merged into this process's, so block and
+        kernel metrics survive the process boundary.  A shard lost to
+        recovery exhaustion keeps its fresh (empty) replica, so the merge
+        folds in an identity and only survivors contribute.  Records the
+        exchange, timed from ``started``, in the transport metrics and
+        returns its ``bytes_sent`` / ``bytes_received`` / ``blocks`` totals.
+        """
+        registry = telemetry.get_registry()
+        totals = {"bytes_sent": 0, "bytes_received": 0, "blocks": 0}
+        for index, result in enumerate(results):
+            if not result.get("lost"):
+                estimator = persistence.from_bytes(bytes(result["payload"]))
+                if not isinstance(estimator, ProjectedFrequencyEstimator):
+                    raise EstimationError(
+                        "worker returned a non-estimator payload of type "
+                        f"{type(estimator).__name__}"
+                    )
+                estimators[index] = estimator
+                if result["metrics"] is not None and telemetry.enabled():
+                    registry.merge_state(result["metrics"])
+            for key in totals:
+                totals[key] += int(result[key])
+        if not telemetry.enabled():
+            return totals
+        byte_counter = registry.counter(
+            "repro_transport_bytes_total",
+            "bytes crossing the coordinator/worker transport boundary",
+        )
+        byte_counter.inc(
+            totals["bytes_sent"], backend=self._backend, direction="to_worker"
+        )
+        byte_counter.inc(
+            totals["bytes_received"],
+            backend=self._backend,
+            direction="to_coordinator",
+        )
+        registry.counter(
+            "repro_transport_blocks_total",
+            "row blocks shipped to shard workers",
+        ).inc(totals["blocks"], backend=self._backend)
+        registry.histogram(
+            "repro_transport_roundtrip_seconds",
+            "wall seconds of one transport exchange (blocks out, snapshots back)",
+        ).observe(time.perf_counter() - started, backend=self._backend)
+        return totals
+
+    def _ingest_transport(
+        self, estimators: list[ProjectedFrequencyEstimator], stream: RowStream
+    ) -> tuple[list[dict], dict]:
+        """Stream routed sub-blocks to socket shard workers.
+
+        The stream is routed once in
+        :data:`~repro.engine.transport.DEFAULT_TRANSPORT_BLOCK_ROWS` blocks
+        (or ``batch_size`` blocks when set) and each shard's sub-block is
+        shipped as its own ``ingest_block`` frame.  Workers therefore
+        replay the serial backend's exact ``observe_rows`` call sequence,
+        which is what makes the merged summary bit-identical to a serial
+        ingest.  Snapshot bytes cross the boundary only once, at the
+        collect barrier.  Any failure before the barrier returns closes the
+        pool, so rows already shipped never leak into the next ingest.
         """
         block_rows = self._batch_size or DEFAULT_TRANSPORT_BLOCK_ROWS
         started = time.perf_counter()
@@ -493,19 +583,10 @@ class Coordinator:
             n_shards=self.n_shards,
         ) as roundtrip_span:
             try:
-                pool = self._transport_pool(shards)
-                for start, block in stream.iter_batches(block_rows):
-                    assignment = self._partitioner.assign_block(start, block)
-                    for shard_index in range(self.n_shards):
-                        rows = block[assignment == shard_index]
-                        if rows.shape[0]:
-                            pool.send_block(shard_index, rows)
+                pool = self._transport_pool(estimators)
+                for shard, rows in self._partitioner.route(stream, block_rows):
+                    pool.send_block(shard, rows)
                 results = pool.collect()
-            except EstimationError:
-                # The pool closed itself on the way out; drop our handle so
-                # the next ingest() reconnects a healthy one.
-                self._socket_pool = None
-                raise
             except (TransportError, ConnectionError, OSError) as error:
                 self.close()
                 raise EstimationError(
@@ -513,58 +594,36 @@ class Coordinator:
                     f"({type(error).__name__}: {error}); workers were shut "
                     "down and will be re-established on the next ingest() call"
                 ) from error
-            registry = telemetry.get_registry()
-            bytes_shipped = []
-            bytes_out = bytes_in = blocks = 0
-            rows_dropped = 0
-            for shard, result in zip(shards, results):
-                if result.get("lost"):
-                    # Recovery exhausted, policy says degrade: the shard
-                    # keeps its fresh (empty) replica, so the merge below
-                    # folds in an identity and only survivors contribute.
-                    rows_dropped += int(result.get("rows_dropped", 0))
-                else:
-                    estimator = persistence.from_bytes(
-                        bytes(result["payload"])
-                    )
-                    if not isinstance(estimator, ProjectedFrequencyEstimator):
-                        raise EstimationError(
-                            "worker returned a non-estimator payload of type "
-                            f"{type(estimator).__name__}"
-                        )
-                    shard.adopt(estimator, result["rows"], result["seconds"])
-                    if result["metrics"] is not None and telemetry.enabled():
-                        registry.merge_state(result["metrics"])
-                bytes_shipped.append(
-                    int(result["bytes_sent"]) + int(result["bytes_received"])
-                )
-                bytes_out += int(result["bytes_sent"])
-                bytes_in += int(result["bytes_received"])
-                blocks += int(result["blocks"])
+            except BaseException:
+                # The workers and the supervisor's replay buffers hold this
+                # ingest's blocks; drop the pool so the next ingest() starts
+                # from a clean one.
+                self.close()
+                raise
             roundtrip_span.set(
-                bytes_sent=bytes_out, bytes_received=bytes_in, blocks=blocks
-            )
-        if telemetry.enabled():
-            self._record_transport_metrics(
-                bytes_out, bytes_in, blocks, time.perf_counter() - started
+                **self._adopt_worker_results(estimators, results, started)
             )
         resilience_info = {
             "shards_lost": pool.supervisor.lost_shards,
-            "rows_dropped": rows_dropped,
+            "rows_dropped": sum(
+                int(result["rows_dropped"]) for result in results
+            ),
             "retries": pool.supervisor.retries - base_retries,
             "recoveries": pool.supervisor.recoveries - base_recoveries,
         }
-        return shards, tuple(bytes_shipped), resilience_info
+        return results, resilience_info
 
-    def _transport_pool(self, shards: list[Shard]) -> SocketWorkerPool:
+    def _transport_pool(
+        self, estimators: list[ProjectedFrequencyEstimator]
+    ) -> SocketWorkerPool:
         """The live worker pool, connecting lazily.
 
         The pool persists across ``ingest()`` calls and is (re)built here
-        from the current shards' pristine snapshot bytes when absent,
+        from the current replicas' pristine snapshot bytes when absent,
         including after a worker failure tore the previous pool down.
         """
         if self._socket_pool is None:
-            payloads = self._pristine_payloads(shards)
+            payloads = self._pristine_payloads(estimators)
             addresses = self._worker_addresses
             if not addresses:
                 raise InvalidParameterError(
@@ -583,46 +642,33 @@ class Coordinator:
             )
         return self._socket_pool
 
-    def _record_transport_metrics(
-        self, bytes_out: int, bytes_in: int, blocks: int, seconds: float
-    ) -> None:
-        """Account one transport exchange in the process-global registry."""
-        registry = telemetry.get_registry()
-        byte_counter = registry.counter(
-            "repro_transport_bytes_total",
-            "bytes crossing the coordinator/worker transport boundary",
-        )
-        byte_counter.inc(bytes_out, backend=self._backend, direction="to_worker")
-        byte_counter.inc(
-            bytes_in, backend=self._backend, direction="to_coordinator"
-        )
-        registry.counter(
-            "repro_transport_blocks_total",
-            "row blocks shipped to shard workers",
-        ).inc(blocks, backend=self._backend)
-        registry.histogram(
-            "repro_transport_roundtrip_seconds",
-            "wall seconds of one transport exchange (blocks out, snapshots back)",
-        ).observe(seconds, backend=self._backend)
-
     def _ingest_in_processes(
-        self, shards: list[Shard], stream: RowStream
-    ) -> tuple[list[Shard], tuple[int, ...]]:
-        """Split ``stream`` per shard and ingest it in a per-call process pool.
+        self, estimators: list[ProjectedFrequencyEstimator], stream: RowStream
+    ) -> list[dict]:
+        """Ingest each shard's rows as one ndarray in a per-call process pool.
 
-        Workers receive only each shard's compact estimator state via
-        :meth:`_pristine_payloads` (the :mod:`repro.persistence` snapshot
-        bytes — never a pickled estimator or :class:`Shard` with its
-        timing fields) plus the rows, and hand the updated state back; the
-        shards adopt the results in the parent.  Also returns the
-        approximate per-shard payload bytes that crossed the pool boundary
-        (state out, rows out, state back).
+        The stream is routed in ``batch_size`` blocks (or
+        :data:`~repro.engine.transport.DEFAULT_TRANSPORT_BLOCK_ROWS` ones)
+        and each shard's sub-blocks are concatenated.  Workers receive only
+        the replica's compact snapshot bytes from :meth:`_pristine_payloads`
+        plus that one block, and hand the updated state back through
+        :func:`_ingest_estimator_state`.  Each entry also carries the bytes
+        that crossed the pool boundary (state and rows out, state back).
         """
-        payloads = self._pristine_payloads(shards)
-        if self._batch_size is not None:
-            buckets = self._partitioner.split_blocks(stream, self._batch_size)
-        else:
-            buckets = self._partitioner.split(stream)
+        payloads = self._pristine_payloads(estimators)
+        parts: list[list[np.ndarray]] = [[] for _ in estimators]
+        block_rows = self._batch_size or DEFAULT_TRANSPORT_BLOCK_ROWS
+        for shard, rows in self._partitioner.route(stream, block_rows):
+            parts[shard].append(rows)
+        blocks = [
+            np.vstack(part)
+            if part
+            else np.empty((0, stream.n_columns), dtype=np.int64)
+            for part in parts
+        ]
+        # Drop the sub-blocks before forking: otherwise this process holds
+        # every row twice while the pool runs, and each worker inherits both.
+        del parts
         # Fork (where available) shares the parent's loaded modules and is
         # dramatically cheaper to start than spawn.
         methods = multiprocessing.get_all_start_methods()
@@ -634,8 +680,8 @@ class Coordinator:
             max_workers=self.n_shards, mp_context=context
         ) as pool:
             futures = [
-                pool.submit(_ingest_estimator_state, payload, bucket)
-                for payload, bucket in zip(payloads, buckets)
+                pool.submit(_ingest_estimator_state, payload, block)
+                for payload, block in zip(payloads, blocks)
             ]
             results = []
             for shard_index, future in enumerate(futures):
@@ -648,49 +694,12 @@ class Coordinator:
                         "the pool was abandoned and the next ingest() call "
                         "starts a fresh one"
                     ) from error
-        registry = telemetry.get_registry()
-        bytes_shipped = []
-        bytes_out = bytes_in = blocks = 0
-        for shard, sent, bucket, (ingested, elapsed, payload, worker_metrics) in zip(
-            shards, payloads, buckets, results
-        ):
-            estimator = persistence.from_bytes(bytes(payload))
-            if not isinstance(estimator, ProjectedFrequencyEstimator):
-                raise EstimationError(
-                    "worker returned a non-estimator payload of type "
-                    f"{type(estimator).__name__}"
-                )
-            shard.adopt(estimator, ingested, elapsed)
-            if worker_metrics is not None and telemetry.enabled():
-                # Workers record into a registry of their own and ship it
-                # back next to the estimator state; fold it in so block and
-                # kernel metrics survive the process boundary.
-                registry.merge_state(worker_metrics)
-            shipped_out = self._approximate_payload_bytes(sent)
-            shipped_out += self._approximate_payload_bytes(bucket)
-            shipped_in = self._approximate_payload_bytes(payload)
-            bytes_shipped.append(shipped_out + shipped_in)
-            bytes_out += shipped_out
-            bytes_in += shipped_in
-            blocks += 1
-        if telemetry.enabled():
-            self._record_transport_metrics(
-                bytes_out, bytes_in, blocks, time.perf_counter() - started
-            )
-        return shards, tuple(bytes_shipped)
-
-    @staticmethod
-    def _approximate_payload_bytes(payload) -> int:
-        """Size estimate for one pickled pool payload (state or rows).
-
-        Snapshot bytes and ndarray blocks are counted exactly; row-tuple
-        lists are estimated at eight bytes per value.
-        """
-        if isinstance(payload, (bytes, bytearray)):
-            return len(payload)
-        if isinstance(payload, np.ndarray):
-            return int(payload.nbytes)
-        return sum(len(row) for row in payload) * 8
+        for payload, block, result in zip(payloads, blocks, results):
+            result["bytes_sent"] = len(payload) + int(block.nbytes)
+            result["bytes_received"] = len(result["payload"])
+            result["blocks"] = 1
+        self._adopt_worker_results(estimators, results, started)
+        return results
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Stream partitioning: split one row stream into per-shard substreams.
+"""Stream partitioning: route one row stream to per-shard sub-blocks.
 
 The first stage of the sharded engine.  A :class:`StreamPartitioner` assigns
 every row of a :class:`~repro.streaming.stream.RowStream` to exactly one of
@@ -18,6 +18,8 @@ per-shard summaries recovers the single-node summary.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -104,48 +106,31 @@ class StreamPartitioner:
             start_index, block, self._n_shards, self._policy, self._hash_seed
         )
 
-    def split(self, stream: RowStream) -> list[list[Word]]:
-        """Materialise the shard assignment in a single pass over ``stream``.
+    def route(
+        self, stream: RowStream, block_rows: int
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(shard, rows)`` sub-blocks of ``stream`` in stream order.
 
-        Used by the coordinator to hand each worker its rows without
-        replaying the stream once per shard.
+        The engine's one routing loop: the stream is read in
+        :meth:`~repro.streaming.stream.RowStream.iter_batches` blocks of at
+        most ``block_rows`` rows, each block is placed with one
+        :meth:`assign_block` call and split with one mask per shard, and
+        every non-empty sub-block is yielded, block by block and in shard
+        order within a block.  Concatenating one shard's sub-blocks gives
+        exactly the rows :meth:`~repro.streaming.stream.RowStream.shard`
+        replays for it.
+
+        Example::
+
+            >>> from repro import Dataset, RowStream, StreamPartitioner
+            >>> stream = RowStream(Dataset.random(n_rows=5, n_columns=2, seed=0))
+            >>> partitioner = StreamPartitioner(n_shards=2)
+            >>> [(shard, len(rows)) for shard, rows in partitioner.route(stream, 4)]
+            [(0, 2), (1, 2), (0, 1)]
         """
-        buckets: list[list[Word]] = [[] for _ in range(self._n_shards)]
-        for index, row in enumerate(stream):
-            buckets[self.assign(index, row)].append(row)
-        return buckets
-
-    def split_blocks(self, stream: RowStream, batch_size: int) -> list[np.ndarray]:
-        """Materialise the shard assignment as one ``(m_s, d)`` array per shard.
-
-        The batch counterpart of :meth:`split`: the stream is consumed in
-        :meth:`~repro.streaming.stream.RowStream.iter_batches` blocks, each
-        block is routed with one vectorized :meth:`assign_block` call, and
-        every shard receives a single concatenated ndarray (cheap to pickle
-        to a worker process) instead of a list of tuples.  Row-for-row
-        equivalent to :meth:`split`, shard order included.
-        """
-        parts: list[list[np.ndarray]] = [[] for _ in range(self._n_shards)]
-        for start, block in stream.iter_batches(batch_size):
+        for start, block in stream.iter_batches(block_rows):
             assignment = self.assign_block(start, block)
             for shard in range(self._n_shards):
                 rows = block[assignment == shard]
                 if rows.shape[0]:
-                    parts[shard].append(rows)
-        return [
-            np.vstack(blocks)
-            if blocks
-            else np.empty((0, stream.n_columns), dtype=np.int64)
-            for blocks in parts
-        ]
-
-    def substreams(self, stream: RowStream) -> list[RowStream]:
-        """Lazy per-shard substreams (each replays and filters ``stream``).
-
-        Equivalent to :meth:`split` row-for-row but without materialising
-        anything; suited to shards that pull their own input.
-        """
-        return [
-            stream.shard(index, self._n_shards, self._policy, self._hash_seed)
-            for index in range(self._n_shards)
-        ]
+                    yield shard, rows

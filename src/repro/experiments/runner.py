@@ -125,7 +125,7 @@ class RunContext:
         coordinator together with a cache-backed
         :class:`~repro.engine.service.QueryService` over the merged summary.
         Sweep scenarios may override ``n_shards`` / ``batch_size`` per call
-        (``batch_size=None`` explicitly forces the per-row path).
+        (``batch_size=None`` explicitly selects per-row ingest on ``serial``).
 
         In a restored run (``--from-checkpoint``) the stream is never
         touched: the saved engine state and its recorded ingest report are

@@ -66,7 +66,8 @@ class RunParams:
         When set, overrides the scenario's engine shard count.
     batch_size:
         When set, overrides the scenario's engine ingest block size
-        (``0`` means "force the per-row path", i.e. ``batch_size=None``).
+        (``0`` means ``batch_size=None``: per-row ingest on ``serial``,
+        the default transport block size on the worker backends).
     backend:
         When set, overrides the scenario's ingest backend (one of
         :data:`~repro.engine.coordinator.INGEST_BACKENDS` — the CLI's

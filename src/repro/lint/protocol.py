@@ -326,12 +326,12 @@ _SERIALIZER_MODULES = {"pickle", "marshal"}
     rationale=(
         "Process-pool workers must receive compact snapshot bytes\n"
         "(produced via the persistence layer's `to_bytes`, restored with\n"
-        "`from_bytes`), never pickled live objects: pickling a Shard drags\n"
-        "its RNG, caches and telemetry handles across the process boundary\n"
-        "and couples the wire format to implementation layout.  Any use of\n"
-        "the `pickle` or `marshal` module inside `engine/` is flagged, and\n"
-        "the coordinator's ship/restore pair must keep routing through\n"
-        "`to_bytes` / `from_bytes`."
+        "`from_bytes`), never pickled live objects: pickling an estimator\n"
+        "drags its RNG, caches and telemetry handles across the process\n"
+        "boundary and couples the wire format to implementation layout.\n"
+        "Any use of the `pickle` or `marshal` module inside `engine/` is\n"
+        "flagged, and the coordinator's ship/restore pair must keep\n"
+        "routing through `to_bytes` / `from_bytes`."
     ),
     example="import pickle  # inside src/repro/engine/",
 )

@@ -37,7 +37,7 @@ from ..persistence import (
     rng_state_dict,
     snapshottable,
 )
-from .base import MergeableSketch
+from .base import MergeableSketch, validate_counts
 
 __all__ = ["ReservoirSampler", "WithReplacementSampler"]
 
@@ -55,6 +55,23 @@ def _materialise_item(items: "Sequence[RowT] | np.ndarray", index: int):
     if isinstance(item, np.ndarray):
         return tuple(item.tolist())
     return item
+
+
+def _repeat_counted(items: "Sequence[RowT] | np.ndarray", counts: object):
+    """``items`` with item ``i`` repeated ``counts[i]`` times.
+
+    A sampler's state depends on every single arrival, so a counted batch
+    is fed as the stream it stands for: the same state ``update(item,
+    count)`` per item leaves.  ``None`` means one occurrence per item.
+    """
+    if counts is None:
+        return items
+    repeats = validate_counts(len(items), counts)
+    if isinstance(items, np.ndarray):
+        return np.repeat(items, repeats, axis=0)
+    return [
+        item for item, count in zip(items, repeats.tolist()) for _ in range(count)
+    ]
 
 
 @snapshottable("sketch.reservoir")
@@ -100,7 +117,9 @@ class ReservoirSampler(MergeableSketch[RowT], Generic[RowT]):
             if position < self._capacity:
                 self._reservoir[position] = item
 
-    def update_block(self, items: "Sequence[RowT] | np.ndarray") -> None:
+    def update_block(
+        self, items: "Sequence[RowT] | np.ndarray", counts=None
+    ) -> None:
         """Absorb a whole block of items with one vectorized position draw.
 
         While the reservoir is filling, items are appended without consuming
@@ -108,8 +127,10 @@ class ReservoirSampler(MergeableSketch[RowT], Generic[RowT]):
         replacement positions are drawn in a single ``integers`` call and
         only the accepted items — an ``O(t log(n'/n))`` handful, the
         Vitter-style skip set — touch Python-level state.  Bit-identical to
-        feeding the block through :meth:`update` item by item.
+        feeding the block through :meth:`update` item by item, with
+        ``counts`` (optional) repeating each item that many times.
         """
+        items = _repeat_counted(items, counts)
         total = len(items)
         if total == 0:
             return
@@ -241,14 +262,18 @@ class WithReplacementSampler(MergeableSketch[RowT], Generic[RowT]):
     #: unaffected because array draws fill sequentially).
     _BLOCK_ELEMENT_BUDGET = 1 << 22
 
-    def update_block(self, items: "Sequence[RowT] | np.ndarray") -> None:
+    def update_block(
+        self, items: "Sequence[RowT] | np.ndarray", counts=None
+    ) -> None:
         """Absorb a block via one acceptance-matrix pass per slot assignment.
 
         Draws the same ``m × t`` uniforms :meth:`update` would, but in one
         ``random`` call, then resolves every slot to the last item that
         accepted it — a single reverse ``argmax`` instead of ``m`` Python
-        iterations.  Bit-identical to the per-item path for the same seed.
+        iterations.  Bit-identical to the per-item path for the same seed,
+        with ``counts`` (optional) repeating each item that many times.
         """
+        items = _repeat_counted(items, counts)
         total = len(items)
         if total == 0:
             return

@@ -21,7 +21,6 @@ DOCTEST_MODULES = (
     "repro.engine.coordinator",
     "repro.engine.partition",
     "repro.engine.service",
-    "repro.engine.shard",
     "repro.experiments",
     "repro.experiments.registry",
     "repro.experiments.report",

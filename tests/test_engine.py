@@ -13,6 +13,7 @@ import gc
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -25,7 +26,6 @@ from repro import (
     InvalidParameterError,
     QueryService,
     RowStream,
-    Shard,
     SketchPlan,
     StreamPartitioner,
     UniformSampleEstimator,
@@ -48,17 +48,25 @@ def _alpha_net_factory() -> AlphaNetEstimator:
 # -- partitioning ---------------------------------------------------------------
 
 
+def _routed(partitioner: StreamPartitioner, stream: RowStream) -> list[list]:
+    """Each shard's rows, in routed order, as lists of row tuples."""
+    buckets: list[list] = [[] for _ in range(partitioner.n_shards)]
+    for shard, rows in partitioner.route(stream, 64):
+        buckets[shard].extend(tuple(row) for row in rows.tolist())
+    return buckets
+
+
 @pytest.mark.parametrize("policy", ["round_robin", "hash"])
 def test_partition_is_exact_cover(policy: str) -> None:
     partitioner = StreamPartitioner(n_shards=4, policy=policy)
-    buckets = partitioner.split(STREAM)
+    buckets = _routed(partitioner, STREAM)
     assert len(buckets) == 4
     merged = [row for bucket in buckets for row in bucket]
     assert sorted(merged) == sorted(STREAM)
 
 
 def test_round_robin_balances_exactly() -> None:
-    buckets = StreamPartitioner(n_shards=4, policy="round_robin").split(STREAM)
+    buckets = _routed(StreamPartitioner(n_shards=4, policy="round_robin"), STREAM)
     assert [len(bucket) for bucket in buckets] == [150, 150, 150, 150]
 
 
@@ -66,18 +74,31 @@ def test_hash_policy_is_content_addressed() -> None:
     """Hash placement ignores arrival order: a shuffled replay lands rows
     on exactly the same shards."""
     partitioner = StreamPartitioner(n_shards=4, policy="hash", hash_seed=2)
-    original = partitioner.split(STREAM)
-    shuffled = partitioner.split(STREAM.shuffled(seed=13))
+    original = _routed(partitioner, STREAM)
+    shuffled = _routed(partitioner, STREAM.shuffled(seed=13))
     assert [sorted(bucket) for bucket in original] == [
         sorted(bucket) for bucket in shuffled
     ]
 
 
-def test_lazy_substreams_match_materialised_split() -> None:
+def test_lazy_substreams_match_routed_blocks() -> None:
     partitioner = StreamPartitioner(n_shards=3, policy="hash", hash_seed=5)
-    assert [list(sub) for sub in partitioner.substreams(STREAM)] == partitioner.split(
-        STREAM
-    )
+    assert [
+        list(STREAM.shard(index, 3, policy="hash", hash_seed=5))
+        for index in range(3)
+    ] == _routed(partitioner, STREAM)
+
+
+def test_route_yields_sub_blocks_in_stream_order() -> None:
+    """One ``(shard, rows)`` pair per non-empty shard of each block, block
+    by block and in shard order within a block."""
+    partitioner = StreamPartitioner(n_shards=3, policy="round_robin")
+    routed = list(partitioner.route(STREAM, 100))
+    assert [shard for shard, _ in routed] == [0, 1, 2] * 6
+    assert all(rows.dtype == np.int64 for _, rows in routed)
+    first = DATA.to_array()[:100]
+    for shard in range(3):
+        assert np.array_equal(routed[shard][1], first[shard::3])
 
 
 def test_partitioner_validation() -> None:
@@ -89,18 +110,6 @@ def test_partitioner_validation() -> None:
         STREAM.shard(3, 3)
     with pytest.raises(InvalidParameterError):
         STREAM.shard(0, 2, policy="range")
-
-
-# -- shards ---------------------------------------------------------------------
-
-
-def test_shard_ingest_and_snapshot() -> None:
-    shard = Shard(0, ExactBaseline(n_columns=D))
-    shard.ingest(STREAM.take(100))
-    assert shard.rows_ingested == 100
-    assert shard.estimator.rows_observed == 100
-    with pytest.raises(InvalidParameterError):
-        Shard(-1, ExactBaseline(n_columns=D))
 
 
 # -- coordinator equivalence ----------------------------------------------------

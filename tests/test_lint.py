@@ -457,14 +457,12 @@ def test_regression_bare_transport_recv_fails_lint(tmp_path):
 def test_regression_shipping_live_estimators_fails_lint(tmp_path):
     """Worker payloads built without to_bytes re-introduce PRO006."""
     source = (REPO_ROOT / "src/repro/engine/coordinator.py").read_text()
-    line = "return [shard.estimator.to_bytes() for shard in shards]"
+    line = "return [estimator.to_bytes() for estimator in estimators]"
     assert line in source
     # The plumbing check is scoped to the coordinator's library path.
     mutated = tmp_path / "src/repro/engine/coordinator.py"
     mutated.parent.mkdir(parents=True)
-    mutated.write_text(
-        source.replace(line, "return [shard.estimator for shard in shards]")
-    )
+    mutated.write_text(source.replace(line, "return list(estimators)"))
     report = lint.run_lint([str(mutated)], root=REPO_ROOT)
     assert "PRO006" in {finding.rule for finding in report.findings}
     assert lint.exit_code(report) == 1

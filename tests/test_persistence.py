@@ -8,7 +8,7 @@ that: engine checkpoints restore coordinators and query services exactly,
 scenario checkpoint bundles replay byte-identical results, transient
 serving state (caches, latency histograms) never crosses a pickle
 boundary, and the process-pool ingest backend ships compact estimator
-state instead of pickled ``Shard`` objects.
+state instead of pickled estimators.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.core.alpha_net import AlphaNetEstimator, SketchPlan
 from repro.core.estimator import ProjectedFrequencyEstimator
 from repro.core.exhaustive import AllSubsetsBaseline
 from repro.engine.checkpoint import load_merged_estimator
-from repro.engine.shard import Shard
 from repro.experiments import RunParams, run_experiment, scenario_names
 from repro.persistence import (
     SNAPSHOT_MAGIC,
@@ -440,18 +439,24 @@ def test_query_service_pickle_never_carries_cache_or_recorders():
     assert clone.estimate_fp(query, 0) == service.estimate_fp(query, 0)
 
 
-def test_process_backend_ships_estimator_state_not_shards(monkeypatch):
-    """The process pool must never pickle a Shard (regression for the
+def test_process_backend_ships_estimator_state_not_estimators(monkeypatch):
+    """The process pool must never pickle an estimator: workers receive
+    snapshot bytes and a row block, and hand snapshot bytes back (no live
+    object — RNG, caches and all — crosses the process boundary)."""
 
-    old protocol that shipped whole ``Shard`` objects — timing fields,
-    caches and all — across the process boundary on every call)."""
+    def forbid_estimator_pickle(self):
+        raise AssertionError(
+            "an estimator must not be pickled by the process backend"
+        )
 
-    def forbid_shard_pickle(self):
-        raise AssertionError("Shard must not be pickled by the process backend")
-
-    # Shard defines no __getstate__, and object has none before 3.11.
-    monkeypatch.setattr(Shard, "__getstate__", forbid_shard_pickle, raising=False)
-    monkeypatch.setattr(Shard, "__reduce__", forbid_shard_pickle)
+    # Estimators define no __getstate__, and object has none before 3.11.
+    monkeypatch.setattr(
+        UniformSampleEstimator, "__getstate__", forbid_estimator_pickle,
+        raising=False,
+    )
+    monkeypatch.setattr(
+        UniformSampleEstimator, "__reduce__", forbid_estimator_pickle
+    )
     data = Dataset.random(n_rows=300, n_columns=6, seed=3)
     serial = Coordinator(
         lambda: UniformSampleEstimator(6, 32, seed=8), n_shards=2, backend="serial"

@@ -350,6 +350,35 @@ def test_process_backend_ships_worker_registries_back():
     assert report.rows_total == 200
 
 
+def test_process_backend_feeds_unbatched_streams_as_blocks():
+    """``batch_size=None`` still ships one ndarray per shard: each worker
+    makes one ``observe_rows`` call, never per-row ``observe_row`` calls,
+    and the merged summary answers as the serial per-row ingest does."""
+
+    def factory():
+        return UniformSampleEstimator(n_columns=4, sample_size=32, seed=3)
+
+    stream = RowStream(Dataset.random(n_rows=200, n_columns=4, seed=6))
+    engine = Coordinator(factory, n_shards=3, backend="processes")
+    report = engine.ingest(stream)
+    blocks = telemetry.get_registry().counter("repro_ingest_blocks_total").value(
+        estimator="UniformSampleEstimator"
+    )
+    assert blocks == engine.n_shards
+    assert report.rows_total == 200
+    serial = Coordinator(factory, n_shards=3, backend="serial")
+    serial.ingest(stream)
+    for columns in ([0, 2], [1, 3], [0, 1, 2]):
+        query = ColumnQuery.of(columns, 4)
+        pattern = (0,) * len(columns)
+        assert engine.merged_estimator.estimate_frequency(query, pattern) == (
+            serial.merged_estimator.estimate_frequency(query, pattern)
+        )
+        assert engine.merged_estimator.estimate_fp(query, 0) == (
+            serial.merged_estimator.estimate_fp(query, 0)
+        )
+
+
 def test_checkpoint_save_load_metrics_and_spans(tmp_path):
     engine = _engine()
     engine.ingest(RowStream(Dataset.random(n_rows=80, n_columns=4, seed=7)))

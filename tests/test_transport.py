@@ -43,7 +43,7 @@ from repro.engine.transport import (
     encode_frame,
     spawn_local_servers,
 )
-from repro.errors import TransportError
+from repro.errors import DimensionError, TransportError
 
 D = 6
 DATA = Dataset.random(n_rows=500, n_columns=D, seed=11)
@@ -280,6 +280,34 @@ def test_socket_pool_persists_across_ingests(loopback_workers) -> None:
     assert coordinator._socket_pool is None
 
 
+def test_socket_stream_failure_does_not_leak_rows_into_the_next_ingest(
+    loopback_workers,
+) -> None:
+    """A stream that fails mid-ingest leaves nothing behind: the blocks it
+    already shipped die with the pool instead of joining the next ingest."""
+
+    def rows(width_of_eighth: int):
+        return lambda: (
+            (0,) * (width_of_eighth if index == 7 else 3) for index in range(10)
+        )
+
+    coordinator = Coordinator(
+        lambda: ExactBaseline(n_columns=3), n_shards=2, backend="sockets",
+        batch_size=2, worker_addresses=loopback_workers,
+    )
+    try:
+        with pytest.raises(DimensionError):
+            coordinator.ingest(RowStream(rows(2), n_columns=3, alphabet_size=2))
+        assert coordinator._socket_pool is None
+        report = coordinator.ingest(
+            RowStream(rows(3), n_columns=3, alphabet_size=2)
+        )
+    finally:
+        coordinator.close()
+    assert report.rows_total == 10
+    assert coordinator.merged_estimator.rows_observed == 10
+
+
 def test_socket_bytes_shipped_accounting(loopback_workers) -> None:
     coordinator = Coordinator(
         _exact_factory,
@@ -338,7 +366,7 @@ def test_socket_backend_requires_matching_addresses() -> None:
 # -- fault injection ------------------------------------------------------------
 
 
-def _exit_mid_ingest(payload, bucket):  # pragma: no cover - runs in a worker
+def _exit_mid_ingest(payload, rows):  # pragma: no cover - runs in a worker
     os._exit(3)
 
 

@@ -4,9 +4,10 @@ The contract behind the vectorized ingest path: for every sketch,
 ``update_block(items, counts)`` must leave the summary in the same state as
 the sequential loop ``for item, count in zip(items, counts): update(item,
 count)``.  For the order-independent sketches (Count-Min, Count-Sketch, AMS,
-KMV, HyperLogLog, BJKST, StableLp) the equivalence is
-*bit-identical* — asserted here on the full ``state_dict()``, across random
-seeds, duplicate-heavy blocks, empty blocks and explicit multiplicities.
+KMV, HyperLogLog, BJKST, StableLp) and the reservoir samplers the
+equivalence is *bit-identical* — asserted here on the full ``state_dict()``,
+across random seeds, duplicate-heavy blocks, empty blocks and explicit
+multiplicities.
 The order-dependent Misra–Gries/SpaceSaving trackers keep the documented
 per-item fallback: replaying the given batch is exact by construction, and
 feeding a *deduplicated counted* batch (what the α-net block path does) is
@@ -30,8 +31,10 @@ from repro.sketches import (
     HyperLogLog,
     KMVSketch,
     MisraGries,
+    ReservoirSampler,
     SpaceSaving,
     StableLpSketch,
+    WithReplacementSampler,
     collapse_block,
     stable_hash64,
     stable_hash64_patterns,
@@ -53,6 +56,14 @@ ORDER_INDEPENDENT = {
     "bjkst": lambda seed: BJKSTSketch(capacity=8, seed=seed),
     "stable-lp": lambda seed: StableLpSketch(p=1.0, width=12, depth=2, seed=seed),
 }
+
+#: The samplers' kernels replay their stream in the given order, so they are
+#: bit-identical to the sequential loop but not to a collapsed batch.
+SAMPLERS = {
+    "reservoir": lambda seed: ReservoirSampler(capacity=7, seed=seed),
+    "with-replacement": lambda seed: WithReplacementSampler(draws=5, seed=seed),
+}
+BIT_IDENTICAL = {**ORDER_INDEPENDENT, **SAMPLERS}
 
 
 def assert_state_dicts_equal(expected: dict, actual: dict, context: str) -> None:
@@ -77,10 +88,10 @@ def _sequential_reference(factory, seed, block, counts):
     return sketch
 
 
-# -- order-independent kernels: bit-identical to the sequential loop ---------------
+# -- order-independent kernels and samplers: bit-identical to the sequential loop --
 
 
-@pytest.mark.parametrize("name", sorted(ORDER_INDEPENDENT))
+@pytest.mark.parametrize("name", sorted(BIT_IDENTICAL))
 @settings(max_examples=15, deadline=None)
 @given(
     data=st.data(),
@@ -96,7 +107,7 @@ def test_update_block_is_bit_identical(name, data, n_items, value_span, seed, wi
     exercising the ``np.unique`` collapse; ``n_items = 0`` exercises empty
     blocks.
     """
-    factory = ORDER_INDEPENDENT[name]
+    factory = BIT_IDENTICAL[name]
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10_000)))
     block = rng.integers(-value_span, value_span, size=(n_items, 3), dtype=np.int64)
     counts = (
@@ -113,12 +124,12 @@ def test_update_block_is_bit_identical(name, data, n_items, value_span, seed, wi
     assert batched.items_processed == reference.items_processed
 
 
-@pytest.mark.parametrize("name", sorted(ORDER_INDEPENDENT))
+@pytest.mark.parametrize("name", sorted(BIT_IDENTICAL))
 def test_update_block_split_points_do_not_matter(name):
     """Any chunking of the same stream lands in the same state (integer
     sketches) / answers identically (StableLp float counters are only
     guaranteed bitwise-stable for identical chunkings)."""
-    factory = ORDER_INDEPENDENT[name]
+    factory = BIT_IDENTICAL[name]
     rng = np.random.default_rng(7)
     block = rng.integers(0, 9, size=(120, 4), dtype=np.int64)
     whole = factory(5)
