@@ -3,20 +3,19 @@
 PR 5 vectorized the ingest half of the sketch pipeline; the query half
 still answered one item at a time — every point query re-keyed its pattern
 tuple through BLAKE2b and walked the table rows in python.  This benchmark
-measures the batch query tentpole on sketches built from a Zipf-distributed
-stream: the same Count-Min and Count-Sketch summaries (same seeds, same
-``update_block`` ingest) answering the same mixed batch of point queries
-and the same whole-table heavy-hitter candidate filter through
+measures the batch query kernels on a sketch built from a Zipf-distributed
+stream: the same Count-Min summary (same seed, same ``update_block``
+ingest) answering the same mixed batch of point queries and the same
+whole-table heavy-hitter candidate filter through
 
 * the per-item path — ``estimate(item)`` per query and the base
   per-candidate ``heavy_hitters`` loop;
-* the block path — one ``estimate_block`` gather per sketch (the batch
-  serialises once, each row hashes it in one ``evaluate_block`` pass) and
-  the vectorized candidate filter built on top of it.
+* the block path — one ``estimate_block`` gather (the batch serialises
+  once, each row hashes it in one ``evaluate_block`` pass) and the
+  vectorized candidate filter built on top of it.
 
-Both paths are bit-identical here (Count-Min takes integer minima;
-Count-Sketch at odd depth takes an exact integer median), which is
-asserted — the ratio is a pure fast-path measurement.  The acceptance
+Both paths are bit-identical here (Count-Min takes integer minima), which
+is asserted — the ratio is a pure fast-path measurement.  The acceptance
 floor is a conservative >= 3x; results can be written to
 ``BENCH_query_block.json`` at the repo root with ``--record-bench`` or
 ``REPRO_RECORD_BENCH=1`` so the perf trajectory is recorded run over run.
@@ -32,7 +31,6 @@ import numpy as np
 from _bench_utils import emit, render_table
 from repro.sketches.base import PointQuerySketch
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.countsketch import CountSketch
 from repro.workloads.synthetic import zipfian_rows
 
 N_ROWS, N_COLUMNS = 50_000, 4
@@ -59,53 +57,36 @@ QUERY_BLOCK = np.random.default_rng(91).integers(
 QUERY_ITEMS = [tuple(row) for row in QUERY_BLOCK.tolist()]
 
 
-def _sketches() -> list[PointQuerySketch]:
-    countmin = CountMinSketch(width=272, depth=5, seed=7)
-    countsketch = CountSketch(width=256, depth=5, seed=7)
-    for sketch in (countmin, countsketch):
-        sketch.update_block(STREAM)
-    return [countmin, countsketch]
-
-
 def test_query_block_throughput(benchmark, record_bench, bench_metadata):
     """Point queries/sec of block vs per-item answering; block must be >= 3x."""
-    sketches = _sketches()
+    sketch = CountMinSketch(width=272, depth=5, seed=7)
+    sketch.update_block(STREAM)
 
     def run_comparison():
         started = time.perf_counter()
-        scalar_estimates = [
-            np.array([sketch.estimate(item) for item in QUERY_ITEMS])
-            for sketch in sketches
-        ]
-        scalar_reports = [
-            PointQuerySketch.heavy_hitters(sketch, QUERY_ITEMS, THRESHOLD)
-            for sketch in sketches
-        ]
+        scalar_estimates = np.array([sketch.estimate(item) for item in QUERY_ITEMS])
+        scalar_report = PointQuerySketch.heavy_hitters(sketch, QUERY_ITEMS, THRESHOLD)
         scalar_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        block_estimates = [sketch.estimate_block(QUERY_BLOCK) for sketch in sketches]
-        block_reports = [
-            sketch.heavy_hitters(QUERY_BLOCK, THRESHOLD) for sketch in sketches
-        ]
+        block_estimates = sketch.estimate_block(QUERY_BLOCK)
+        block_report = sketch.heavy_hitters(QUERY_BLOCK, THRESHOLD)
         block_seconds = time.perf_counter() - started
 
-        for scalar, block in zip(scalar_estimates, block_estimates):
-            assert np.array_equal(scalar, block)
-        for scalar, block in zip(scalar_reports, block_reports):
-            assert scalar == block
-            assert list(scalar) == list(block)  # candidate order too
-        return scalar_seconds, block_seconds, len(block_reports[0])
+        assert np.array_equal(scalar_estimates, block_estimates)
+        assert scalar_report == block_report
+        assert list(scalar_report) == list(block_report)  # candidate order too
+        return scalar_seconds, block_seconds, len(block_report)
 
     scalar_seconds, block_seconds, n_heavy = benchmark.pedantic(
         run_comparison, rounds=1, iterations=1
     )
-    # Each path answers the full batch twice per sketch: once as point
-    # queries, once inside the candidate filter.
-    n_answers = 2 * len(sketches) * N_QUERIES
+    # Each path answers the full batch twice: once as point queries, once
+    # inside the candidate filter.
+    n_answers = 2 * N_QUERIES
     speedup = scalar_seconds / block_seconds
     emit(
-        f"Batch query of {N_QUERIES:,} patterns against CountMin+CountSketch "
+        f"Batch query of {N_QUERIES:,} patterns against CountMin "
         f"built from {N_ROWS:,} Zipf rows "
         f"(threshold={THRESHOLD:,.0f}, {n_heavy} heavy hitters)",
         render_table(
@@ -130,7 +111,7 @@ def test_query_block_throughput(benchmark, record_bench, bench_metadata):
             "distinct_patterns": DISTINCT_PATTERNS,
             "n_queries": N_QUERIES,
             "threshold": THRESHOLD,
-            "sketches": "countmin+countsketch",
+            "sketches": "countmin",
             "per_item_queries_per_sec": n_answers / scalar_seconds,
             "block_queries_per_sec": n_answers / block_seconds,
             "speedup": speedup,

@@ -11,14 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from _bench_utils import emit, render_table
-from repro.sketches.ams import AMSSketch
-from repro.sketches.bjkst import BJKSTSketch
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.countsketch import CountSketch
-from repro.sketches.hyperloglog import HyperLogLog
 from repro.sketches.kmv import KMVSketch
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.space_saving import SpaceSaving
 from repro.sketches.stable_lp import StableLpSketch
 
 N_DISTINCT = 20_000
@@ -30,8 +24,6 @@ def test_distinct_sketch_accuracy_and_space(benchmark):
     def run_comparison():
         factories = {
             "KMV(eps=0.05)": KMVSketch.from_epsilon(0.05, seed=1),
-            "BJKST(eps=0.05)": BJKSTSketch.from_epsilon(0.05, seed=1),
-            "HLL(eps=0.05)": HyperLogLog.from_epsilon(0.05, seed=1),
         }
         rows = []
         for name, sketch in factories.items():
@@ -71,9 +63,6 @@ def test_point_query_sketch_error_profile(benchmark):
     def run_comparison():
         sketches = {
             "CountMin": CountMinSketch.from_error(0.002, 0.01, seed=3),
-            "CountSketch": CountSketch.from_error(0.02, 0.01, seed=3),
-            "MisraGries(k=200)": MisraGries(k=200),
-            "SpaceSaving(k=200)": SpaceSaving(k=200),
         }
         rows = []
         for name, sketch in sketches.items():
@@ -97,26 +86,19 @@ def test_point_query_sketch_error_profile(benchmark):
         render_table(["sketch", "mean signed error", "max |error|", "bytes"], rows),
     )
     by_name = {row[0]: row for row in rows}
-    # Count-Min and SpaceSaving over-estimate, Misra-Gries under-estimates.
+    # Count-Min over-estimates.
     assert by_name["CountMin"][1] >= 0
-    assert by_name["SpaceSaving(k=200)"][1] >= 0
-    assert by_name["MisraGries(k=200)"][1] <= 0
     for name, mean_err, max_err, size in rows:
         assert max_err <= 0.05 * len(stream)
 
 
 def test_moment_sketch_accuracy(benchmark):
-    """F_p sketches: relative error of AMS (p=2) and p-stable (p=0.5, 1, 2)."""
+    """F_p sketches: relative error of p-stable (p=0.5, 1, 2)."""
     rng = np.random.default_rng(4)
     counts = {item: int(rng.integers(1, 60)) + (400 if item < 4 else 0) for item in range(60)}
 
     def run_comparison():
         rows = []
-        ams = AMSSketch(width=128, depth=5, seed=5)
-        for item, count in counts.items():
-            ams.update(item, count)
-        true_f2 = sum(c * c for c in counts.values())
-        rows.append(("AMS p=2", ams.estimate(), abs(ams.estimate() - true_f2) / true_f2))
         for p in (0.5, 1.0, 2.0):
             sketch = StableLpSketch(p=p, width=256, depth=3, seed=5)
             for item, count in counts.items():

@@ -42,7 +42,6 @@ Quickstart::
 """
 
 from .core import (
-    AllSubsetsBaseline,
     AlphaNet,
     AlphaNetEstimator,
     ColumnQuery,
@@ -103,7 +102,6 @@ from .telemetry import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AllSubsetsBaseline",
     "AlphaNet",
     "AlphaNetEstimator",
     "AlphabetError",

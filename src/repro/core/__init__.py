@@ -3,7 +3,7 @@
 from .alpha_net import AlphaNetEstimator, SketchPlan, TheoremSixFiveGuarantee
 from .dataset import ColumnQuery, Dataset
 from .estimator import ProjectedFrequencyEstimator, pattern_words
-from .exhaustive import AllSubsetsBaseline, ExactBaseline
+from .exhaustive import ExactBaseline
 from .frequency import FrequencyVector, exact_fp, exact_heavy_hitters
 from .problems import (
     FpEstimation,
@@ -16,7 +16,6 @@ from .rounding import AlphaNet, NeighbourRule, rounding_distortion
 from .uniform_sample import UniformSampleEstimator, sample_size_for
 
 __all__ = [
-    "AllSubsetsBaseline",
     "AlphaNet",
     "AlphaNetEstimator",
     "ColumnQuery",

@@ -9,11 +9,26 @@ the sketch's own β factor (Theorem 6.5).
 
 The estimator is generic in the sketch family: a *sketch plan* maps each net
 member to a fresh distinct-count sketch, moment sketch and/or point-query
-sketch, so the F0/Fp/heavy-hitter variants (and the sketch ablations in the
-benchmarks) all share this one implementation.  The per-row update cost is
-proportional to the net size — this is inherent to the algorithm, which
-trades a ``2^{H(1/2-α)d}`` factor of space (and per-row work) for the ability
-to answer arbitrary late-arriving queries.
+sketch, so the ``F_0``, ``F_p`` and point-frequency variants share this one
+implementation.  The per-row update cost is proportional to the net size —
+this is inherent to the algorithm, which trades a ``2^{H(1/2-α)d}`` factor of
+space (and per-row work) for the ability to answer arbitrary late-arriving
+queries.
+
+What each answer guarantees:
+
+* ``F_0`` and ``F_p`` answers carry Theorem 6.5's factor ``β · r(α, P)``
+  (:meth:`AlphaNetEstimator.guarantee`).
+* A point frequency on a query that is itself a net member is answered
+  within Count-Min's additive ``ε · F_1``.
+* A point frequency on a rounded query is answered for a sub-pattern (the
+  query shrank: an over-estimate) or for one zero-filled completion (the
+  query grew: an under-estimate, which can be 0).  Neither answer has a
+  bound.
+* Heavy hitters are not offered.  Theorem 5.3 shows that projected
+  ``ℓ_p`` heavy hitters with ``p > 1`` need large space for an arbitrary
+  ``C``; the uniform-sample estimator reports ``ℓ_1`` heavy hitters
+  (Corollary 5.2).
 """
 
 from __future__ import annotations
@@ -51,9 +66,12 @@ class SketchPlan:
     """Factories producing the per-net-member sketches Algorithm 1 stores.
 
     Any factory may be ``None``, in which case the corresponding query type
-    is unsupported by the resulting estimator.  ``seed`` is combined with the
-    net-member index so every member gets an independent sketch while the
-    whole estimator remains reproducible.
+    is unsupported by the resulting estimator.  Each factory is called with
+    the net-member index, so every member gets its own sketch while the
+    whole estimator stays reproducible: the ``default_*`` constructors seed
+    member ``i``'s sketch with ``seed + i``.  The ``seed`` field only
+    records that base seed.  The estimator never reads it, so a hand-built
+    plan seeds its sketches inside its factories.
     """
 
     distinct_factory: Callable[[int], DistinctCountSketch] | None = None
@@ -221,12 +239,9 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         projected pattern instead of once per row per sketch.
 
         Equivalence to per-row ingestion: bit-identical summaries for the
-        integer-state sketches (Count-Min, Count-Sketch, AMS, KMV,
-        HyperLogLog, BJKST); answer-equivalent (same guarantees, not the
-        same bits) for float-accumulating moment sketches, whose rounding
-        depends on addition order, and for the
-        order-dependent Misra–Gries/SpaceSaving trackers, which consume the
-        counted batch through their documented per-item fallback.
+        integer-state sketches (Count-Min, KMV); answer-equivalent (same
+        guarantees, not the same bits) for float-accumulating moment
+        sketches (StableLp), whose rounding depends on addition order.
         """
         timed = telemetry.enabled()
         family_seconds = {"distinct": 0.0, "moment": 0.0, "point": 0.0}
@@ -413,11 +428,19 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
     def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
         """Estimate a pattern frequency from the rounded neighbour's sketch.
 
-        When the neighbour differs from the query, the pattern is mapped onto
-        the neighbour's columns: removed columns are dropped and added
-        columns are marginalised by summing over their possible symbols (for
-        point queries this is approximated by querying the zero-filled
-        extension, the dominant completion for sparse data).
+        A query that is itself a net member is answered within the point
+        sketch's own bound, Count-Min's additive ``ε · F_1``.  Otherwise
+        :meth:`_translate_pattern` maps the pattern onto the neighbour's
+        columns, and the answer has no bound:
+
+        * a smaller neighbour (the query shrank) drops the removed columns
+          and answers for that sub-pattern, an over-estimate;
+        * a larger neighbour (the query grew) sets every added column to
+          symbol 0 and answers for that one completion, an under-estimate
+          that can be 0.
+
+        Theorem 6.5 bounds ``F_p`` answers, not point frequencies.  The
+        uniform-sample estimator's Theorem 5.1 bound holds for every query.
         """
         self._check_query(query)
         self._check_patterns(query, (pattern,))
@@ -437,7 +460,10 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         ``estimate_block`` kernel.  Entry ``i`` is bit-identical to
         ``estimate_frequency(query, patterns[i])`` wherever the sketch's
         block kernel is bit-identical to its scalar path (see
-        ``docs/architecture.md``, *Batch query kernels*).
+        ``docs/architecture.md``, *Batch query kernels*), and it carries
+        the same guarantee: Count-Min's ``ε · F_1`` on a net-member query,
+        no bound on a rounded one (sub-pattern over-estimates when the
+        query shrank, zero-filled under-estimates when it grew).
         """
         self._check_query(query)
         words = pattern_words(patterns)
@@ -462,48 +488,6 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
     ) -> Word:
         by_column = dict(zip(query.columns, pattern))
         return tuple(by_column.get(column, 0) for column in neighbour.columns)
-
-    def heavy_hitters(
-        self, query: ColumnQuery, phi: float, p: float = 1.0
-    ) -> dict[Word, float]:
-        """Report heavy hitters using the rounded neighbour's point sketch.
-
-        Candidates are the patterns tracked by summaries that maintain their
-        own candidate sets; for pure hash sketches the candidate enumeration
-        is limited to the projected patterns that can be formed from the
-        neighbour's sketch, so this method requires a point sketch with a
-        ``heavy_hitters`` implementation that does not need candidates
-        (Misra–Gries / SpaceSaving) or a small alphabet/projection.
-        """
-        self._check_query(query)
-        if not 0 < phi < 1:
-            raise InvalidParameterError(f"phi must be in (0, 1), got {phi}")
-        if self._point_sketches is None:
-            raise EstimationError("this estimator keeps no point-query sketches")
-        index, neighbour = self._resolve(query)
-        sketch = self._point_sketches[index]
-        threshold = phi * self.rows_observed
-        try:
-            tracked = sketch.heavy_hitters(candidates=None, threshold=threshold)  # type: ignore[call-arg]
-        except TypeError as error:
-            raise EstimationError(
-                "the configured point sketch needs an explicit candidate set; "
-                "use a Misra-Gries or SpaceSaving plan for heavy hitters"
-            ) from error
-        # Patterns are reported in the neighbour's column space, projected
-        # back onto the queried columns.
-        report: dict[Word, float] = {}
-        query_columns = query.as_set()
-        shared = {c for c in neighbour.columns if c in query_columns}
-        for pattern, estimate in tracked.items():
-            by_column = dict(zip(neighbour.columns, pattern))
-            reduced = tuple(by_column[c] for c in query.columns if c in shared)
-            padded = tuple(
-                by_column.get(c, 0) if c in shared else 0 for c in query.columns
-            )
-            key = padded if len(padded) == len(query) else reduced
-            report[key] = max(report.get(key, 0.0), float(estimate))
-        return report
 
     # -- guarantees -------------------------------------------------------------------
 

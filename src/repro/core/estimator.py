@@ -126,12 +126,9 @@ class ProjectedFrequencyEstimator(abc.ABC):
         per-item Python loop on the hot path.  Feeding the same rows through
         :meth:`observe_row` and :meth:`observe_rows` produces identical
         summaries (including for randomized summaries, given the same seed),
-        with two documented carve-outs for sketch-plan estimators:
+        with one documented carve-out for sketch-plan estimators:
         float-accumulating moment sketches may differ in the last ulp
-        (counted batches reorder their additions), and order-dependent
-        Misra–Gries/SpaceSaving trackers may return different — but equally
-        guaranteed — answers, because deduplicated counted batches change
-        the arrival order their state depends on.  See
+        (counted batches reorder their additions).  See
         ``docs/architecture.md``, *Batch ingest and vectorized kernels*.
         """
         block = np.asarray(rows)

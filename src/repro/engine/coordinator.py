@@ -194,11 +194,8 @@ class Coordinator:
         one-shard coordinator) row at a time, the engine's only per-row
         path.  Block and per-row ingest produce identical summaries for
         identical seeds, apart from the estimator's ``version`` counter,
-        with two carve-outs for sketch plans: float-accumulating moment
-        sketches may differ in the last ulp, and order-dependent
-        Misra-Gries/SpaceSaving trackers may answer differently (with the
-        same guarantees) because counted batches change the arrival order;
-        see docs/architecture.md.
+        with one carve-out for sketch plans: float-accumulating moment
+        sketches may differ in the last ulp; see docs/architecture.md.
     resilience:
         A :class:`~repro.engine.resilience.ResilienceConfig` (or its
         ``to_dict`` form) governing transport retries, per-RPC deadlines

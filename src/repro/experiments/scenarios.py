@@ -31,6 +31,7 @@ from ..core.dataset import ColumnQuery, Dataset
 from ..core.exhaustive import ExactBaseline
 from ..core.frequency import FrequencyVector
 from ..core.uniform_sample import UniformSampleEstimator
+from ..engine.transport import DEFAULT_TRANSPORT_BLOCK_ROWS
 from ..lowerbounds.f0_instance import F0InstanceParameters, build_f0_instance
 from ..lowerbounds.index_problem import index_lower_bound_bits
 from ..lowerbounds.separation import measure_separation
@@ -664,10 +665,18 @@ def _run_ingest_throughput(ctx: RunContext) -> ScenarioOutput:
             answer = session.service.estimate_fp(probe, 0)
             answers.add(round(answer, 6))
             throughputs[(n_shards, batch_size)] = report.rows_per_second
+            if batch_size is not None:
+                label: int | str = batch_size
+            elif report.backend == "serial" or report.n_shards == 1:
+                label = "per-row"
+            else:
+                # batch_size=None: the worker backends still route
+                # default-sized blocks across more than one shard.
+                label = f"{DEFAULT_TRANSPORT_BLOCK_ROWS} (default)"
             rows.append(
                 (
                     n_shards,
-                    "per-row" if batch_size is None else batch_size,
+                    label,
                     round(report.wall_seconds, 4),
                     round(report.rows_per_second),
                     round(answer, 1),

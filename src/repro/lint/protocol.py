@@ -206,10 +206,8 @@ def check_merge(module: ModuleContext, project: ProjectContext) -> Iterator[tupl
         "The vectorized ingest path feeds `update_block(items, counts)`.\n"
         "The base-class fallback is a per-item Python loop, so a missing\n"
         "override silently forfeits the batch-kernel speedup the benchmarks\n"
-        "gate on (and, for order-dependent sketches, changes semantics\n"
-        "between batched and streamed ingest).  Suppress deliberately\n"
-        "order-dependent sketches with `# repro: noqa[PRO004]` and document\n"
-        "why in the class docstring."
+        "gate on.  Every mergeable sketch in the tree overrides it with a\n"
+        "counted kernel that leaves the same state as that loop."
     ),
     example="class SlowSketch(PointQuerySketch):\n    ...  # no update_block",
 )

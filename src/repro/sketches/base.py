@@ -195,10 +195,9 @@ class Sketch(abc.ABC, Generic[ItemT]):
 
         The contract: ``update_block(items, counts)`` leaves the sketch in
         the same state as ``for item, count in zip(items, counts):
-        update(item, count)``.  This base implementation *is* that loop, so
-        order-dependent summaries (Misra–Gries, SpaceSaving) inherit a
-        correct per-item fallback; order-independent sketches override it
-        with counted scatter kernels that are bit-identical to the loop.
+        update(item, count)``.  This base implementation *is* that loop;
+        every sketch and sampler in this package overrides it with a
+        counted kernel that is bit-identical to the loop.
         """
         block = as_item_block(items)
         if block is not None:
@@ -276,8 +275,8 @@ class Sketch(abc.ABC, Generic[ItemT]):
 class MergeableSketch(Sketch[ItemT]):
     """A sketch whose summaries for two streams can be combined.
 
-    Mergeability is what lets the exhaustive baseline and the α-net estimator
-    build per-subset sketches in a single pass over distributed data.  The
+    Mergeability is what lets the α-net estimator build its per-member
+    sketches in a single pass over distributed data.  The
     merge must be an *idempotent-free* union: the result must summarise the
     concatenation of the two input streams.
 
@@ -391,9 +390,8 @@ class PointQuerySketch(MergeableSketch[ItemT]):
     ) -> dict[ItemT, float]:
         """Return candidates whose estimated frequency reaches ``threshold``.
 
-        The candidate set must be supplied by the caller; sketches that track
-        their own candidate set (Misra–Gries, SpaceSaving) override this with
-        a parameter-free variant.
+        The candidate set must be supplied by the caller: a hashed sketch
+        cannot enumerate the items it has seen.
         """
         report: dict[ItemT, float] = {}
         for candidate in candidates:

@@ -5,10 +5,13 @@ strings, ints or tuples thereof).  The families implemented here provide the
 independence guarantees the classical analyses require:
 
 * :class:`PolynomialHash` — k-wise independent hashing by evaluating a random
-  degree ``k-1`` polynomial over the Mersenne prime ``2^61 - 1``.
+  degree ``k-1`` polynomial over the Mersenne prime ``2^61 - 1``.  Count-Min
+  draws one pairwise-independent function per row from a
+  :class:`HashFamily`.
 * :func:`stable_hash64` — a deterministic, seed-able 64-bit hash of arbitrary
   Python objects, used to map items into the integer domain the families
-  operate on.
+  operate on.  KMV hashes items to the unit interval through it, and
+  StableLp seeds each item's stable draws with it.
 
 All families are deterministic functions of their seed, which keeps every
 experiment in the repository reproducible.
@@ -33,8 +36,6 @@ __all__ = [
     "hash_to_unit_interval",
     "PolynomialHash",
     "HashFamily",
-    "bit_length64",
-    "trailing_zeros64",
 ]
 
 #: The Mersenne prime :math:`2^{61} - 1` used for polynomial hashing.
@@ -90,11 +91,10 @@ class EncodedPatternBlock:
 
     Serialising an ``(m, w)`` integer block into per-row byte payloads
     depends only on the block, not on the hash seed — but sketches with
-    several internal hash functions (the Count-Min rows, the Count-Sketch
-    bucket/sign pairs, the AMS sign grid, the StableLp row seeds) need the
-    *digest* under many different seeds.  Encoding once and calling
-    :meth:`hash64` per seed avoids rebuilding the identical serialisation
-    for every seed on the hot ingest path.
+    several internal hash functions (the Count-Min rows, the StableLp row
+    seeds) need the *digest* under many different seeds.  Encoding once
+    and calling :meth:`hash64` per seed avoids rebuilding the identical
+    serialisation for every seed on the hot ingest path.
     """
 
     __slots__ = ("_payloads",)
@@ -217,42 +217,13 @@ def _addmod_mersenne61(a: np.ndarray, b: np.uint64) -> np.ndarray:
     return np.where(total >= mersenne, total - mersenne, total)
 
 
-def _bit_length_u32(values: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` for arrays of non-negative ints ``< 2^32`` (0 for 0).
-
-    Integers below ``2^53`` convert to ``float64`` exactly, and ``frexp``
-    returns the exponent ``e`` with ``v in [2^(e-1), 2^e)`` — which is the
-    bit length.
-    """
-    return np.frexp(values.astype(np.float64))[1].astype(np.int64)
-
-
-def bit_length64(values: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` for a ``uint64`` array, vectorized (0 maps to 0)."""
-    keys = _as_uint64(values)
-    hi = (keys >> np.uint64(32)).astype(np.int64)
-    lo = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    return np.where(hi > 0, 32 + _bit_length_u32(hi), _bit_length_u32(lo))
-
-
-def trailing_zeros64(values: np.ndarray) -> np.ndarray:
-    """Trailing zero bits of each ``uint64`` (64 for zero), vectorized.
-
-    Matches the scalar ``(v & -v).bit_length() - 1`` idiom used by the BJKST
-    sketch.
-    """
-    keys = _as_uint64(values)
-    lowest_bit = keys & (~keys + np.uint64(1))
-    return np.where(keys == np.uint64(0), np.int64(64), bit_length64(lowest_bit) - 1)
-
-
 @dataclass
 class PolynomialHash:
     """k-wise independent hashing over the Mersenne prime ``2^61 - 1``.
 
     Evaluates a random polynomial of degree ``independence - 1`` at the key.
     With ``independence = 2`` this is the classical Carter–Wegman universal
-    family; ``independence = 4`` suffices for the AMS second-moment sketch.
+    family, the pairwise independence Count-Min's bound needs.
 
     Parameters
     ----------
@@ -302,10 +273,6 @@ class PolynomialHash:
             return value
         return value % self.range_size
 
-    def sign(self, item: object) -> int:
-        """Return a pseudo-random sign in ``{-1, +1}`` for ``item``."""
-        return 1 if self.field_value(item) & 1 else -1
-
     def field_value_block(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`field_value` over pre-hashed ``uint64`` keys.
 
@@ -328,11 +295,6 @@ class PolynomialHash:
         if self.range_size is None:
             return value
         return value % np.uint64(self.range_size)
-
-    def sign_block(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`sign` over pre-hashed ``uint64`` keys (``int64``)."""
-        parity = self.field_value_block(keys) & np.uint64(1)
-        return np.where(parity == np.uint64(1), np.int64(1), np.int64(-1))
 
 
 class HashFamily:

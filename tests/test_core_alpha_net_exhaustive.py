@@ -1,4 +1,4 @@
-"""Tests for the α-net estimator (Algorithm 1) and the naïve baselines."""
+"""Tests for the α-net estimator (Algorithm 1) and the exact baseline."""
 
 from __future__ import annotations
 
@@ -9,11 +9,10 @@ import pytest
 
 from repro.core.alpha_net import AlphaNetEstimator, SketchPlan
 from repro.core.dataset import ColumnQuery, Dataset
-from repro.core.exhaustive import AllSubsetsBaseline, ExactBaseline
+from repro.core.exhaustive import ExactBaseline
 from repro.core.frequency import FrequencyVector
 from repro.errors import EstimationError, InvalidParameterError
 from repro.sketches.kmv import KMVSketch
-from repro.sketches.misra_gries import MisraGries
 
 
 @pytest.fixture(scope="module")
@@ -120,20 +119,6 @@ class TestAlphaNetMomentAndPointQueries:
         assert estimate >= exact.frequency(pattern)  # CountMin overestimates
         assert estimate <= exact.frequency(pattern) + 0.1 * dataset.n_rows
 
-    def test_heavy_hitters_with_tracking_sketch(self, dataset):
-        plan = SketchPlan(point_factory=lambda index: MisraGries(k=64))
-        estimator = AlphaNetEstimator(n_columns=8, alpha=0.25, plan=plan)
-        estimator.observe(dataset)
-        query = ColumnQuery.of([0, 1], 8)
-        exact = FrequencyVector.from_dataset(dataset, query)
-        top_pattern = max(exact.counts, key=exact.counts.get)
-        report = estimator.heavy_hitters(query, phi=0.15)
-        assert report, "expected at least one heavy hitter to be reported"
-        assert any(
-            pattern[: len(top_pattern)] == top_pattern or pattern == top_pattern
-            for pattern in report
-        )
-
     def test_heavy_hitters_without_tracking_sketch_fails(self, dataset):
         estimator = AlphaNetEstimator(
             n_columns=8, alpha=0.25, plan=SketchPlan.default_point(epsilon=0.05)
@@ -239,30 +224,3 @@ class TestExactBaseline:
     def test_empty_baseline_cannot_materialise(self):
         with pytest.raises(EstimationError):
             ExactBaseline(n_columns=4).to_dataset()
-
-
-class TestAllSubsetsBaseline:
-    def test_materialises_requested_sizes_only(self, dataset):
-        baseline = AllSubsetsBaseline(n_columns=8, subset_sizes=[2])
-        assert baseline.subset_count == 28
-        baseline.observe(Dataset(dataset.to_array()[:100], alphabet_size=2))
-        query = ColumnQuery.of([0, 1], 8)
-        estimate = baseline.estimate_fp(query, 0)
-        exact = FrequencyVector.from_dataset(
-            Dataset(dataset.to_array()[:100], alphabet_size=2), query
-        ).distinct_patterns()
-        assert abs(estimate - exact) <= max(2, 0.4 * exact)
-
-    def test_unknown_query_size_is_rejected(self, dataset):
-        baseline = AllSubsetsBaseline(n_columns=8, subset_sizes=[2])
-        baseline.observe(Dataset(dataset.to_array()[:10], alphabet_size=2))
-        with pytest.raises(EstimationError):
-            baseline.estimate_fp(ColumnQuery.of([0, 1, 2], 8), 0)
-
-    def test_guard_against_exponential_blowup(self):
-        with pytest.raises(InvalidParameterError):
-            AllSubsetsBaseline(n_columns=30, max_subsets=1000)
-
-    def test_invalid_subset_sizes(self):
-        with pytest.raises(InvalidParameterError):
-            AllSubsetsBaseline(n_columns=8, subset_sizes=[0])

@@ -8,7 +8,7 @@ import pytest
 from repro.core.alpha_net import AlphaNetEstimator, SketchPlan
 from repro.core.dataset import ColumnQuery, Dataset
 from repro.core.estimator import ProjectedFrequencyEstimator
-from repro.core.exhaustive import AllSubsetsBaseline, ExactBaseline
+from repro.core.exhaustive import ExactBaseline
 from repro.core.uniform_sample import UniformSampleEstimator
 from repro.errors import EstimationError
 from repro.sketches.countmin import CountMinSketch
@@ -70,6 +70,15 @@ class TestEstimatorBase:
         assert exact.supports("estimate_frequency")
         assert exact.supports("heavy_hitters")
 
+        # Projected l_p heavy hitters with p > 1 need large space for an
+        # arbitrary query (Theorem 5.3), so the α-net offers none.
+        alpha_net = AlphaNetEstimator(
+            n_columns=4, alpha=0.25, plan=SketchPlan.default_point()
+        )
+        assert alpha_net.supports("estimate_fp")
+        assert alpha_net.supports("estimate_frequency")
+        assert not alpha_net.supports("heavy_hitters")
+
 
 # -- queries built for another dimension ------------------------------------------
 
@@ -78,7 +87,6 @@ FOREIGN_D = 6
 _FOREIGN_ESTIMATORS = {
     "exact": lambda: ExactBaseline(n_columns=FOREIGN_D),
     "usample": lambda: UniformSampleEstimator(n_columns=FOREIGN_D, sample_size=32),
-    "all-subsets": lambda: AllSubsetsBaseline(n_columns=FOREIGN_D, subset_sizes=[2]),
     "alpha-net": lambda: AlphaNetEstimator(
         n_columns=FOREIGN_D,
         alpha=0.25,
@@ -102,16 +110,15 @@ _ENTRY_POINTS = {
     "rounded_query": lambda e, q: e.rounded_query(q),
 }
 
-_QUERY_PATHS = ("estimate_frequency", "estimate_frequency_block", "heavy_hitters")
+_FREQUENCY = ("estimate_frequency", "estimate_frequency_block")
 _FP = ("estimate_fp_p0", "estimate_fp_p1")
 
 _CASES = [
     (estimator, entry)
     for estimator, entries in (
-        ("exact", _FP + _QUERY_PATHS + ("frequencies",)),
-        ("usample", _FP + _QUERY_PATHS + ("sample_frequencies",)),
-        ("all-subsets", _FP),
-        ("alpha-net", _FP + _QUERY_PATHS + ("rounded_query",)),
+        ("exact", _FP + _FREQUENCY + ("heavy_hitters", "frequencies")),
+        ("usample", _FP + _FREQUENCY + ("heavy_hitters", "sample_frequencies")),
+        ("alpha-net", _FP + _FREQUENCY + ("rounded_query",)),
     )
     for entry in entries
 ]

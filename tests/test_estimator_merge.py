@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    AllSubsetsBaseline,
     AlphaNetEstimator,
     ColumnQuery,
     Dataset,
@@ -173,57 +172,6 @@ def test_uniform_sample_merge_incompatible_configs_raise() -> None:
             ).observe(SECOND)
         )
     assert base.to_bytes() == before
-
-
-def test_all_subsets_baseline_merge_equals_union() -> None:
-    def make() -> AllSubsetsBaseline:
-        return AllSubsetsBaseline(n_columns=6, subset_sizes=[2])
-
-    small_first = Dataset.random(n_rows=150, n_columns=6, seed=7)
-    small_second = Dataset.random(n_rows=100, n_columns=6, seed=8)
-    sharded = make().observe(small_first)
-    sharded.merge(make().observe(small_second))
-    single = make().observe(small_first.concatenate(small_second))
-    query = ColumnQuery.of([1, 4], 6)
-    assert sharded.estimate_fp(query, 0) == single.estimate_fp(query, 0)
-    mismatched = AllSubsetsBaseline(n_columns=6, subset_sizes=[3])
-    with pytest.raises(InvalidParameterError):
-        sharded.merge(mismatched)
-
-
-def test_all_subsets_refused_merge_leaves_target_unchanged() -> None:
-    """Source sketches that differ from subset 5 onward must be refused
-    before subsets 0-4 merge: a partial merge leaves those sketches counting
-    500 rows in a baseline that observed 300."""
-
-    def make(late_seed: int) -> AllSubsetsBaseline:
-        return AllSubsetsBaseline(
-            n_columns=5,
-            subset_sizes=[2],
-            sketch_factory=lambda index: KMVSketch(
-                k=64, seed=index if index < 5 else late_seed + index
-            ),
-        )
-
-    def sketch_states(baseline: AllSubsetsBaseline) -> list[dict]:
-        return [
-            {
-                key: value.tolist() if isinstance(value, np.ndarray) else value
-                for key, value in sketch.state_dict().items()
-            }
-            for sketch in baseline.state_dict()["summary"]["sketches"]
-        ]
-
-    base = make(late_seed=0).observe(Dataset.random(n_rows=300, n_columns=5, seed=7))
-    source = make(late_seed=1000).observe(
-        Dataset.random(n_rows=200, n_columns=5, seed=8)
-    )
-    assert base.subset_count == 10
-    before = sketch_states(base)
-    with pytest.raises(InvalidParameterError):
-        base.merge(source)
-    assert sketch_states(base) == before
-    assert base.rows_observed == 300
 
 
 def test_merge_returns_self_for_chaining() -> None:

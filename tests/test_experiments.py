@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.engine.transport import DEFAULT_TRANSPORT_BLOCK_ROWS
 from repro.errors import InvalidParameterError
 from repro.experiments import (
     EngineConfig,
@@ -176,6 +177,20 @@ def test_throughput_sweep_honours_forced_per_row_path():
     batch_column = table.headers.index("batch size")
     assert all(row[batch_column] == "per-row" for row in table.rows)
     assert result.metrics["batch_speedup_single_shard"] == 1.0
+
+
+def test_throughput_sweep_labels_the_blocks_worker_backends_route():
+    """batch_size=None reads "per-row" only where rows went one at a time:
+    the one-shard run.  With two shards, processes routes default blocks."""
+    result = run_experiment(
+        "ingest-throughput",
+        RunParams(quick=True, backend="processes", batch_size=0),
+    )
+    table = result.tables[0]
+    shards = table.headers.index("shards")
+    batch_column = table.headers.index("batch size")
+    labels = {row[shards]: row[batch_column] for row in table.rows}
+    assert labels == {1: "per-row", 2: f"{DEFAULT_TRANSPORT_BLOCK_ROWS} (default)"}
 
 
 def test_shard_override_reaches_the_engine():

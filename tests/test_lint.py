@@ -62,11 +62,10 @@ def test_src_repro_is_lint_clean():
     assert report.findings == [], "\n".join(
         str(finding) for finding in report.findings
     )
-    # The deliberate suppressions (order-dependent sketches, exact float
-    # parameter dispatch) are present, not silently dropped.
+    # The only deliberate suppressions (StableLp's exact float parameter
+    # dispatch) are present, not silently dropped.
     suppressed_rules = {finding.rule for finding in report.suppressed}
-    assert "PRO004" in suppressed_rules
-    assert "KER002" in suppressed_rules
+    assert suppressed_rules == {"KER002"}
 
 
 def test_observability_catalogue_parses():

@@ -24,7 +24,6 @@ from repro.core.dataset import ColumnQuery, Dataset
 from repro.core.frequency import FrequencyVector
 from repro.core.rounding import AlphaNet
 from repro.sketches.kmv import KMVSketch
-from repro.sketches.misra_gries import MisraGries
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -225,17 +224,3 @@ class TestSketchProperties:
         a.merge(b)
         d.merge(c)
         assert a.estimate() == pytest.approx(d.estimate())
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.integers(0, 30), min_size=1, max_size=400), st.integers(2, 40))
-    def test_misra_gries_error_invariant(self, items, k):
-        summary = MisraGries(k=k)
-        exact: dict[int, int] = {}
-        for item in items:
-            summary.update(item)
-            exact[item] = exact.get(item, 0) + 1
-        bound = len(items) / (k + 1)
-        for item, count in exact.items():
-            estimate = summary.estimate(item)
-            assert estimate <= count
-            assert count - estimate <= bound + 1e-9

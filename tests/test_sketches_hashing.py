@@ -44,12 +44,6 @@ class TestPolynomialHash:
         h = PolynomialHash(independence=2, range_size=97, seed=2)
         assert all(0 <= h(i) < 97 for i in range(300))
 
-    def test_sign_is_plus_minus_one_and_balanced(self):
-        h = PolynomialHash(independence=4, seed=9)
-        signs = [h.sign(i) for i in range(1000)]
-        assert set(signs) <= {-1, 1}
-        assert abs(sum(signs)) < 200  # roughly balanced
-
     def test_independence_validation(self):
         with pytest.raises(InvalidParameterError):
             PolynomialHash(independence=1)
@@ -90,7 +84,7 @@ class TestHashFamily:
 # The scalar ``__call__`` paths first key items through BLAKE2b
 # (``stable_hash64``), so boundary *keys* cannot be reached from items.
 # These tests inject raw uint64 keys straight into ``evaluate_block`` /
-# ``sign_block`` / ``field_value_block`` and compare against unbounded
+# ``field_value_block`` and compare against unbounded
 # python-int reference arithmetic rebuilt from each instance's parameters.
 # Any uint64 wraparound, signed-cast, or Mersenne-fold bug in the numpy
 # kernels shows up as a mismatch at these keys.
@@ -145,16 +139,6 @@ class TestBoundaryKeys:
         ]
         assert block.tolist() == expected
 
-    @pytest.mark.parametrize("seed", HASH_SEEDS)
-    def test_polynomial_sign_block_at_boundaries(self, seed):
-        h = PolynomialHash(independence=4, seed=seed)
-        block = h.sign_block(_keys_array(BOUNDARY_KEYS))
-        expected = [
-            1 if _field_value_reference(h, key) & 1 else -1 for key in BOUNDARY_KEYS
-        ]
-        assert block.dtype == np.int64
-        assert block.tolist() == expected
-
     def test_mersenne_multiples_fold_to_zero(self):
         # Keys that are multiples of 2^61 - 1 reduce to the zero element,
         # so the polynomial collapses to its constant coefficient.
@@ -174,13 +158,12 @@ class TestBoundaryKeys:
         values = [_field_value_reference(h, key) for key in keys]
         assert h.field_value_block(array).tolist() == values
         assert h.evaluate_block(array).tolist() == [v % 101 for v in values]
-        assert h.sign_block(array).tolist() == [1 if v & 1 else -1 for v in values]
 
     @pytest.mark.parametrize("seed", HASH_SEEDS)
     def test_item_level_block_matches_scalar_calls(self, seed):
         # End to end: packing items into a block, keying it through
         # stable_hash64_patterns, and evaluating the block kernels must
-        # reproduce the scalar __call__/sign results item by item.
+        # reproduce the scalar __call__ results item by item.
         rng = np.random.default_rng(seed)
         block = rng.integers(0, 50, size=(64, 3), dtype=np.int64)
         items = [tuple(row) for row in block.tolist()]
@@ -188,9 +171,6 @@ class TestBoundaryKeys:
         poly_keys = stable_hash64_patterns(block, poly.seed)
         assert poly.evaluate_block(poly_keys).tolist() == [
             poly(item) for item in items
-        ]
-        assert poly.sign_block(poly_keys).tolist() == [
-            poly.sign(item) for item in items
         ]
 
     def test_block_kernels_reject_bad_key_arrays(self):

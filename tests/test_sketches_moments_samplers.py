@@ -1,4 +1,4 @@
-"""Tests for moment sketches (AMS, p-stable) and samplers (reservoir)."""
+"""Tests for the p-stable moment sketch and the samplers (reservoir)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.sketches.ams import AMSSketch
 from repro.sketches.reservoir import (
     ReservoirSampler,
     WithReplacementSampler,
@@ -26,37 +25,6 @@ def _skewed_counts(n_items: int = 40, seed: int = 0) -> dict[int, int]:
 def _replay(counts: dict[int, int], sketch) -> None:
     for item, count in counts.items():
         sketch.update(item, count)
-
-
-class TestAMS:
-    def test_f2_estimate_within_30_percent(self):
-        counts = _skewed_counts(seed=1)
-        true_f2 = sum(c * c for c in counts.values())
-        sketch = AMSSketch(width=96, depth=5, seed=1)
-        _replay(counts, sketch)
-        assert abs(sketch.estimate() - true_f2) / true_f2 < 0.3
-
-    def test_merge_is_additive(self):
-        counts = _skewed_counts(seed=2)
-        whole = AMSSketch(width=48, depth=3, seed=2)
-        left = AMSSketch(width=48, depth=3, seed=2)
-        right = AMSSketch(width=48, depth=3, seed=2)
-        _replay(counts, whole)
-        half = {item: count for item, count in counts.items() if item % 2 == 0}
-        other = {item: count for item, count in counts.items() if item % 2 == 1}
-        _replay(half, left)
-        _replay(other, right)
-        left.merge(right)
-        assert left.estimate() == pytest.approx(whole.estimate(), rel=1e-9)
-
-    def test_from_error_sizes(self):
-        assert AMSSketch.from_error(0.05).width > AMSSketch.from_error(0.3).width
-
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            AMSSketch(width=0)
-        with pytest.raises(InvalidParameterError):
-            AMSSketch.from_error(epsilon=0.0)
 
 
 class TestStableLp:

@@ -1,4 +1,4 @@
-"""Tests for point-query / heavy-hitter sketches (Count-Min, Count-Sketch, MG, SS)."""
+"""Tests for the Count-Min point-query sketch."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.countsketch import CountSketch
-from repro.sketches.misra_gries import MisraGries
-from repro.sketches.space_saving import SpaceSaving
 
 
 def _zipf_stream(n_items: int, n_updates: int, seed: int = 0) -> list[int]:
@@ -74,123 +71,3 @@ class TestCountMin:
             CountMinSketch(width=1)
         with pytest.raises(InvalidParameterError):
             CountMinSketch.from_error(epsilon=2.0)
-
-
-class TestCountSketch:
-    def test_unbiased_estimates_close_to_truth(self):
-        stream = _zipf_stream(100, 8000, seed=4)
-        exact = _exact_counts(stream)
-        sketch = CountSketch(width=1024, depth=5, seed=4)
-        sketch.update_many(stream)
-        heavy = sorted(exact, key=exact.get, reverse=True)[:5]
-        for item in heavy:
-            assert abs(sketch.estimate(item) - exact[item]) <= 0.15 * exact[item] + 20
-
-    def test_l2_estimate_tracks_true_norm(self):
-        stream = _zipf_stream(100, 5000, seed=5)
-        exact = _exact_counts(stream)
-        true_l2 = float(np.sqrt(sum(c * c for c in exact.values())))
-        sketch = CountSketch(width=1024, depth=7, seed=5)
-        sketch.update_many(stream)
-        assert abs(sketch.l2_estimate() - true_l2) / true_l2 < 0.3
-
-    def test_merge(self):
-        left = CountSketch(width=64, depth=3, seed=6)
-        right = CountSketch(width=64, depth=3, seed=6)
-        left.update("x", 20)
-        right.update("x", 22)
-        left.merge(right)
-        assert abs(left.estimate("x") - 42) < 1e-9
-
-    def test_from_error_width_grows_with_accuracy(self):
-        assert CountSketch.from_error(0.01).width > CountSketch.from_error(0.1).width
-
-
-class TestMisraGries:
-    def test_guaranteed_recall_of_frequent_items(self):
-        stream = ["hh"] * 400 + _zipf_stream(50, 600, seed=7)
-        summary = MisraGries(k=20)
-        for item in stream:
-            summary.update(item)
-        # "hh" has frequency 0.4 * F1 >> F1 / (k+1), so it must be tracked.
-        assert summary.estimate("hh") > 0
-        assert summary.estimate("hh") >= 400 - summary.error_bound()
-
-    def test_underestimates_only(self):
-        stream = _zipf_stream(30, 2000, seed=8)
-        exact = _exact_counts(stream)
-        summary = MisraGries(k=10)
-        for item in stream:
-            summary.update(item)
-        for item, count in exact.items():
-            assert summary.estimate(item) <= count
-
-    def test_error_bound(self):
-        summary = MisraGries(k=9)
-        for item in _zipf_stream(40, 1000, seed=9):
-            summary.update(item)
-        assert summary.error_bound() == pytest.approx(100.0)
-
-    def test_merge_preserves_heavy_item(self):
-        left = MisraGries(k=5)
-        right = MisraGries(k=5)
-        for _ in range(300):
-            left.update("big")
-        for item in _zipf_stream(20, 300, seed=10):
-            right.update(item)
-        left.merge(right)
-        assert left.estimate("big") > 0
-
-    def test_heavy_hitters_without_candidates(self):
-        summary = MisraGries(k=10)
-        for item in ["a"] * 50 + ["b"] * 5:
-            summary.update(item)
-        report = summary.heavy_hitters(threshold=30)
-        assert "a" in report and "b" not in report
-
-
-class TestSpaceSaving:
-    def test_overestimates_only(self):
-        stream = _zipf_stream(30, 2000, seed=11)
-        exact = _exact_counts(stream)
-        summary = SpaceSaving(k=10)
-        for item in stream:
-            summary.update(item)
-        for item, count in exact.items():
-            estimate = summary.estimate(item)
-            if estimate:
-                assert estimate >= count
-
-    def test_guaranteed_frequency_is_a_lower_bound(self):
-        stream = _zipf_stream(30, 2000, seed=12)
-        exact = _exact_counts(stream)
-        summary = SpaceSaving(k=12)
-        for item in stream:
-            summary.update(item)
-        for entry in summary.tracked():
-            assert entry.guaranteed_count <= exact.get(entry.item, 0)
-
-    def test_tracked_sorted_by_count(self):
-        summary = SpaceSaving(k=5)
-        for item in ["a"] * 10 + ["b"] * 5 + ["c"] * 1:
-            summary.update(item)
-        tracked = summary.tracked()
-        assert tracked[0].item == "a"
-        counts = [entry.count for entry in tracked]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_merge_keeps_top_items(self):
-        left = SpaceSaving(k=4)
-        right = SpaceSaving(k=4)
-        for _ in range(100):
-            left.update("big")
-        for item in _zipf_stream(20, 200, seed=13):
-            right.update(item)
-        left.merge(right)
-        assert left.estimate("big") >= 100
-
-    def test_error_bound(self):
-        summary = SpaceSaving(k=10)
-        for item in _zipf_stream(40, 1000, seed=14):
-            summary.update(item)
-        assert summary.error_bound() == pytest.approx(100.0)
