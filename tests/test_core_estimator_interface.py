@@ -87,6 +87,9 @@ FOREIGN_D = 6
 _FOREIGN_ESTIMATORS = {
     "exact": lambda: ExactBaseline(n_columns=FOREIGN_D),
     "usample": lambda: UniformSampleEstimator(n_columns=FOREIGN_D, sample_size=32),
+    "usample-with-replacement": lambda: UniformSampleEstimator(
+        n_columns=FOREIGN_D, sample_size=32, with_replacement=True
+    ),
     "alpha-net": lambda: AlphaNetEstimator(
         n_columns=FOREIGN_D,
         alpha=0.25,
@@ -118,6 +121,10 @@ _CASES = [
     for estimator, entries in (
         ("exact", _FP + _FREQUENCY + ("heavy_hitters", "frequencies")),
         ("usample", _FP + _FREQUENCY + ("heavy_hitters", "sample_frequencies")),
+        (
+            "usample-with-replacement",
+            _FP + _FREQUENCY + ("heavy_hitters", "sample_frequencies"),
+        ),
         ("alpha-net", _FP + _FREQUENCY + ("rounded_query",)),
     )
     for entry in entries
@@ -153,7 +160,7 @@ _PATTERN_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(_PATTERN_ENTRY_POINTS))
-@pytest.mark.parametrize("estimator_name", ["exact", "usample", "alpha-net"])
+@pytest.mark.parametrize("estimator_name", sorted(_FOREIGN_ESTIMATORS))
 def test_pattern_of_another_length_is_refused(estimator_name, entry):
     estimator = _FOREIGN_ESTIMATORS[estimator_name]()
     estimator.observe(Dataset.random(40, FOREIGN_D, seed=2))

@@ -83,12 +83,25 @@ def _point_probe(sketch) -> tuple:
     )
 
 
+def _kmv_probe(sketch) -> tuple:
+    return (sketch.estimate(), list(sketch.minimum_values()))
+
+
 SKETCH_CASES = [
-    SketchCase("kmv", lambda: KMVSketch(k=48, seed=1), lambda s: (s.estimate(), list(s.minimum_values()))),
+    SketchCase("kmv", lambda: KMVSketch(k=48, seed=1), _kmv_probe),
     SketchCase("countmin", lambda: CountMinSketch(width=64, depth=4, seed=1), _point_probe),
     SketchCase("stable-lp", lambda: StableLpSketch(p=1.0, width=16, depth=3, seed=1), lambda s: s.estimate()),
     SketchCase("reservoir", lambda: ReservoirSampler(capacity=25, seed=1), lambda s: s.sample()),
     SketchCase("with-replacement", lambda: WithReplacementSampler(draws=12, seed=1), lambda s: s.sample()),
+    # Variants whose state takes another shape: a KMV and a reservoir that
+    # never fill (both streams hold fewer distinct items than k, and fewer
+    # items than the capacity), a single-row Count-Min, and the Gaussian
+    # and general stable samplers.
+    SketchCase("kmv-unsaturated", lambda: KMVSketch(k=512, seed=1), _kmv_probe),
+    SketchCase("countmin-depth1", lambda: CountMinSketch(width=16, depth=1, seed=1), _point_probe),
+    SketchCase("stable-lp-p2", lambda: StableLpSketch(p=2.0, width=16, depth=3, seed=1), lambda s: s.estimate()),
+    SketchCase("stable-lp-p0.5", lambda: StableLpSketch(p=0.5, width=16, depth=3, seed=1), lambda s: s.estimate()),
+    SketchCase("reservoir-unfilled", lambda: ReservoirSampler(capacity=1_000, seed=1), lambda s: s.sample()),
 ]
 
 
@@ -157,6 +170,10 @@ ESTIMATOR_CASES = [
         lambda: UniformSampleEstimator(8, 32, with_replacement=True, seed=3),
     ),
     ("alphanet-mixed", lambda: AlphaNetEstimator(8, alpha=0.3, plan=_mixed_plan())),
+    (
+        "alphanet-default-point",
+        lambda: AlphaNetEstimator(8, alpha=0.3, plan=SketchPlan.default_point(seed=2)),
+    ),
     ("exact", lambda: ExactBaseline(n_columns=8)),
 ]
 

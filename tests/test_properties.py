@@ -23,6 +23,7 @@ from repro.coding.words import (
 from repro.core.dataset import ColumnQuery, Dataset
 from repro.core.frequency import FrequencyVector
 from repro.core.rounding import AlphaNet
+from repro.sketches.countmin import CountMinSketch
 from repro.sketches.kmv import KMVSketch
 
 # ---------------------------------------------------------------------------
@@ -224,3 +225,16 @@ class TestSketchProperties:
         a.merge(b)
         d.merge(c)
         assert a.estimate() == pytest.approx(d.estimate())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=400), st.integers(2, 40))
+    def test_countmin_error_invariant(self, items, width):
+        """Whatever collides, a Count-Min answer lies in [count, F1]."""
+        sketch = CountMinSketch(width=width, depth=3, seed=0)
+        exact: dict[int, int] = {}
+        for item in items:
+            sketch.update(item)
+            exact[item] = exact.get(item, 0) + 1
+        for item, count in exact.items():
+            estimate = sketch.estimate(item)
+            assert count <= estimate <= len(items)

@@ -4,11 +4,11 @@ Every batch query kernel added alongside ``estimate_block`` must answer
 exactly what the scalar path answers (or be answer-equivalent with the
 divergence documented in ``docs/architecture.md``, *Batch query kernels*).
 This harness replays identical workloads through both paths on
-``state_dict()``-identical summaries, across every point-query sketch
-family, several seeds, and the adversarial batch shapes of the query tier:
+``state_dict()``-identical summaries, across several Count-Min table
+shapes, several seeds, and the adversarial batch shapes of the query tier:
 empty batches, singletons, duplicate items inside one batch, and items the
-summary never observed.  The same differential treatment covers the
-estimator-level ``estimate_frequency_block`` paths and the
+summary never observed.  The same differential treatment, batch shapes
+included, covers the estimator-level ``estimate_frequency_block`` paths and the
 ``QueryService.answer_block`` cache semantics.
 """
 
@@ -65,9 +65,18 @@ def _query_batches(seed: int) -> dict[str, np.ndarray]:
     }
 
 
+#: Count-Min table shapes that stress the gather differently: a width-2
+#: table where every query collides, a single row (no minimum taken), a
+#: deep wide table, and the shape ``from_error`` sizes.
 POINT_FACTORIES = [
     pytest.param(lambda seed: CountMinSketch(width=29, depth=5, seed=seed), id="countmin"),
     pytest.param(lambda seed: CountMinSketch(width=17, depth=1, seed=seed), id="countmin-depth1"),
+    pytest.param(lambda seed: CountMinSketch(width=2, depth=4, seed=seed), id="countmin-width2"),
+    pytest.param(lambda seed: CountMinSketch(width=512, depth=9, seed=seed), id="countmin-deep"),
+    pytest.param(
+        lambda seed: CountMinSketch.from_error(epsilon=0.1, delta=0.05, seed=seed),
+        id="countmin-from-error",
+    ),
 ]
 
 SEEDS = [0, 7, 1234]
@@ -176,17 +185,24 @@ def test_estimate_block_fuzz(seed, data):
     assert np.array_equal(sketch.estimate_block(batch), expected)
 
 
+def test_estimate_block_tracks_a_planted_heavy_item():
+    """Sanity anchor: the block answer sees a planted heavy item, and
+    Count-Min never reports less than its true count."""
+    sketch = CountMinSketch(width=64, depth=7, seed=1)
+    for _ in range(300):
+        sketch.update((1, 1, 1))
+    for noise in range(40):
+        sketch.update((0, noise % 3, 2))
+    (estimate,) = sketch.estimate_block(np.array([[1, 1, 1]], dtype=np.int64))
+    assert 300 <= estimate <= 340
+
+
 # ---------------------------------------------------------------------------
 # heavy_hitters: whole-table candidate filter vs per-candidate loop
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "factory",
-    [
-        pytest.param(lambda seed: CountMinSketch(width=29, depth=5, seed=seed), id="countmin"),
-    ],
-)
+@pytest.mark.parametrize("factory", POINT_FACTORIES)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("threshold", [0.0, 5.0, 25.0, 1e9])
 def test_heavy_hitters_filter_matches_scalar_loop(factory, seed, threshold):
@@ -250,6 +266,24 @@ def test_estimate_frequency_block_matches_scalar(estimator):
     )
     assert np.array_equal(as_array, expected)
     assert estimator.estimate_frequency_block(EST_QUERY, []).shape == (0,)
+
+
+@pytest.mark.parametrize("estimator", _estimators())
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("batch_name", ["empty", "singleton", "duplicates", "never_observed", "mixed"])
+def test_estimate_frequency_block_matches_scalar_on_adversarial_batches(
+    estimator, seed, batch_name
+):
+    """The sketch-level batch shapes, asked of each estimator's block path."""
+    assert len(EST_QUERY) == WIDTH  # the batches' patterns fit the query
+    batch = _query_batches(seed)[batch_name]
+    expected = np.array(
+        [estimator.estimate_frequency(EST_QUERY, tuple(row)) for row in batch.tolist()],
+        dtype=np.float64,
+    )
+    answered = estimator.estimate_frequency_block(EST_QUERY, batch)
+    assert answered.shape == (batch.shape[0],)
+    assert np.array_equal(answered, expected)
 
 
 @pytest.mark.parametrize("estimator", _estimators())

@@ -69,6 +69,44 @@ CASES = [
             lambda: StableLpSketch(p=1.5, width=24, depth=3, seed=2),
         ),
     ),
+    # k above the union's 32 distinct items: the merge keeps every hash.
+    MergeCase(
+        "kmv-unsaturated",
+        lambda: KMVSketch(k=256, seed=1),
+        incompatible=(lambda: KMVSketch(k=128, seed=1), lambda: KMVSketch(k=256, seed=3)),
+    ),
+    MergeCase(
+        "count-min-depth1",
+        lambda: CountMinSketch(width=16, depth=1, seed=1),
+        incompatible=(
+            lambda: CountMinSketch(width=16, depth=2, seed=1),
+            lambda: CountMinSketch(width=16, depth=1, seed=3),
+        ),
+    ),
+    MergeCase(
+        "stable-lp-cauchy",
+        lambda: StableLpSketch(p=1.0, width=24, depth=3, seed=1),
+        incompatible=(
+            lambda: StableLpSketch(p=1.0, width=12, depth=3, seed=1),
+            lambda: StableLpSketch(p=1.0, width=24, depth=2, seed=1),
+        ),
+    ),
+    MergeCase(
+        "stable-lp-gaussian",
+        lambda: StableLpSketch(p=2.0, width=24, depth=3, seed=1),
+        incompatible=(
+            lambda: StableLpSketch(p=1.5, width=24, depth=3, seed=1),
+            lambda: StableLpSketch(p=2.0, width=24, depth=3, seed=3),
+        ),
+    ),
+    MergeCase(
+        "stable-lp-p0.5",
+        lambda: StableLpSketch(p=0.5, width=24, depth=3, seed=1),
+        incompatible=(
+            lambda: StableLpSketch(p=2.0, width=24, depth=3, seed=1),
+            lambda: StableLpSketch(p=0.5, width=24, depth=4, seed=1),
+        ),
+    ),
 ]
 
 

@@ -7,10 +7,18 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.sketches.kmv import KMVSketch, kmv_size_for_epsilon
 
-@pytest.fixture
-def factory():
-    """A fresh KMV sketch per seed, sized for the large-stream accuracy test."""
-    return lambda seed: KMVSketch(k=512, seed=seed)
+
+@pytest.fixture(
+    params=[
+        pytest.param(lambda seed: KMVSketch(k=512, seed=seed), id="kmv"),
+        pytest.param(lambda seed: KMVSketch.from_epsilon(0.2, seed=seed), id="kmv-from-epsilon"),
+        # k above every stream's distinct count: the sketch never evicts.
+        pytest.param(lambda seed: KMVSketch(k=8_192, seed=seed), id="kmv-unsaturated"),
+    ]
+)
+def factory(request):
+    """A fresh KMV sketch per seed, in each size the contract must hold at."""
+    return request.param
 
 
 class TestDistinctSketchContract:
@@ -80,6 +88,12 @@ class TestKMVSpecifics:
         minima = list(sketch.minimum_values())
         assert minima == sorted(minima)
         assert len(minima) == 16
+
+    def test_from_epsilon_sets_k(self):
+        fine = KMVSketch.from_epsilon(0.05)
+        coarse = KMVSketch.from_epsilon(0.2)
+        assert fine.k > coarse.k
+        assert coarse.k == kmv_size_for_epsilon(0.2)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidParameterError):

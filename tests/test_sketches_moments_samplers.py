@@ -61,6 +61,46 @@ class TestStableLp:
                 StableLpSketch(p=2.0, width=16, depth=1, seed=0)
             )
 
+    def test_f2_estimate_within_30_percent(self):
+        counts = _skewed_counts(seed=1)
+        true_f2 = sum(c * c for c in counts.values())
+        sketch = StableLpSketch(p=2.0, width=96, depth=5, seed=1)
+        _replay(counts, sketch)
+        assert abs(sketch.estimate() - true_f2) / true_f2 < 0.3
+
+    def test_merge_is_additive(self):
+        counts = _skewed_counts(seed=2)
+        whole = StableLpSketch(p=2.0, width=48, depth=3, seed=2)
+        left = StableLpSketch(p=2.0, width=48, depth=3, seed=2)
+        right = StableLpSketch(p=2.0, width=48, depth=3, seed=2)
+        _replay(counts, whole)
+        half = {item: count for item, count in counts.items() if item % 2 == 0}
+        other = {item: count for item, count in counts.items() if item % 2 == 1}
+        _replay(half, left)
+        _replay(other, right)
+        left.merge(right)
+        assert left.estimate() == pytest.approx(whole.estimate(), rel=1e-9)
+
+    def test_from_error_sizes(self):
+        fine = StableLpSketch.from_error(2.0, epsilon=0.05)
+        coarse = StableLpSketch.from_error(2.0, epsilon=0.3)
+        assert fine.width > coarse.width
+        assert StableLpSketch.from_error(2.0, 0.1, delta=0.001).depth > (
+            StableLpSketch.from_error(2.0, 0.1, delta=0.2).depth
+        )
+
+    def test_invalid_parameters(self):
+        with pytest.raises(InvalidParameterError):
+            StableLpSketch(p=2.0, width=0)
+        with pytest.raises(InvalidParameterError):
+            StableLpSketch(p=2.0, depth=0)
+        with pytest.raises(InvalidParameterError):
+            StableLpSketch(p=0.0)
+        with pytest.raises(InvalidParameterError):
+            StableLpSketch.from_error(2.0, epsilon=0.0)
+        with pytest.raises(InvalidParameterError):
+            StableLpSketch.from_error(2.0, epsilon=0.1, delta=1.0)
+
 
 class TestReservoirSamplers:
     def test_reservoir_holds_at_most_capacity(self):

@@ -71,3 +71,38 @@ class TestCountMin:
             CountMinSketch(width=1)
         with pytest.raises(InvalidParameterError):
             CountMinSketch.from_error(epsilon=2.0)
+        with pytest.raises(InvalidParameterError):
+            CountMinSketch(depth=0)
+        with pytest.raises(InvalidParameterError):
+            CountMinSketch.from_error(epsilon=0.1, delta=0.0)
+        with pytest.raises(InvalidParameterError):
+            CountMinSketch().additive_error_bound(delta=1.0)
+
+    def test_from_error_width_grows_with_accuracy(self):
+        assert CountMinSketch.from_error(0.01).width > CountMinSketch.from_error(0.1).width
+        assert CountMinSketch.from_error(0.1, delta=0.001).depth > (
+            CountMinSketch.from_error(0.1, delta=0.2).depth
+        )
+
+    def test_merge_of_one_item_is_exact(self):
+        left = CountMinSketch(width=64, depth=3, seed=6)
+        right = CountMinSketch(width=64, depth=3, seed=6)
+        left.update("x", 20)
+        right.update("x", 22)
+        left.merge(right)
+        assert left.estimate("x") == 42
+
+    def test_guaranteed_recall_of_frequent_items(self):
+        stream = ["hh"] * 400 + _zipf_stream(50, 600, seed=7)
+        sketch = CountMinSketch(width=64, depth=4, seed=7)
+        sketch.update_many(stream)
+        # "hh" holds 0.4 * F1, so every candidate filter at a smaller
+        # threshold reports it: Count-Min never underestimates.
+        assert sketch.estimate("hh") >= 400
+        report = sketch.heavy_hitters(candidates=["hh", 0, 1], threshold=0.3 * len(stream))
+        assert "hh" in report
+
+    def test_error_bound(self):
+        sketch = CountMinSketch(width=100, depth=3, seed=9)
+        sketch.update_many(_zipf_stream(40, 1000, seed=9))
+        assert sketch.additive_error_bound() == pytest.approx(np.e / 100 * 1000)

@@ -30,11 +30,18 @@ from repro.sketches import (
 from repro.sketches.hashing import PolynomialHash
 
 # Small widths/depths keep the exhaustive per-item reference loops fast; the
-# kernels themselves are parameter-independent.
+# kernels themselves are parameter-independent.  The variants cover the
+# other branches a kernel takes: a single Count-Min row, a KMV whose k
+# exceeds every block's distinct count (it never evicts), and the Gaussian
+# (p = 2) and general (p = 0.5) stable samplers beside the Cauchy one.
 ORDER_INDEPENDENT = {
     "countmin": lambda seed: CountMinSketch(width=29, depth=3, seed=seed),
+    "countmin-depth1": lambda seed: CountMinSketch(width=13, depth=1, seed=seed),
     "kmv": lambda seed: KMVSketch(k=12, seed=seed),
+    "kmv-unsaturated": lambda seed: KMVSketch(k=512, seed=seed),
     "stable-lp": lambda seed: StableLpSketch(p=1.0, width=12, depth=2, seed=seed),
+    "stable-lp-p2": lambda seed: StableLpSketch(p=2.0, width=12, depth=2, seed=seed),
+    "stable-lp-p0.5": lambda seed: StableLpSketch(p=0.5, width=12, depth=2, seed=seed),
 }
 
 #: The samplers' kernels replay their stream in the given order, so they are
@@ -117,7 +124,7 @@ def test_update_block_split_points_do_not_matter(name):
     chunked = factory(5)
     for start, stop in ((0, 13), (13, 14), (14, 90), (90, 120)):
         chunked.update_block(block[start:stop])
-    if name == "stable-lp":
+    if name.startswith("stable-lp"):
         assert np.allclose(
             whole.state_dict()["counters"], chunked.state_dict()["counters"]
         )
@@ -130,7 +137,7 @@ def test_update_block_split_points_do_not_matter(name):
 
 @pytest.mark.parametrize(
     "name",
-    [n for n in sorted(ORDER_INDEPENDENT) if n != "stable-lp"],
+    [n for n in sorted(ORDER_INDEPENDENT) if not n.startswith("stable-lp")],
 )
 def test_update_block_accepts_pre_collapsed_batches(name):
     """Deduplicated counted batches (the α-net path) are bit-identical too
