@@ -28,9 +28,10 @@ the transport layer's shard-server entry point:
 * ``python -m repro lint`` — run the contract-aware static analyzer of
   :mod:`repro.lint` over the source tree (determinism, kernel-safety,
   protocol-completeness and telemetry-convention rules; see
-  ``docs/static-analysis.md``), with ``--list-rules``, ``--explain RULE``,
-  ``--changed-only``, ``--baseline``/``--write-baseline`` and
-  pretty/JSON output;
+  ``docs/static-analysis.md``) and check any other path given to it as a
+  snapshot/checkpoint artifact (``ART001``), with ``--list-rules``,
+  ``--explain RULE``, ``--changed-only``, ``--baseline``/``--write-baseline``
+  and pretty/JSON output;
 * ``python -m repro worker`` — serve shard estimators (one per
   connection) over TCP for the ``sockets`` ingest backend (the
   ``repro/transport@2`` protocol; point a run at it with ``--backend
@@ -242,7 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths",
         nargs="*",
-        help="files/directories to lint (default: src/repro)",
+        help=(
+            "files/directories to lint (default: src/repro); a file that is "
+            "not .py source, or a checkpoint bundle directory, is checked "
+            "as a snapshot artifact (ART001)"
+        ),
     )
     lint.add_argument(
         "--format",

@@ -232,16 +232,18 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
         The vectorized spine of Algorithm 1's ingest path: per member the
         block projects with a single NumPy column slice, collapses to
-        ``(unique pattern, count)`` pairs in first-occurrence order via
+        ``(unique pattern, count)`` pairs via
         :func:`~repro.sketches.base.collapse_block`, and the counted batch
         feeds every sketch family through its ``update_block`` kernel — so
         the per-pattern BLAKE2b/bucket work happens once per *distinct*
         projected pattern instead of once per row per sketch.
 
-        Equivalence to per-row ingestion: bit-identical summaries for the
-        integer-state sketches (Count-Min, KMV); answer-equivalent (same
-        guarantees, not the same bits) for float-accumulating moment
-        sketches (StableLp), whose rounding depends on addition order.
+        Equivalence to per-row ingestion: Count-Min's counters and KMV's
+        sorted minima are functions of the multiset of rows seen, so they
+        are bit-identical whatever the blocking, arrival order or merge
+        tree; float-accumulating moment sketches (StableLp) are
+        answer-equivalent (same guarantees, not the same bits), because
+        their rounding depends on addition order.
         """
         timed = telemetry.enabled()
         family_seconds = {"distinct": 0.0, "moment": 0.0, "point": 0.0}

@@ -76,11 +76,12 @@ class ProjectedFrequencyEstimator(abc.ABC):
     def version(self) -> int:
         """Monotonically increasing mutation counter of this summary.
 
-        Incremented by every :meth:`observe_row`, :meth:`observe_rows` and
-        :meth:`merge`.  Serving tiers (see
+        Incremented by every :meth:`observe_row`, :meth:`observe_rows`,
+        :meth:`merge` and :meth:`load_state_dict`.  Serving tiers (see
         :class:`~repro.engine.service.QueryService`) compare it against the
         version a result cache was filled at, so answers computed before a
-        later ingest can never be served as fresh.
+        later ingest or restore can never be served as fresh.  Like the
+        cache, it is serving state: :meth:`state_dict` does not carry it.
         """
         return self._version
 
@@ -297,41 +298,46 @@ class ProjectedFrequencyEstimator(abc.ABC):
     def state_dict(self) -> dict:
         """The complete persistent state of this summary as plain containers.
 
-        Includes the stream accounting (``rows_observed``, ``version``) and,
-        via :meth:`_summary_state`, every sampler/sketch underneath — RNG
-        state included, so a restored estimator continues ingesting
-        *bit-identically* to the original under the same input.
+        Includes the stream accounting (``rows_observed``) and, via
+        :meth:`_summary_state`, every sampler/sketch underneath — RNG state
+        included, so a restored estimator continues ingesting
+        *bit-identically* to the original under the same input.  The
+        :attr:`version` counter is serving state and is left out.
         """
         return {
             "n_columns": self._n_columns,
             "alphabet_size": self._alphabet_size,
             "rows_observed": self._rows_observed,
-            "version": self._version,
             "summary": self._summary_state(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore this estimator in place from a :meth:`state_dict` value."""
+        """Restore this estimator in place from a :meth:`state_dict` value.
+
+        A restore is a mutation: it bumps :attr:`version`, so a service
+        caching answers over this estimator recomputes them.
+        """
         persistence.require_keys(
             state,
-            ("n_columns", "alphabet_size", "rows_observed", "version", "summary"),
+            ("n_columns", "alphabet_size", "rows_observed", "summary"),
             type(self).__name__,
         )
         self._n_columns = int(state["n_columns"])
         self._alphabet_size = int(state["alphabet_size"])
         self._load_summary_state(state["summary"])
         self._rows_observed = int(state["rows_observed"])
-        self._version = int(state["version"])
+        self._version += 1
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "ProjectedFrequencyEstimator":
         """Construct a fresh estimator directly from a :meth:`state_dict` value."""
         estimator = cls.__new__(cls)
+        estimator._version = 0
         estimator.load_state_dict(state)
         return estimator
 
     def to_bytes(self) -> bytes:
-        """Frame this summary as a ``repro/estimator-snapshot@1`` byte payload.
+        """Frame this summary as a :data:`~repro.persistence.SNAPSHOT_FORMAT` payload.
 
         The wire format of the persistence layer (see
         :mod:`repro.persistence`): self-describing, schema-checked, and

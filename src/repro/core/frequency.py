@@ -54,7 +54,8 @@ class FrequencyVector:
 
         The one projected-count path of the library: the block collapses
         through :func:`~repro.sketches.base.collapse_block`, so patterns are
-        keyed in first-occurrence order, the order every summary sees them.
+        keyed in ``np.unique``'s lexicographic order, whatever order the rows
+        arrived in.
         """
         block = as_item_block(np.asarray(rows), caller="FrequencyVector.from_rows")
         unique, counts = collapse_block(block)

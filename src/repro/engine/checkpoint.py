@@ -3,13 +3,13 @@
 The paper's two-phase model says a summary, once built, should answer
 queries *arbitrarily later* — including from a different process than the
 one that observed the stream.  A checkpoint makes that literal: one file
-(format tag ``repro/engine-checkpoint@2``, built on the
+(format tag :data:`~repro.persistence.CHECKPOINT_FORMAT`, built on the
 :mod:`repro.persistence` envelope) holding exactly the coordinator's
 configuration manifest and the merged summary, serialized through the
 estimator's ``state_dict`` contract.  Shard replicas are not in it: each
 ``ingest()`` starts fresh ones and drops them after the merge, so the
-merged summary is all the coordinator's state.  ``@1`` files, which also
-carried the last ingest's per-shard replicas, are refused.
+merged summary is all the coordinator's state.  Files in an earlier
+format are refused.
 
 Build once, fan out many: a query tier restores the merged summary with
 :func:`load_merged_estimator` (or

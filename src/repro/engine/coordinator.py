@@ -193,9 +193,9 @@ class Coordinator:
         blocks on the worker backends and keeps ``serial`` (and any
         one-shard coordinator) row at a time, the engine's only per-row
         path.  Block and per-row ingest produce identical summaries for
-        identical seeds, apart from the estimator's ``version`` counter,
-        with one carve-out for sketch plans: float-accumulating moment
-        sketches may differ in the last ulp; see docs/architecture.md.
+        identical seeds, with one carve-out for sketch plans:
+        float-accumulating moment sketches may differ in the last ulp; see
+        docs/architecture.md.
     resilience:
         A :class:`~repro.engine.resilience.ResilienceConfig` (or its
         ``to_dict`` form) governing transport retries, per-RPC deadlines
@@ -723,8 +723,8 @@ class Coordinator:
     def save_checkpoint(self, path: str | Path) -> "checkpoint_io.CheckpointInfo":
         """Persist the merged summary + config manifest to ``path``.
 
-        The file is a ``repro/engine-checkpoint@2`` payload (see
-        :mod:`repro.engine.checkpoint`), replaced atomically; a query tier
+        The file is a :data:`~repro.persistence.CHECKPOINT_FORMAT` payload
+        (see :mod:`repro.engine.checkpoint`), replaced atomically; a query tier
         restores it with :meth:`load_checkpoint` or
         :meth:`~repro.engine.service.QueryService.from_checkpoint` in any
         later process without re-ingesting the stream.

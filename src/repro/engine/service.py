@@ -293,8 +293,9 @@ class QueryService:
     def _flush_if_stale(self) -> None:
         """Drop the cache if the summary mutated since it was filled.
 
-        Rows observed or a batch merged in bump the estimator version, so
-        every cached answer computed at an older version is stale.
+        Rows observed, a batch merged in or a state restored bump the
+        estimator version, so every cached answer computed at an older
+        version is stale.
         """
         current_version = self._estimator.version
         if current_version != self._cache_version:

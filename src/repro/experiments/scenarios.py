@@ -23,7 +23,6 @@ Scenario catalogue (see ``docs/experiments.md`` for the full guide):
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
 
 from ..analysis.tradeoff import figure1_curves, tradeoff_at_relative_space
 from ..core.alpha_net import AlphaNetEstimator, SketchPlan

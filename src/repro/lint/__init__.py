@@ -23,9 +23,9 @@ It is a dependency-free (stdlib ``ast`` + ``importlib``) analyzer:
   reports, ``--changed-only`` support and the shared exit-code
   convention (0 clean, 1 findings, 2 usage error);
 * :mod:`repro.lint.docs_check` and :mod:`repro.lint.artifacts` — the
-  docs gate ``tests/test_docs.py`` runs and the checkers behind
-  ``tools/check_snapshot_schema.py`` / ``check_telemetry_schema.py``,
-  emitting the same findings.
+  docs gate ``tests/test_docs.py`` runs, the snapshot checks the runner
+  applies to artifact paths, and the checkers behind
+  ``tools/check_telemetry_schema.py``, emitting the same findings.
 
 See ``docs/static-analysis.md`` for the rule catalogue.
 """

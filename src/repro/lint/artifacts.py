@@ -1,15 +1,11 @@
-"""Artifact schema gates refolded into the lint finding format (ART001/ART002).
+"""Artifact schema gates in the lint finding format (ART001/ART002).
 
-The logic of ``tools/check_snapshot_schema.py`` (snapshot / checkpoint /
-bundle validation) and ``tools/check_telemetry_schema.py`` (trace and
-result-telemetry validation) now emits
+Snapshot / checkpoint / bundle validation (``ART001``) runs from
+``python -m repro lint`` on any path that is an artifact rather than Python
+source (:func:`is_artifact_path`), and ``tools/check_telemetry_schema.py``
+wraps the trace and result-telemetry validation (``ART002``).  Both emit
 :class:`~repro.lint.findings.Finding` objects, keeping one finding format
-and one exit-code convention across every repro checker.  The two tools
-remain as thin argument-parsing wrappers.
-
-The heavy imports (``repro.persistence``, ``repro.telemetry``,
-``repro.experiments``) happen lazily inside the check functions so that
-importing :mod:`repro.lint` stays dependency-light for pure AST linting.
+and one exit-code convention across every repro checker.
 """
 
 from __future__ import annotations
@@ -17,10 +13,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .. import persistence
 from .findings import Finding
 from .rules import register_external
 
 __all__ = [
+    "is_artifact_path",
     "check_snapshot_file",
     "check_bundle_dir",
     "check_snapshot_path",
@@ -35,12 +33,14 @@ register_external(
     rationale=(
         "Snapshot and checkpoint files must carry the magic prefix, the\n"
         "zlib+JSON framing, a known envelope schema\n"
-        "(repro/estimator-snapshot@1, or repro/engine-checkpoint@2 with\n"
-        "exactly its format, config and merged keys) and only\n"
-        "type tags registered with the live @snapshottable registry;\n"
-        "checkpoint bundles additionally need a well-formed manifest.json\n"
-        "with resolvable per-session files.  A failing artifact cannot be\n"
-        "restored by `python -m repro run --from-checkpoint`."
+        f"({persistence.SNAPSHOT_FORMAT}, or\n"
+        f"{persistence.CHECKPOINT_FORMAT} with exactly its format, config\n"
+        "and merged keys) and only type tags registered with the live\n"
+        "@snapshottable registry; checkpoint bundles additionally need a\n"
+        "well-formed manifest.json with resolvable per-session files.\n"
+        "A failing artifact cannot be restored by\n"
+        "`python -m repro run --from-checkpoint`.  `python -m repro lint`\n"
+        "applies this rule to every path that is not .py source."
     ),
     example="a .ckpt file whose payload references an unregistered type tag",
 )
@@ -96,125 +96,89 @@ def _referenced_tags(envelope: object) -> set:
 
 def check_snapshot_file(path) -> list:
     """ART001 findings for one snapshot/checkpoint file."""
-    from repro import persistence
-
     path = Path(path)
     try:
         envelope = persistence.load_envelope(path.read_bytes())
     except Exception as error:  # noqa: BLE001 - report, don't crash the gate
         return [_finding("ART001", path, str(error))]
-    findings = [
-        _finding("ART001", path, problem)
-        for problem in persistence.validate_envelope(envelope)
+    unknown = _referenced_tags(envelope) - set(persistence.registered_tags())
+    return [
+        _finding("ART001", path, f"unregistered snapshot type tag {tag!r}")
+        for tag in sorted(unknown)
     ]
-    known = set(persistence.registered_tags())
-    for tag in sorted(_referenced_tags(envelope) - known):
-        findings.append(
-            _finding("ART001", path, f"unregistered snapshot type tag {tag!r}")
-        )
-    return findings
 
 
 def check_bundle_dir(path) -> list:
-    """ART001 findings for a checkpoint bundle directory."""
+    """ART001 findings for a checkpoint bundle directory.
+
+    The manifest must name the bundle format, the scenario and a list of
+    sessions, each with string ``key``/``estimator``/``file`` and integer
+    ``bytes_on_disk``/``summary_bits`` fields; every session file is
+    checked as a snapshot file.
+    """
     from repro.experiments.checkpointing import BUNDLE_FORMAT, MANIFEST_NAME
 
-    path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.exists():
-        return [
-            _finding(
-                "ART001", path, f"not a checkpoint bundle (no {MANIFEST_NAME})"
-            )
-        ]
+    manifest_path = Path(path) / MANIFEST_NAME
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as error:
-        return [_finding("ART001", manifest_path, f"invalid JSON: {error}")]
-    findings = []
+    except (OSError, json.JSONDecodeError) as error:
+        return [_finding("ART001", manifest_path, f"unreadable manifest: {error}")]
+    if not isinstance(manifest, dict):
+        return [_finding("ART001", manifest_path, "manifest must be an object")]
+    problems = []
     if manifest.get("format") != BUNDLE_FORMAT:
-        findings.append(
-            _finding(
-                "ART001",
-                manifest_path,
-                f"format must be {BUNDLE_FORMAT!r}, got "
-                f"{manifest.get('format')!r}",
-            )
+        problems.append(
+            f"format must be {BUNDLE_FORMAT!r}, got {manifest.get('format')!r}"
         )
     if not isinstance(manifest.get("scenario"), str):
-        findings.append(
-            _finding("ART001", manifest_path, "'scenario' must be a string")
-        )
+        problems.append("'scenario' must be a string")
     sessions = manifest.get("sessions")
     if not isinstance(sessions, list):
-        findings.append(
-            _finding("ART001", manifest_path, "'sessions' must be a list")
-        )
-        return findings
+        problems.append("'sessions' must be a list")
+        sessions = []
+    session_findings = []
     for position, entry in enumerate(sessions):
         if not isinstance(entry, dict):
-            findings.append(
-                _finding(
-                    "ART001",
-                    manifest_path,
-                    f"session #{position} must be an object",
-                )
-            )
+            problems.append(f"session #{position} must be an object")
             continue
-        for key in ("key", "estimator", "file"):
-            if not isinstance(entry.get(key), str):
-                findings.append(
-                    _finding(
-                        "ART001",
-                        manifest_path,
-                        f"session #{position} '{key}' must be a string",
-                    )
-                )
-        for key in ("bytes_on_disk", "summary_bits"):
-            if not isinstance(entry.get(key), int):
-                findings.append(
-                    _finding(
-                        "ART001",
-                        manifest_path,
-                        f"session #{position} '{key}' must be an integer",
-                    )
-                )
-        session_file = path / str(entry.get("file", ""))
-        if not session_file.exists():
-            findings.append(
-                _finding(
-                    "ART001",
-                    manifest_path,
-                    f"missing session file {session_file}",
-                )
+        for keys, kind, noun in (
+            (("key", "estimator", "file"), str, "a string"),
+            (("bytes_on_disk", "summary_bits"), int, "an integer"),
+        ):
+            problems.extend(
+                f"session #{position} '{key}' must be {noun}"
+                for key in keys
+                if not isinstance(entry.get(key), kind)
             )
+        session_file = Path(path) / str(entry.get("file", ""))
+        if session_file.is_file():
+            session_findings.extend(check_snapshot_file(session_file))
         else:
-            findings.extend(check_snapshot_file(session_file))
-    return findings
+            problems.append(f"missing session file {session_file}")
+    return [
+        _finding("ART001", manifest_path, problem) for problem in problems
+    ] + session_findings
 
 
-def check_snapshot_path(path) -> list:
-    """Dispatch one path to the file, bundle, or directory-sweep checker."""
+def is_artifact_path(path) -> bool:
+    """Whether ``path`` is an artifact rather than Python source.
+
+    A file that is not ``.py`` source is one, and so is a checkpoint
+    bundle directory (one holding ``manifest.json``).
+    """
     from repro.experiments.checkpointing import MANIFEST_NAME
 
     path = Path(path)
     if path.is_dir():
-        if (path / MANIFEST_NAME).exists():
-            return check_bundle_dir(path)
-        findings = []
-        artifacts = sorted(path.rglob("*.ckpt"))
-        for candidate in artifacts:
-            if candidate.is_dir():
-                findings.extend(check_bundle_dir(candidate))
-            else:
-                findings.extend(check_snapshot_file(candidate))
-        if not findings and not artifacts:
-            findings.append(
-                _finding("ART001", path, "no *.ckpt artifacts found")
-            )
-        return findings
-    if not path.exists():
-        return [_finding("ART001", path, "does not exist")]
+        return (path / MANIFEST_NAME).exists()
+    return path.is_file() and path.suffix != ".py"
+
+
+def check_snapshot_path(path) -> list:
+    """ART001 findings for one artifact: a bundle directory or a file."""
+    path = Path(path)
+    if path.is_dir():
+        return check_bundle_dir(path)
     return check_snapshot_file(path)
 
 

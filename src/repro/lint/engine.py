@@ -4,9 +4,11 @@ This module owns everything between "a list of paths" and "an exit code":
 
 * :func:`iter_python_files` — deterministic file collection (sorted,
   skipping ``__pycache__`` and hidden directories);
-* :func:`run_lint` — parse each file once, run every AST rule, apply
-  ``# repro: noqa[RULE]`` line suppressions and the optional baseline
-  file, and return a :class:`LintReport`;
+* :func:`run_lint` — parse each file once, run every AST rule, check every
+  artifact path (a file that is not ``.py`` source, or a checkpoint bundle
+  directory) against ``ART001``, apply ``# repro: noqa[RULE]`` line
+  suppressions and the optional baseline file, and return a
+  :class:`LintReport`;
 * :func:`render_findings` — the pretty and JSON renderings shared by
   ``python -m repro lint`` and the ``tools/check_*.py`` wrappers;
 * :func:`exit_code` — the one exit-code convention: 0 clean, 1 findings
@@ -19,7 +21,6 @@ in the rest of the tree.
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 import subprocess
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from . import artifacts
 from .context import ModuleContext, ProjectContext
 from .findings import Finding
 from .rules import ast_rules, get_rule, register_external
@@ -86,7 +88,7 @@ class LintReport:
         Findings matched (by fingerprint, with counting) against the
         baseline file.
     files_checked:
-        Number of Python files analysed.
+        Number of Python files and artifacts analysed.
     """
 
     findings: list = field(default_factory=list)
@@ -262,6 +264,11 @@ def run_lint(
 ) -> LintReport:
     """Run the AST rules over ``paths`` and return the report.
 
+    What a path is decides how it is checked: a file that is not ``.py``
+    source, or a directory holding a checkpoint bundle's manifest, is an
+    artifact checked against ``ART001``; any other directory is walked for
+    Python files.
+
     Parameters
     ----------
     paths:
@@ -273,7 +280,7 @@ def run_lint(
         catalogue is read from ``<root>/docs/observability.md``.
     select:
         Optional subset of rule ids to run; unknown ids raise
-        :class:`LintUsageError`.
+        :class:`LintUsageError`.  Artifact paths are always checked.
     changed_only:
         Restrict to files changed vs ``git HEAD`` (plus untracked files);
         silently lints everything when git is unavailable.
@@ -297,7 +304,18 @@ def run_lint(
     project = ProjectContext(root)
     report = LintReport()
     raw_findings: list = []
-    for path in iter_python_files(paths, root):
+    sources = []
+    for raw in paths:
+        path = root / raw  # an absolute ``raw`` replaces ``root``
+        if not artifacts.is_artifact_path(path):
+            sources.append(raw)
+            continue
+        report.files_checked += 1
+        raw_findings.extend(
+            finding.relocated(_relpath(Path(finding.path), root))
+            for finding in artifacts.check_snapshot_path(path)
+        )
+    for path in iter_python_files(sources, root):
         relpath = _relpath(path, root)
         if changed_only and changed is not None and relpath not in changed:
             continue

@@ -28,7 +28,7 @@ driven by their own entry points (:mod:`repro.lint.docs_check`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .findings import SEVERITIES
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from ..coding.alphabet import AlphabetReduction
 from ..coding.binary_codes import ConstantWeightCode, binomial
-from ..coding.star import star_of_set, star_size
-from ..coding.words import Word, support
+from ..coding.star import star_of_set
+from ..coding.words import support
 from ..core.dataset import ColumnQuery, Dataset
 from ..core.frequency import FrequencyVector
 from ..errors import InvalidParameterError

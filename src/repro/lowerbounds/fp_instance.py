@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..coding.random_codes import LowIntersectionCode, build_low_intersection_code
 from ..coding.star import star_of_set
-from ..coding.words import Word, support
+from ..coding.words import support
 from ..core.dataset import ColumnQuery, Dataset
 from ..core.frequency import FrequencyVector
 from ..errors import InvalidParameterError

@@ -25,7 +25,6 @@ and supplies Bob's decision rule for protocol simulations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..coding.random_codes import LowIntersectionCode, build_low_intersection_code

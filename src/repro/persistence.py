@@ -19,7 +19,7 @@ is that format, shared by every layer of the stack:
   :mod:`repro.engine.checkpoint`) out of the same envelope and value
   encoding, so one validator (:func:`validate_envelope`) covers both.
 
-Wire format (``repro/estimator-snapshot@1``): a fixed magic prefix
+Wire format (:data:`SNAPSHOT_FORMAT`): a fixed magic prefix
 (:data:`SNAPSHOT_MAGIC`) followed by zlib-compressed, sorted-key JSON of an
 *envelope* ``{"format": ..., "type": <registered tag>, "state": <encoded
 state dict>}``.  Values that JSON cannot express natively travel as tagged
@@ -62,12 +62,15 @@ __all__ = [
     "require_keys",
 ]
 
-#: Format tag of a single serialized estimator or sketch.
-SNAPSHOT_FORMAT = "repro/estimator-snapshot@1"
+#: Format tag of a single serialized estimator or sketch.  ``@1`` persisted
+#: the estimator ``version`` counter and KMV's heap in arrival order; it is
+#: refused.
+SNAPSHOT_FORMAT = "repro/estimator-snapshot@2"
 
 #: Format tag of an engine checkpoint (config manifest + merged summary).
-#: ``@1`` also carried the last ingest's per-shard replicas; it is refused.
-CHECKPOINT_FORMAT = "repro/engine-checkpoint@2"
+#: ``@1`` also carried the last ingest's per-shard replicas, and ``@2``
+#: held an ``@1`` summary; both are refused.
+CHECKPOINT_FORMAT = "repro/engine-checkpoint@3"
 
 #: Magic prefix identifying every file/payload written by this module.
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\x00"
@@ -329,8 +332,8 @@ def validate_envelope(envelope: object) -> list[str]:
     """Structural schema check of an envelope; returns human-readable problems.
 
     Shared by :func:`load_envelope`, the engine checkpoint reader, and
-    ``tools/check_snapshot_schema.py`` — an empty list means the envelope is
-    schema-valid for its declared format.
+    ``python -m repro lint`` on an artifact path (rule ART001) — an empty
+    list means the envelope is schema-valid for its declared format.
     """
     problems: list[str] = []
     if not isinstance(envelope, dict):

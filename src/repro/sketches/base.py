@@ -152,20 +152,16 @@ def collapse_block(
     """Deduplicate the rows of ``block``, summing their multiplicities.
 
     Returns ``(unique_rows, summed_counts)`` with the unique rows in
-    *first-occurrence* order, so sketches whose internal layout depends on
-    insertion order (the KMV heap) see items exactly when the scalar stream
-    would first present them.
+    ``np.unique``'s lexicographic order, so the result is a function of the
+    block's multiset of rows, whatever order they arrived in.
     """
     counts = validate_counts(block.shape[0], counts)
     if block.shape[0] == 0:
         return block, counts
-    unique, first_index, inverse = np.unique(
-        block, axis=0, return_index=True, return_inverse=True
-    )
+    unique, inverse = np.unique(block, axis=0, return_inverse=True)
     summed = np.zeros(unique.shape[0], dtype=np.int64)
     np.add.at(summed, inverse, counts)
-    order = np.argsort(first_index, kind="stable")
-    return unique[order], summed[order]
+    return unique, summed
 
 
 class Sketch(abc.ABC, Generic[ItemT]):
@@ -228,8 +224,8 @@ class Sketch(abc.ABC, Generic[ItemT]):
 
         Implementations schema-check ``state`` (via
         :func:`repro.persistence.require_keys`) and rebuild any derived
-        structures (hash functions, heaps) deterministically from the
-        stored configuration.
+        structures (hash functions) deterministically from the stored
+        configuration.
         """
         raise SnapshotError(
             f"{type(self).__name__} does not implement load_state_dict()"
@@ -243,7 +239,7 @@ class Sketch(abc.ABC, Generic[ItemT]):
         return sketch
 
     def to_bytes(self) -> bytes:
-        """Frame this sketch as a ``repro/estimator-snapshot@1`` byte payload."""
+        """Frame this sketch as a :data:`~repro.persistence.SNAPSHOT_FORMAT` payload."""
         return persistence.to_bytes(self)
 
     @classmethod

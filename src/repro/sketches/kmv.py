@@ -15,13 +15,13 @@ F0 sketch of this reproduction — see DESIGN.md, substitutions).
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from typing import Hashable, Iterator
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
 from .base import DistinctCountSketch, as_item_block, collapse_block
 from .hashing import hash_to_unit_interval, stable_hash64_patterns
@@ -63,9 +63,8 @@ class KMVSketch(DistinctCountSketch[Hashable]):
             raise InvalidParameterError(f"k must be >= 2, got {k}")
         self._k = int(k)
         self._seed = int(seed)
-        # Max-heap (negated values) of the k smallest hashes seen so far.
-        self._heap: list[float] = []
-        self._members: set[float] = set()
+        # The k smallest distinct hashes seen so far, ascending.
+        self._minima = np.empty(0, dtype=np.float64)
         self._items_processed = 0
 
     @classmethod
@@ -87,34 +86,29 @@ class KMVSketch(DistinctCountSketch[Hashable]):
     def items_processed(self) -> int:
         return self._items_processed
 
-    def _insert_value(self, value: float) -> None:
-        if value in self._members:
-            return
-        if len(self._heap) < self._k:
-            heapq.heappush(self._heap, -value)
-            self._members.add(value)
-            return
-        current_max = -self._heap[0]
-        if value < current_max:
-            heapq.heapreplace(self._heap, -value)
-            self._members.discard(current_max)
-            self._members.add(value)
+    def _absorb(self, values: np.ndarray) -> None:
+        """Keep the ``k`` smallest distinct values of the minima and ``values``."""
+        self._minima = np.union1d(self._minima, values)[: self._k]
 
     def update(self, item: Hashable, count: int = 1) -> None:
         if count < 1:
             raise InvalidParameterError(f"count must be >= 1, got {count}")
         self._items_processed += count
-        self._insert_value(hash_to_unit_interval(item, self._seed))
+        value = hash_to_unit_interval(item, self._seed)
+        left = bisect.bisect_left(self._minima, value)
+        # Above every one of k minima, or already retained (its left and
+        # right insertion points differ): nothing changes.
+        if left == self._k or left < bisect.bisect_right(self._minima, value, left):
+            return
+        self._absorb(np.array([value]))
 
     def update_block(self, items, counts=None) -> None:
         """Counted batch update, bit-identical to the per-item loop.
 
-        Duplicates collapse before hashing (re-inserting a value already
-        seen is always a no-op, even after an eviction, because an evicted
-        value can never fall below the shrinking heap maximum again), and the
-        unique hash values replay through :meth:`_insert_value` in
-        first-occurrence order so the heap layout — part of the persisted
-        state — matches sequential :meth:`update` calls exactly.
+        Duplicates collapse before hashing, and the unique hash values join
+        the minima in one union-then-truncate.  The retained minima are the
+        ``k`` smallest distinct hashes of everything seen, whatever the
+        order, so the state equals sequential :meth:`update` calls.
         """
         block = as_item_block(items)
         if block is None:
@@ -125,46 +119,52 @@ class KMVSketch(DistinctCountSketch[Hashable]):
         self._items_processed += int(multiplicities.sum())
         keys = stable_hash64_patterns(unique, self._seed)
         # uint64 -> float64 rounds exactly as Python's int/float division.
-        values = keys.astype(np.float64) / float(1 << 64)
-        for value in values.tolist():
-            self._insert_value(value)
+        self._absorb(keys.astype(np.float64) / float(1 << 64))
 
     def merge(self, other: "KMVSketch") -> None:
         self.check_mergeable(other)
         self._items_processed += other._items_processed
-        for negated in other._heap:
-            self._insert_value(-negated)
+        self._absorb(other._minima)
 
     def state_dict(self) -> dict:
-        """Configuration plus the retained minimum hash values."""
+        """Configuration plus the retained minimum hash values, ascending."""
         return {
             "k": self._k,
             "seed": self._seed,
-            "heap": list(self._heap),
+            "minima": self._minima.copy(),
             "items_processed": self._items_processed,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the heap (and its membership index) exactly."""
-        require_keys(state, ("k", "seed", "heap", "items_processed"), "KMVSketch")
+        """Restore the minima, refusing any that no sketch could hold."""
+        require_keys(state, ("k", "seed", "minima", "items_processed"), "KMVSketch")
         self.__init__(k=int(state["k"]), seed=int(state["seed"]))  # type: ignore[misc]
-        self._heap = [float(value) for value in state["heap"]]
-        self._members = {-value for value in self._heap}
+        minima = np.asarray(state["minima"], dtype=np.float64)
+        if (
+            minima.ndim != 1
+            or minima.shape[0] > self._k
+            or not bool(np.all(np.diff(minima) > 0))
+        ):
+            raise SnapshotError(
+                f"KMVSketch: 'minima' must be a strictly increasing 1-D array "
+                f"of at most k = {self._k} values"
+            )
+        self._minima = minima.copy()
         self._items_processed = int(state["items_processed"])
 
     def minimum_values(self) -> Iterator[float]:
         """Yield the retained minimum hash values in ascending order."""
-        return iter(sorted(-value for value in self._heap))
+        return iter(self._minima.tolist())
 
     def estimate(self) -> float:
         """Return the estimated number of distinct items."""
-        retained = len(self._heap)
+        retained = self._minima.shape[0]
         if retained == 0:
             return 0.0
         if retained < self._k:
             # Fewer than k distinct hashes seen: the sketch is exact.
             return float(retained)
-        kth_minimum = -self._heap[0]
+        kth_minimum = float(self._minima[-1])
         if kth_minimum <= 0.0:
             return float(retained)
         return (self._k - 1) / kth_minimum

@@ -149,10 +149,6 @@ def _reference_counts(rows: np.ndarray) -> dict:
     return dict(zip(map(tuple, patterns.tolist()), counts.tolist()))
 
 
-def _first_occurrence_order(rows: np.ndarray) -> list:
-    return list(dict.fromkeys(map(tuple, rows.tolist())))
-
-
 class TestOneCountingContract:
     """Every exact or sampled projected count agrees on counts and key order."""
 
@@ -188,11 +184,17 @@ class TestOneCountingContract:
             assert vector.total_rows() == dataset.n_rows, name
             assert vector.pattern_length == len(query), name
 
-    def test_keys_come_in_first_occurrence_order(self, case):
+    def test_a_shuffled_stream_gives_the_same_keys_in_the_same_order(self, case):
         dataset, query, projected = case
-        order = _first_occurrence_order(projected)
-        for name, vector in self._vectors(dataset, query).items():
-            assert list(vector.counts) == order, name
+        order = np.random.default_rng(0).permutation(dataset.n_rows)
+        shuffled = Dataset(dataset.to_array()[order], dataset.alphabet_size)
+        keys = sorted(_reference_counts(projected))
+        for vectors in (
+            self._vectors(dataset, query),
+            self._vectors(shuffled, query),
+        ):
+            for name, vector in vectors.items():
+                assert list(vector.counts) == keys, name
 
     def test_with_replacement_draws_count_with_multiplicity(self, case):
         dataset, query, _ = case
@@ -210,7 +212,7 @@ class TestOneCountingContract:
         assert len(set(map(tuple, drawn.tolist()))) < len(drawn)
         assert vector.total_rows() == 3 * dataset.n_rows
         assert dict(vector.counts) == _reference_counts(projected)
-        assert list(vector.counts) == _first_occurrence_order(projected)
+        assert list(vector.counts) == sorted(_reference_counts(projected))
 
     def test_exact_baseline_fractional_moment_is_bit_identical(self, case):
         dataset, query, _ = case

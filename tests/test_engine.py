@@ -328,6 +328,19 @@ def test_service_auto_invalidates_after_later_ingest() -> None:
     )
 
 
+def test_service_recomputes_after_the_estimator_is_restored() -> None:
+    """Restoring other state into a served estimator is a mutation: it bumps
+    the version, so the service drops answers cached before the restore."""
+    rows = DATA.to_array()
+    served = ExactBaseline(n_columns=D).observe(rows[:200])
+    other = ExactBaseline(n_columns=D).observe(rows[:50])
+    service = QueryService(served)
+    assert service.estimate_fp(QUERY, 1) == 200.0
+    served.load_state_dict(other.state_dict())
+    assert served.estimate_fp(QUERY, 1) == 50.0
+    assert service.estimate_fp(QUERY, 1) == 50.0
+
+
 def test_service_cache_still_hits_between_ingests() -> None:
     """The version check only drops the cache when the summary actually
     mutated; repeat queries in a quiet period still hit."""

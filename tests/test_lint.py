@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -378,6 +379,110 @@ def test_cli_changed_only_smoke(monkeypatch, capsys):
     """--changed-only runs end to end inside the repo work tree."""
     code, _, _ = _run_cli(["src/repro", "--changed-only"], monkeypatch, capsys)
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# artifact paths: what the path is decides the check
+# ---------------------------------------------------------------------------
+
+
+def _saved_checkpoint(tmp_path) -> Path:
+    from repro import Coordinator, Dataset, ExactBaseline, RowStream
+
+    engine = Coordinator(
+        lambda: ExactBaseline(n_columns=5), n_shards=2, backend="serial"
+    )
+    engine.ingest(RowStream(Dataset.random(n_rows=60, n_columns=5, seed=4)))
+    path = tmp_path / "engine.ckpt"
+    engine.save_checkpoint(path)
+    return path
+
+
+def test_cli_valid_checkpoint_exits_zero(tmp_path, monkeypatch, capsys):
+    path = _saved_checkpoint(tmp_path)
+    code, out, _ = _run_cli([str(path)], monkeypatch, capsys)
+    assert code == 0, out
+    assert "0 finding(s) in 1 file" in out
+
+
+def test_cli_corrupted_checkpoint_exits_one(tmp_path, monkeypatch, capsys):
+    path = _saved_checkpoint(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    code, out, _ = _run_cli([str(path)], monkeypatch, capsys)
+    assert code == 1
+    assert "ART001" in out
+
+
+@pytest.mark.parametrize("name", ["notes.md", "engine.ckpt", "data.json"])
+def test_cli_never_reports_a_non_snapshot_file_clean(
+    name, tmp_path, monkeypatch, capsys
+):
+    """Any file that is not ``.py`` source is checked as an artifact, so
+    one that is not a snapshot fails ART001 instead of passing unchecked."""
+    path = tmp_path / name
+    path.write_text("not a snapshot\n")
+    code, out, _ = _run_cli([str(path)], monkeypatch, capsys)
+    assert code == 1
+    assert "ART001" in out and "1 finding(s) in 1 file" in out
+
+
+def test_bundle_directory_is_checked_as_an_artifact(tmp_path):
+    """A directory holding manifest.json is a checkpoint bundle: its
+    manifest and every session file are checked against ART001."""
+    from repro.experiments.checkpointing import MANIFEST_NAME
+
+    bundle = tmp_path / "bundle.ckpt"
+    bundle.mkdir()
+    (bundle / MANIFEST_NAME).write_text(json.dumps({"format": "nope"}))
+    report = lint.run_lint([str(bundle)], root=tmp_path)
+    assert report.files_checked == 1
+    assert {finding.rule for finding in report.findings} == {"ART001"}
+    assert all(finding.path.startswith("bundle.ckpt") for finding in report.findings)
+
+
+# ---------------------------------------------------------------------------
+# imports: every imported name is used
+# ---------------------------------------------------------------------------
+
+
+def _unused_imports(path: Path) -> list:
+    """``(line, name)`` for every name ``path`` imports and never references.
+
+    A reference is a ``Name`` node or an identifier inside a string
+    constant (``__all__`` entries, string annotations).  Import lines that
+    carry a ``# noqa`` comment are skipped, as are ``__future__`` imports.
+    """
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    referenced = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            referenced.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                line = getattr(alias, "lineno", node.lineno)
+                if "noqa" in lines[line - 1]:
+                    continue
+                imported.append((line, alias.asname or alias.name.split(".")[0]))
+    return [(line, name) for line, name in imported if name not in referenced]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every non-``__init__`` module of src/repro uses each name it imports."""
+    unused = [
+        f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert unused == [], "\n".join(unused)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -191,7 +192,6 @@ def test_estimator_roundtrip_answers_and_continues_identically(factory):
     restored = ProjectedFrequencyEstimator.from_bytes(original.to_bytes())
     assert type(restored) is type(original)
     assert restored.rows_observed == original.rows_observed
-    assert restored.version == original.version
     assert restored.size_in_bits() == original.size_in_bits()
     assert _estimator_probe(restored, query) == _estimator_probe(original, query)
     # Bit-identical continued ingest under a fixed seed: both take the
@@ -257,6 +257,19 @@ def test_snapshot_envelope_is_schema_checked():
     # Type-checked from_bytes on the wrong class refuses.
     with pytest.raises(SnapshotError):
         UniformSampleEstimator.from_bytes(blob)
+
+
+@pytest.mark.parametrize(
+    "minima",
+    [[[0.1, 0.2]], [0.1, 0.2, 0.3, 0.4, 0.5], [0.2, 0.1], [0.1, 0.1]],
+    ids=["2-d", "longer-than-k", "decreasing", "repeated"],
+)
+def test_kmv_refuses_minima_no_sketch_could_hold(minima):
+    """A KMV state must be at most k distinct hashes in ascending order."""
+    state = KMVSketch(k=4, seed=1).state_dict()
+    state["minima"] = np.array(minima)
+    with pytest.raises(SnapshotError, match="strictly increasing"):
+        KMVSketch.from_state_dict(state)
 
 
 # -- engine checkpoints ---------------------------------------------------------
@@ -361,7 +374,7 @@ def test_checkpoint_file_declares_the_checkpoint_format(tmp_path):
     engine.save_checkpoint(path)
     envelope = load_envelope(path.read_bytes())
     assert set(envelope) == {"format", "config", "merged"}
-    assert envelope["format"] == CHECKPOINT_FORMAT == "repro/engine-checkpoint@2"
+    assert envelope["format"] == CHECKPOINT_FORMAT == "repro/engine-checkpoint@3"
     assert envelope["config"]["n_shards"] == 1
 
 
@@ -406,6 +419,30 @@ def test_version_1_checkpoints_are_refused(tmp_path):
         Coordinator.load_checkpoint(path, lambda: ExactBaseline(n_columns=8))
     with pytest.raises(SnapshotError, match="engine-checkpoint@1"):
         QueryService.from_checkpoint(str(path))
+
+
+def test_version_2_checkpoints_and_version_1_snapshots_are_refused(tmp_path):
+    """Files written before summaries became functions of their rows are
+    refused with their format named: a checkpoint by the engine restore
+    and the serving warm start, a snapshot by ``from_bytes``."""
+    engine = _engine(lambda: ExactBaseline(n_columns=8), n_shards=2, backend="serial")
+    path = tmp_path / "engine.ckpt"
+    engine.save_checkpoint(path)
+    envelope = load_envelope(path.read_bytes())
+    envelope["format"] = "repro/engine-checkpoint@2"
+    _write_unchecked_envelope(path, envelope)
+    with pytest.raises(SnapshotError, match="engine-checkpoint@2"):
+        Coordinator.load_checkpoint(path, lambda: ExactBaseline(n_columns=8))
+    with pytest.raises(SnapshotError, match="engine-checkpoint@2"):
+        QueryService.from_checkpoint(str(path))
+
+    snapshot = tmp_path / "estimator.snapshot"
+    envelope = load_envelope(engine.merged_estimator.to_bytes())
+    envelope["format"] = "repro/estimator-snapshot@1"
+    _write_unchecked_envelope(snapshot, envelope)
+    with pytest.raises(SnapshotError, match="estimator-snapshot@1"):
+        from_bytes(snapshot.read_bytes())
+    assert SNAPSHOT_FORMAT == "repro/estimator-snapshot@2"
 
 
 def test_checkpoint_schema_check_flags_any_extra_key(tmp_path):

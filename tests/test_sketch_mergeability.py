@@ -187,6 +187,26 @@ def test_linear_sketch_merge_is_split_invariant(items: list[int], split: int) ->
     assert all(left.estimate(item) == whole.estimate(item) for item in set(items))
 
 
+def test_kmv_state_does_not_depend_on_arrival_or_merge_order() -> None:
+    """Serial, reversed, a<-b and b<-a builds of one stream hold one state."""
+    rows = np.random.default_rng(7).integers(0, 40, size=(3_000, 3))
+    items = [tuple(row) for row in rows.tolist()]
+
+    def build(stream: list) -> KMVSketch:
+        sketch = KMVSketch(k=64, seed=5)
+        sketch.update_many(stream)
+        return sketch
+
+    a_into_b = build(items[:1_700])
+    a_into_b.merge(build(items[1_700:]))
+    b_into_a = build(items[1_700:])
+    b_into_a.merge(build(items[:1_700]))
+    sketches = (build(items), build(items[::-1]), a_into_b, b_into_a)
+    states = [_state(sketch) for sketch in sketches]
+    assert all(state == states[0] for state in states[1:])
+    assert len(list(sketches[0].minimum_values())) == 64
+
+
 # -- sampler merges (the substrate of the uniform-sample estimator) -------------
 
 

@@ -257,11 +257,17 @@ def test_evaluate_block_validates_keys():
         function.evaluate_block(np.zeros(3, dtype=np.int64))  # signed dtype
 
 
-def test_collapse_block_preserves_first_occurrence_order():
+def test_collapse_block_gives_a_shuffled_block_the_same_keys_in_the_same_order():
     block = np.array([[2, 2], [0, 1], [2, 2], [0, 0], [0, 1], [2, 2]], dtype=np.int64)
+    weights = np.array([1, 2, 3, 4, 5, 6])
     unique, counts = collapse_block(block)
-    assert unique.tolist() == [[2, 2], [0, 1], [0, 0]]
-    assert counts.tolist() == [3, 2, 1]
-    weighted, summed = collapse_block(block, np.array([1, 2, 3, 4, 5, 6]))
-    assert weighted.tolist() == [[2, 2], [0, 1], [0, 0]]
-    assert summed.tolist() == [10, 7, 4]
+    assert unique.tolist() == [[0, 0], [0, 1], [2, 2]]
+    assert counts.tolist() == [1, 2, 3]
+    weighted, summed = collapse_block(block, weights)
+    assert weighted.tolist() == [[0, 0], [0, 1], [2, 2]]
+    assert summed.tolist() == [4, 7, 10]
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(block.shape[0])
+        shuffled, shuffled_sums = collapse_block(block[order], weights[order])
+        assert shuffled.tolist() == weighted.tolist()
+        assert shuffled_sums.tolist() == summed.tolist()
