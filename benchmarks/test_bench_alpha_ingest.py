@@ -16,8 +16,8 @@ per member), same seeds, ingesting the same rows through
 Both paths produce bit-identical summaries for this plan (Count-Min's
 integer counters and KMV's sorted minima are functions of the rows seen,
 not of their order), which is asserted — the throughput ratio is a pure
-fast-path measurement.  The acceptance floor is a conservative >= 3x (the
-container measures ~20x); results can be written to
+fast-path measurement.  The acceptance floor is a conservative >= 3x (a
+2-core x86-64 host measures 58-86x); results can be written to
 ``BENCH_alpha_ingest.json`` at the repo root with ``--record-bench`` or
 ``REPRO_RECORD_BENCH=1`` so the perf trajectory is recorded run over run.
 """

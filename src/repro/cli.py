@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "files/directories to lint (default: src/repro); a file that is "
             "not .py source, or a checkpoint bundle directory, is checked "
-            "as a snapshot artifact (ART001)"
+            "as a snapshot artifact (ART001); a directory with neither a .py "
+            "file nor a bundle manifest is a usage error"
         ),
     )
     lint.add_argument(

@@ -228,15 +228,18 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
                 self._point_sketches[index].update(pattern)
 
     def _observe_block(self, block) -> None:
-        """Project, deduplicate and hash each net member's view exactly once.
+        """Project and collapse each net member's view, then feed its sketches.
 
         The vectorized spine of Algorithm 1's ingest path: per member the
-        block projects with a single NumPy column slice, collapses to
+        block projects with a single NumPy column slice and collapses to
         ``(unique pattern, count)`` pairs via
-        :func:`~repro.sketches.base.collapse_block`, and the counted batch
-        feeds every sketch family through its ``update_block`` kernel — so
-        the per-pattern BLAKE2b/bucket work happens once per *distinct*
-        projected pattern instead of once per row per sketch.
+        :func:`~repro.sketches.base.collapse_block`, which deduplicates one
+        packed ``int64`` code per row.  The counted batch feeds every sketch
+        family through its ``update_block`` kernel, so the per-pattern
+        BLAKE2b/bucket work happens once per *distinct* projected pattern
+        instead of once per row.  Each kernel collapses its already-unique
+        input once more; on packed codes that costs little next to the
+        hashing.
 
         Equivalence to per-row ingestion: Count-Min's counters and KMV's
         sorted minima are functions of the multiset of rows seen, so they

@@ -82,6 +82,7 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
             )
         else:
             self._sampler = ReservoirSampler(capacity=self._sample_size, seed=seed)
+        self._sample_rows_at: tuple[int, np.ndarray] | None = None
 
     @classmethod
     def from_accuracy(
@@ -161,28 +162,41 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
                 f"{type(sampler).__name__}, expected {expected.__name__}"
             )
         self._sampler = sampler
+        self._sample_rows_at = None
 
     # -- queries -----------------------------------------------------------------
 
+    def _sample_rows(self) -> np.ndarray:
+        """The sampled rows as one ``(t, d)`` ``int64`` array.
+
+        Derived from the sampler and never persisted.  It is rebuilt when
+        :attr:`version` has moved since it was built, and observe, merge and
+        ``load_state_dict`` all move it, so every query reads the current
+        sample.
+        """
+        if self._sample_rows_at is None or self._sample_rows_at[0] != self.version:
+            rows = np.array(self._sampler.sample(), dtype=np.int64)
+            self._sample_rows_at = (self.version, rows.reshape(-1, self.n_columns))
+        return self._sample_rows_at[1]
+
     def _scale_factor(self) -> float:
         """The rescaling ``1 / α = n / t`` of the paper's estimator."""
-        sample = self._sampler.sample()
-        if not sample:
+        retained = self._sample_rows().shape[0]
+        if not retained:
             raise EstimationError("no rows observed; cannot answer queries")
-        return self.rows_observed / len(sample)
+        return self.rows_observed / retained
 
     def sample_frequencies(self, query: ColumnQuery) -> FrequencyVector:
         """Frequency vector of the *sampled* rows projected onto ``query``.
 
-        A with-replacement sample may hold one row several times; every
-        draw counts.
+        The sample's ``(t, d)`` array projects onto ``query`` with one
+        column slice and counts through
+        :func:`~repro.sketches.base.collapse_block`.  A with-replacement
+        sample may hold one row several times; every draw counts.
         """
         self._check_query(query)
-        sample = np.array(self._sampler.sample(), dtype=np.int64).reshape(
-            -1, self.n_columns
-        )
         return FrequencyVector.from_rows(
-            sample[:, list(query.columns)], self.alphabet_size
+            self._sample_rows()[:, list(query.columns)], self.alphabet_size
         )
 
     def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
@@ -279,11 +293,11 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
 
     def additive_error_bound(self, epsilon: float | None = None) -> float:
         """The additive error ``ε ‖f‖_1 = ε n`` promised by Theorem 5.1."""
-        sample = self._sampler.sample()
-        if not sample:
+        retained = self._sample_rows().shape[0]
+        if not retained:
             raise EstimationError("no rows observed; cannot bound the error")
         if epsilon is None:
-            epsilon = math.sqrt(math.log(2.0 / 0.05) / len(sample))
+            epsilon = math.sqrt(math.log(2.0 / 0.05) / retained)
         return epsilon * self.rows_observed
 
     def size_in_bits(self) -> int:

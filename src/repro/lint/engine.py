@@ -118,8 +118,9 @@ def iter_python_files(paths: Sequence, root: Path) -> Iterator[Path]:
     """Yield the ``.py`` files under ``paths``, sorted, each exactly once.
 
     Directories are walked recursively; ``__pycache__``, VCS internals and
-    hidden directories are skipped.  A path that does not exist raises
-    :class:`LintUsageError` (exit 2) rather than being silently ignored.
+    hidden directories are skipped.  A path that does not exist, or a
+    directory holding no ``.py`` file, raises :class:`LintUsageError`
+    (exit 2) rather than passing a path nothing checked.
     """
     seen = set()
     for raw in paths:
@@ -137,6 +138,10 @@ def iter_python_files(paths: Sequence, root: Path) -> Iterator[Path]:
                     for part in candidate.relative_to(path).parts
                 )
             )
+            if not candidates:
+                raise LintUsageError(
+                    f"no .py file or checkpoint bundle manifest under: {raw}"
+                )
         else:
             raise LintUsageError(f"no such file or directory: {raw}")
         for candidate in candidates:

@@ -22,6 +22,7 @@ Each sketch also reports an estimate of its own memory footprint in bits via
 from __future__ import annotations
 
 import abc
+import math
 from typing import Generic, Hashable, Iterable, TypeVar
 
 import numpy as np
@@ -146,6 +147,39 @@ def validate_counts(n_items: int, counts: object) -> np.ndarray:
     return array
 
 
+#: Largest radix product :func:`collapse_block` packs into one ``int64`` code.
+_MAX_PACKED_PATTERNS = 1 << 62
+
+
+def _pattern_codes(block: np.ndarray) -> np.ndarray | None:
+    """One ``int64`` code per row of a non-empty ``(m, w)`` block.
+
+    Column ``j`` is offset by its minimum and weighted by the big-endian
+    place value ``prod(radix[j+1:])``, with ``radix = max - min + 1`` taken
+    from the block itself.  The codes are injective on the block and
+    ascend in the rows' lexicographic order, so they sort and deduplicate
+    exactly as the rows do.  For binary rows whose columns each take both
+    symbols the code is Remark 1's index ``e(w)``.  Returns ``None`` when
+    the radix product, computed in exact Python ints, exceeds ``2^62``, or
+    when the block's dtype does not fit ``int64``.
+    """
+    if not np.can_cast(block.dtype, np.int64):
+        return None
+    # One contiguous row per column: the reductions and the product below
+    # run along memory instead of striding across it.
+    columns = np.ascontiguousarray(block.T, dtype=np.int64)
+    lows = columns.min(axis=1)
+    radices = [
+        high - low + 1 for low, high in zip(lows.tolist(), columns.max(axis=1).tolist())
+    ]
+    if math.prod(radices) > _MAX_PACKED_PATTERNS:
+        return None
+    places = [1] * len(radices)
+    for column in range(len(radices) - 2, -1, -1):
+        places[column] = places[column + 1] * radices[column + 1]
+    return np.array(places, dtype=np.int64) @ (columns - lows[:, np.newaxis])
+
+
 def collapse_block(
     block: np.ndarray, counts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -154,11 +188,22 @@ def collapse_block(
     Returns ``(unique_rows, summed_counts)`` with the unique rows in
     ``np.unique``'s lexicographic order, so the result is a function of the
     block's multiset of rows, whatever order they arrived in.
+
+    Each row is packed into one ``int64`` pattern code (see
+    :func:`_pattern_codes`) and the codes are deduplicated.  A block whose
+    radix product exceeds ``2^62``, or whose dtype does not fit ``int64``,
+    falls back to ``np.unique(block, axis=0)``.  Both paths give the same
+    rows, order and sums.
     """
     counts = validate_counts(block.shape[0], counts)
     if block.shape[0] == 0:
         return block, counts
-    unique, inverse = np.unique(block, axis=0, return_inverse=True)
+    codes = _pattern_codes(block)
+    if codes is None:
+        unique, inverse = np.unique(block, axis=0, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        unique = block[first]
     summed = np.zeros(unique.shape[0], dtype=np.int64)
     np.add.at(summed, inverse, counts)
     return unique, summed

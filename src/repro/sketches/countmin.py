@@ -20,7 +20,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
 from .base import PointQuerySketch, as_item_block, as_query_block, collapse_block
 from .hashing import HashFamily, encode_pattern_block
@@ -143,7 +143,12 @@ class CountMinSketch(PointQuerySketch[Hashable]):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Rebuild the hash rows from the seed and restore the counters."""
+        """Rebuild the hash rows from the seed and restore the counters.
+
+        Every update adds its count once to each row, so a table some
+        sketch could hold is ``(depth, width)``, non-negative, and has rows
+        that each sum to ``items_processed``; any other table is refused.
+        """
         require_keys(
             state,
             ("width", "depth", "seed", "table", "items_processed"),
@@ -154,8 +159,20 @@ class CountMinSketch(PointQuerySketch[Hashable]):
             depth=int(state["depth"]),
             seed=int(state["seed"]),
         )
-        self._table = np.asarray(state["table"], dtype=np.int64).copy()
-        self._items_processed = int(state["items_processed"])
+        table = np.asarray(state["table"], dtype=np.int64)
+        items_processed = int(state["items_processed"])
+        if (
+            table.shape != self._table.shape
+            or bool((table < 0).any())
+            or bool((table.sum(axis=1) != items_processed).any())
+        ):
+            raise SnapshotError(
+                f"CountMinSketch: 'table' must be a non-negative "
+                f"({self._depth}, {self._width}) array whose rows each sum to "
+                f"items_processed = {items_processed}"
+            )
+        self._table = table.copy()
+        self._items_processed = items_processed
 
     def estimate(self, item: Hashable) -> float:
         """Return the (over-)estimate of the frequency of ``item``."""

@@ -109,14 +109,19 @@ class EncodedPatternBlock:
         """Keyed BLAKE2b digests of every encoded row, as ``uint64`` keys.
 
         Entry ``i`` equals ``stable_hash64(tuple(block[i]), seed)`` for the
-        block this encoding was built from.
+        block this encoding was built from.  Keyed BLAKE2b compresses the
+        key as a block of its own, so the keyed state is built once and
+        copied per payload, and the digests decode in one pass.
         """
-        key = int(seed).to_bytes(8, "little", signed=False)
-        out = np.empty(len(self._payloads), dtype=np.uint64)
-        for index, payload in enumerate(self._payloads):
-            digest = hashlib.blake2b(payload, digest_size=8, key=key).digest()
-            out[index] = struct.unpack("<Q", digest)[0]
-        return out
+        keyed = hashlib.blake2b(
+            digest_size=8, key=int(seed).to_bytes(8, "little", signed=False)
+        )
+        digests = []
+        for payload in self._payloads:
+            state = keyed.copy()
+            state.update(payload)
+            digests.append(state.digest())
+        return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
 
 
 def encode_pattern_block(block: np.ndarray) -> EncodedPatternBlock:
@@ -282,8 +287,10 @@ class PolynomialHash:
         ``i`` equals the scalar ``field_value`` of the corresponding item.
         """
         keys = _as_uint64(keys) % np.uint64(MERSENNE_PRIME_61)
-        value = np.zeros(len(keys), dtype=np.uint64)
-        for coefficient in self._coefficients:
+        # The scalar loop's first step maps 0 to the leading coefficient.
+        leading, *rest = self._coefficients
+        value = np.full(len(keys), leading, dtype=np.uint64)
+        for coefficient in rest:
             value = _addmod_mersenne61(
                 _mulmod_mersenne61(value, keys), np.uint64(coefficient)
             )

@@ -10,7 +10,8 @@ approximation with constant probability, which is exactly the kind of
 *β-approximate sketch* the α-net meta-algorithm of Section 6 stores per
 column subset (the paper cites the optimal Kane–Nelson–Woodruff sketch; KMV
 achieves the same guarantee with slightly larger constants and is the default
-F0 sketch of this reproduction — see DESIGN.md, substitutions).
+F0 sketch of this reproduction — see docs/architecture.md, *Substitution:
+KMV for the Kane–Nelson–Woodruff F0 sketch*).
 """
 
 from __future__ import annotations

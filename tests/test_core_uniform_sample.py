@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.dataset import ColumnQuery
@@ -158,3 +159,53 @@ class TestPlugInMoments:
     def test_invalid_sample_size(self):
         with pytest.raises(InvalidParameterError):
             UniformSampleEstimator(n_columns=4, sample_size=0)
+
+
+def _answers(estimator: UniformSampleEstimator) -> tuple:
+    """Every query kind, on one query, in a comparable form."""
+    query = ColumnQuery.of([0, 2, 5], 6)
+    return (
+        estimator.estimate_frequency(query, (1, 1, 1)),
+        estimator.estimate_frequency_block(query, [(0, 0, 0), (1, 0, 1)]).tolist(),
+        sorted(estimator.heavy_hitters(query, 0.1).items()),
+        estimator.estimate_fp(query, 0),
+        estimator.estimate_fp(query, 2),
+        estimator.additive_error_bound(),
+        dict(estimator.sample_frequencies(query).counts),
+    )
+
+
+@pytest.mark.parametrize(
+    "with_replacement", [False, True], ids=["reservoir", "with-replacement"]
+)
+def test_answers_follow_every_mutation(with_replacement):
+    """After observe, merge or load, answers equal a fresh restore's.
+
+    The sample is held as a derived array.  Each step below changes the
+    sample (it feeds or adopts rows unlike the ones before), so an array
+    left from an earlier version would answer differently.
+    """
+
+    def make(seed: int, rows: np.ndarray) -> UniformSampleEstimator:
+        estimator = UniformSampleEstimator(
+            6, 40, with_replacement=with_replacement, seed=seed
+        )
+        return estimator.observe_rows(rows)
+
+    rng = np.random.default_rng(4)
+    ones = np.ones((3_000, 6), dtype=np.int64)
+    estimator = make(1, rng.integers(0, 2, size=(200, 6)))
+    steps = [
+        lambda: estimator.observe_rows(ones),
+        lambda: [estimator.observe_row((1, 0, 1, 0, 1, 0)) for _ in range(3_000)],
+        lambda: estimator.merge(make(2, np.zeros((9_000, 6), dtype=np.int64))),
+        lambda: estimator.load_state_dict(make(3, ones[:500]).state_dict()),
+    ]
+    before = _answers(estimator)
+    for step in steps:
+        step()
+        after = _answers(estimator)
+        restored = UniformSampleEstimator.from_bytes(estimator.to_bytes())
+        assert after == _answers(restored)
+        assert after != before
+        before = after

@@ -267,6 +267,34 @@ def test_missing_path_is_a_usage_error(tmp_path):
         lint.run_lint([str(tmp_path / "no-such-dir")], root=tmp_path)
 
 
+@pytest.mark.parametrize(
+    "files",
+    [(), ("notes.md",), (".hidden/skipped.py", "__pycache__/cached.py")],
+    ids=["empty", "no-python", "only-skipped-python"],
+)
+def test_directory_with_nothing_to_check_is_a_usage_error(tmp_path, files):
+    """A directory with no .py file and no bundle manifest is never passed."""
+    target = tmp_path / "target"
+    target.mkdir()
+    for name in files:
+        (target / name).parent.mkdir(parents=True, exist_ok=True)
+        (target / name).write_text("x = 1\n")
+    with pytest.raises(lint.LintUsageError, match="target"):
+        lint.run_lint([str(target)], root=tmp_path)
+
+
+def test_changed_only_with_nothing_changed_exits_zero(tmp_path):
+    """An unchanged tree of .py files is a clean run, not a usage error."""
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "clean.py").write_text("x = 1\n")
+    git = ["git", "-c", "user.name=lint", "-c", "user.email=lint@example.com"]
+    for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run(git + command, cwd=tmp_path, check=True, timeout=30)
+    report = lint.run_lint(["pkg"], root=tmp_path, changed_only=True)
+    assert report.files_checked == 0
+    assert lint.exit_code(report) == 0
+
+
 def test_changed_only_without_git_lints_everything(tmp_path):
     """Outside a git work tree --changed-only degrades to a full lint."""
     sample = tmp_path / "sample.py"
@@ -349,6 +377,13 @@ def test_cli_unknown_path_exits_two(monkeypatch, capsys):
     code, _, err = _run_cli(["no/such/path"], monkeypatch, capsys)
     assert code == 2
     assert "no such file" in err
+
+
+def test_cli_directory_without_python_exits_two(monkeypatch, capsys):
+    code, out, err = _run_cli(["docs"], monkeypatch, capsys)
+    assert code == 2
+    assert "under: docs" in err
+    assert "finding(s)" not in out
 
 
 def test_cli_unknown_select_exits_two(monkeypatch, capsys):

@@ -18,8 +18,7 @@ from repro.lowerbounds.hh_instance import (
 )
 from repro.lowerbounds.sampling_instance import build_sampling_instance
 
-# Shared parameters that realise the separations at laptop scale; see
-# DESIGN.md (E6-E8) for the finite-d sizing argument.
+# Shared parameters that realise the separations at laptop scale.
 D = 30
 EPSILON = 0.3
 GAMMA = 0.05

@@ -14,6 +14,7 @@ state instead of pickled estimators.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import pickle
 import zlib
@@ -204,6 +205,83 @@ def test_estimator_roundtrip_answers_and_continues_identically(factory):
     assert _estimator_probe(restored, query) == _estimator_probe(original, query)
 
 
+def _pinned_sketch(sketch):
+    """Feed a sketch counted blocks that exercise both collapse_block paths."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        block = rng.integers(-3, 5, size=(150, 3))
+        sketch.update_block(block, rng.integers(1, 4, size=150))
+    # A radix product above 2^62 takes np.unique(axis=0) instead of codes.
+    extremes = np.iinfo(np.int64)
+    sketch.update_block(np.array([[extremes.min, 0, 1], [extremes.max, 1, 1]] * 3))
+    return sketch
+
+
+def _pinned_estimator(estimator):
+    """Feed an estimator a few hundred 8-column rows in uneven blocks."""
+    rows = np.random.default_rng(12).integers(0, 2, size=(300, 8))
+    for start in range(0, rows.shape[0], 128):
+        estimator.observe_rows(rows[start : start + 128])
+    return estimator
+
+
+def _pinned_alphanet() -> AlphaNetEstimator:
+    plan = SketchPlan(
+        distinct_factory=lambda index: KMVSketch(k=16, seed=5 + index),
+        point_factory=lambda index: CountMinSketch(width=32, depth=3, seed=5 + index),
+    )
+    return AlphaNetEstimator(8, alpha=0.25, plan=plan)
+
+
+#: SHA-256 of the decompressed snapshot JSON of seeded summaries.  The
+#: bytes of a summary are a contract across commits, not only across the
+#: paths of one commit: a change to the packing, hashing or sampling
+#: kernels that moves a single bit shows here.  A snapshot-format bump
+#: updates these together with ``SNAPSHOT_FORMAT``.
+PINNED_SNAPSHOT_SHA256 = {
+    "kmv": (
+        lambda: _pinned_sketch(KMVSketch(k=32, seed=3)),
+        "c897070426288a9b12810b87a6c980fb92004d4132db55a1689744b4fd5f6632",
+    ),
+    "countmin": (
+        lambda: _pinned_sketch(CountMinSketch(width=64, depth=4, seed=3)),
+        "bc0b128beabdb1e586490cfbde83f378c01c501e05f918adae22ca8225b28823",
+    ),
+    "alphanet-kmv-countmin": (
+        lambda: _pinned_estimator(_pinned_alphanet()),
+        "1a62f1434ec90c09c4ff72f8fca79d3564873a632e9af695478c2fbe36dc0889",
+    ),
+    "usample-reservoir": (
+        lambda: _pinned_estimator(UniformSampleEstimator(8, 64, seed=3)),
+        "6289f6ec33d2b4bf53002b78297d959322c4ffc4e407e846903d2062d0c8b9d5",
+    ),
+    "usample-with-replacement": (
+        lambda: _pinned_estimator(
+            UniformSampleEstimator(8, 32, with_replacement=True, seed=3)
+        ),
+        "d8f7aac0ab36618e514eaac22a7cc347da4accfcc87fb05acd3c4041974326a4",
+    ),
+    "exact": (
+        lambda: _pinned_estimator(ExactBaseline(n_columns=8)),
+        "97be534ba53f7317c6d4a19933d559f28630e56067f724904b917eafa7ea850e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SNAPSHOT_SHA256))
+def test_snapshot_bits_are_pinned(name):
+    """A seeded summary's snapshot JSON hashes to its recorded SHA-256.
+
+    The JSON is hashed rather than the zlib stream, so another zlib build
+    cannot change the digest.
+    """
+    make, expected = PINNED_SNAPSHOT_SHA256[name]
+    blob = make().to_bytes()
+    assert blob.startswith(SNAPSHOT_MAGIC)
+    payload = zlib.decompress(blob[len(SNAPSHOT_MAGIC) :])
+    assert hashlib.sha256(payload).hexdigest() == expected
+
+
 def test_every_registered_estimator_family_is_covered():
     """The estimator cases cover every estimator tag in the registry."""
     covered = {snapshot_tag(factory()) for _, factory in ESTIMATOR_CASES}
@@ -270,6 +348,36 @@ def test_kmv_refuses_minima_no_sketch_could_hold(minima):
     state["minima"] = np.array(minima)
     with pytest.raises(SnapshotError, match="strictly increasing"):
         KMVSketch.from_state_dict(state)
+
+
+def _countmin_state_with(change) -> dict:
+    sketch = CountMinSketch(width=64, depth=3, seed=1)
+    sketch.update_block(np.random.default_rng(0).integers(0, 4, (200, 3)))
+    state = sketch.state_dict()
+    change(state)
+    return state
+
+
+def _move_one_count(state: dict) -> None:
+    state["table"][1, 0] += 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda state: state.update(table=np.zeros((1, 2), dtype=np.int64)),
+        lambda state: state.update(table=np.zeros((3, 64, 1), dtype=np.int64)),
+        lambda state: state.update(table=-np.ones((3, 64), dtype=np.int64)),
+        lambda state: state.update(items_processed=199),
+        _move_one_count,
+    ],
+    ids=["wrong-shape", "3-d", "negative", "rows-exceed-f1", "row-sums-differ"],
+)
+def test_countmin_refuses_a_table_no_sketch_could_hold(change):
+    """A Count-Min table is (depth, width), non-negative, and each row sums to F1."""
+    CountMinSketch.from_state_dict(_countmin_state_with(lambda state: None))
+    with pytest.raises(SnapshotError, match="rows each sum to"):
+        CountMinSketch.from_state_dict(_countmin_state_with(change))
 
 
 # -- engine checkpoints ---------------------------------------------------------

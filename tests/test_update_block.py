@@ -27,6 +27,7 @@ from repro.sketches import (
     stable_hash64,
     stable_hash64_patterns,
 )
+from repro.sketches.base import _pattern_codes
 from repro.sketches.hashing import PolynomialHash
 
 # Small widths/depths keep the exhaustive per-item reference loops fast; the
@@ -271,3 +272,43 @@ def test_collapse_block_gives_a_shuffled_block_the_same_keys_in_the_same_order()
         shuffled, shuffled_sums = collapse_block(block[order], weights[order])
         assert shuffled.tolist() == weighted.tolist()
         assert shuffled_sums.tolist() == summed.tolist()
+
+
+_INT64 = np.iinfo(np.int64)
+
+#: Seeded blocks for the packed-code kernel, by the case each exercises.
+#: The int64-extreme blocks have a radix product above 2^62 and must take
+#: the ``np.unique(axis=0)`` fallback; every other block is packed.
+COLLAPSE_BLOCKS = {
+    "negative": lambda rng: rng.integers(-7, 3, size=(300, 4)),
+    "constant-column": lambda rng: np.column_stack(
+        [rng.integers(0, 3, size=(200, 2)), np.full(200, -5), rng.integers(0, 2, 200)]
+    ),
+    "width-0": lambda rng: np.zeros((25, 0), dtype=np.int64),
+    "width-1": lambda rng: rng.integers(-2, 6, size=(100, 1)),
+    "width-10": lambda rng: rng.integers(0, 2, size=(1024, 10)),
+    "int64-extremes": lambda rng: np.array(
+        [[_INT64.min, 0], [_INT64.max, 1], [_INT64.min, 0], [5, 1]]
+    ),
+    "int64-extremes-random": lambda rng: rng.integers(
+        _INT64.min, _INT64.max, size=(200, 3), endpoint=True
+    ),
+}
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["unit", "counted"])
+@pytest.mark.parametrize("name", list(COLLAPSE_BLOCKS))
+def test_collapse_block_matches_the_structured_reference(name, counted):
+    """Packed codes give np.unique(axis=0)'s rows, order and summed counts."""
+    rng = np.random.default_rng(31)
+    block = np.asarray(COLLAPSE_BLOCKS[name](rng), dtype=np.int64)
+    counts = rng.integers(1, 9, size=block.shape[0]) if counted else None
+    assert (_pattern_codes(block) is None) == name.startswith("int64-extremes")
+    expected, inverse = np.unique(block, axis=0, return_inverse=True)
+    expected_sums = np.zeros(expected.shape[0], dtype=np.int64)
+    np.add.at(expected_sums, inverse, 1 if counts is None else counts)
+    unique, sums = collapse_block(block, counts)
+    assert unique.dtype == expected.dtype
+    assert unique.shape == expected.shape
+    assert unique.tolist() == expected.tolist()
+    assert sums.tolist() == expected_sums.tolist()
