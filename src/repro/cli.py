@@ -27,11 +27,10 @@ the transport layer's shard-server entry point:
   recorded result JSONs (phase wall times, throughput, cache hit rates);
 * ``python -m repro lint`` — run the contract-aware static analyzer of
   :mod:`repro.lint` over the source tree (determinism, kernel-safety,
-  protocol-completeness and telemetry-convention rules; see
+  worker-protocol and telemetry-convention rules; see
   ``docs/static-analysis.md``) and check any other path given to it as a
-  snapshot/checkpoint artifact (``ART001``), with ``--list-rules``,
-  ``--explain RULE``, ``--changed-only``, ``--baseline``/``--write-baseline``
-  and pretty/JSON output;
+  snapshot/checkpoint artifact (``ART001``), with ``--select RULE``,
+  ``--list-rules``, ``--explain RULE`` and pretty/JSON output;
 * ``python -m repro worker`` — serve shard estimators (one per
   connection) over TCP for the ``sockets`` ingest backend (the
   ``repro/transport@2`` protocol; point a run at it with ``--backend
@@ -262,23 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE",
         help="run only this rule id (repeatable)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of grandfathered findings to tolerate",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    lint.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only files changed vs git HEAD (plus untracked files)",
     )
     lint.add_argument(
         "--list-rules",
@@ -570,24 +552,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 0
     paths = args.paths or ["src/repro"]
     try:
-        if args.write_baseline is not None:
-            report = lint_pkg.run_lint(
-                paths,
-                select=args.select,
-                changed_only=args.changed_only,
-            )
-            lint_pkg.write_baseline(report.findings, args.write_baseline)
-            print(
-                f"wrote baseline with {len(report.findings)} finding(s) to "
-                f"{args.write_baseline}"
-            )
-            return 0
-        report = lint_pkg.run_lint(
-            paths,
-            select=args.select,
-            changed_only=args.changed_only,
-            baseline_path=args.baseline,
-        )
+        report = lint_pkg.run_lint(paths, select=args.select)
     except lint_pkg.LintUsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

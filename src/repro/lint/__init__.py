@@ -1,13 +1,16 @@
 """repro.lint — contract-aware static analysis for the repro codebase.
 
-Six PRs of growth left the repository's correctness resting on unwritten
-cross-module contracts: every sketch must speak the ``update_block`` /
-``merge`` / ``state_dict`` protocol and register with ``@snapshottable``,
-kernels must not mix ``uint64`` and ``int64`` arithmetic (NumPy silently
-upcasts the pair to ``float64``), library code must never draw from an
-unseeded RNG or read the wall clock outside the telemetry layer, and every
-metric or span name must match the catalogue in ``docs/observability.md``.
-This package turns those contracts into executable rules.
+The repository's correctness rests on cross-module contracts that no type
+checker sees: kernels must not mix ``uint64`` and ``int64`` arithmetic
+(NumPy silently upcasts the pair to ``float64``), library code must never
+draw from an unseeded RNG or read the wall clock outside the telemetry
+layer, engine workers receive snapshot bytes rather than pickled objects,
+and every metric or span name must match the catalogue in
+``docs/observability.md``.  This package turns those contracts into
+executable rules over the source text.  The class contracts (every sketch
+and estimator registers with ``@snapshottable`` and defines its own
+``state_dict``, ``merge``, ``update_block`` and the like) are checked on
+the live classes by ``tests/test_persistence.py`` instead.
 
 It is a dependency-free (stdlib ``ast`` + ``importlib``) analyzer:
 
@@ -19,9 +22,8 @@ It is a dependency-free (stdlib ``ast`` + ``importlib``) analyzer:
   :mod:`repro.lint.protocol`, :mod:`repro.lint.conventions` — the four
   rule families;
 * :mod:`repro.lint.engine` — the runner: file collection,
-  ``# repro: noqa[RULE]`` suppressions, baseline files, pretty/JSON
-  reports, ``--changed-only`` support and the shared exit-code
-  convention (0 clean, 1 findings, 2 usage error);
+  ``# repro: noqa[RULE]`` suppressions, pretty/JSON reports and the
+  shared exit-code convention (0 clean, 1 findings, 2 usage error);
 * :mod:`repro.lint.docs_check` and :mod:`repro.lint.artifacts` — the
   docs gate ``tests/test_docs.py`` runs, the snapshot checks the runner
   applies to artifact paths, and the checkers behind
@@ -33,22 +35,18 @@ See ``docs/static-analysis.md`` for the rule catalogue.
 from __future__ import annotations
 
 from .engine import (
-    LINT_BASELINE_SCHEMA,
     LINT_REPORT_SCHEMA,
     LintReport,
     LintUsageError,
     exit_code,
     iter_python_files,
-    load_baseline,
     render_findings,
     run_lint,
-    write_baseline,
 )
 from .findings import SEVERITIES, Finding
 from .rules import Rule, all_rules, get_rule, rule_ids
 
 __all__ = [
-    "LINT_BASELINE_SCHEMA",
     "LINT_REPORT_SCHEMA",
     "Finding",
     "SEVERITIES",
@@ -62,6 +60,4 @@ __all__ = [
     "iter_python_files",
     "render_findings",
     "exit_code",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -35,7 +35,6 @@ __all__ = [
     "collect_attribute_dtypes",
     "iter_scope_nodes",
     "iter_scope_statements",
-    "iter_scope_expressions",
 ]
 
 #: Dtype names the inference recognises (as ``np.<name>`` or strings).
@@ -187,11 +186,6 @@ def iter_scope_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
     for node in iter_scope_nodes(body):
         if isinstance(node, ast.stmt):
             yield node
-
-
-def iter_scope_expressions(body: list[ast.stmt]) -> Iterator[ast.AST]:
-    """Alias of :func:`iter_scope_nodes`; kept for call-site readability."""
-    yield from iter_scope_nodes(body)
 
 
 def _collect_import_aliases(tree: ast.Module) -> dict[str, str]:

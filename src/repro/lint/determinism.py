@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .context import ModuleContext, ProjectContext, iter_scope_expressions
+from .context import ModuleContext, ProjectContext, iter_scope_nodes
 from .rules import rule
 
 __all__ = []
@@ -243,7 +243,7 @@ def check_set_iteration(
         if scope.name not in _ORDERED_PATHS:
             continue
         set_names: set = set()
-        for node in iter_scope_expressions(body):
+        for node in iter_scope_nodes(body):
             if isinstance(node, ast.Assign) and _is_set_expression(
                 node.value, set_names
             ):
@@ -251,7 +251,7 @@ def check_set_iteration(
                     if isinstance(target, ast.Name):
                         set_names.add(target.id)
         iter_sources: list[tuple[ast.AST, ast.AST]] = []
-        for node in iter_scope_expressions(body):
+        for node in iter_scope_nodes(body):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iter_sources.append((node, node.iter))
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):

@@ -1,4 +1,4 @@
-"""The lint runner: file collection, suppression, baselines, rendering.
+"""The lint runner: file collection, suppression, rendering.
 
 This module owns everything between "a list of paths" and "an exit code":
 
@@ -7,10 +7,9 @@ This module owns everything between "a list of paths" and "an exit code":
 * :func:`run_lint` — parse each file once, run every AST rule, check every
   artifact path (a file that is not ``.py`` source, or a checkpoint bundle
   directory) against ``ART001``, apply ``# repro: noqa[RULE]`` line
-  suppressions and the optional baseline file, and return a
-  :class:`LintReport`;
-* :func:`render_findings` — the pretty and JSON renderings shared by
-  ``python -m repro lint`` and the ``tools/check_*.py`` wrappers;
+  suppressions, and return a :class:`LintReport`;
+* :func:`render_findings` — the pretty and JSON renderings of
+  ``python -m repro lint``;
 * :func:`exit_code` — the one exit-code convention: 0 clean, 1 findings
   (usage errors exit 2 at the CLI layer, see :class:`LintUsageError`).
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -34,23 +32,18 @@ from .findings import Finding
 from .rules import ast_rules, get_rule, register_external
 
 __all__ = [
-    "LINT_BASELINE_SCHEMA",
     "LINT_REPORT_SCHEMA",
     "LintReport",
     "LintUsageError",
     "exit_code",
     "iter_python_files",
-    "load_baseline",
     "render_findings",
     "run_lint",
-    "write_baseline",
 ]
 
-#: Schema tag of the JSON report (``--format json``).
-LINT_REPORT_SCHEMA = "repro/lint-report@1"
-
-#: Schema tag of baseline files (``--write-baseline`` / ``--baseline``).
-LINT_BASELINE_SCHEMA = "repro/lint-baseline@1"
+#: Schema tag of the JSON report (``--format json``).  ``@1`` also
+#: carried a ``baselined`` count.
+LINT_REPORT_SCHEMA = "repro/lint-report@2"
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Z0-9,\s]+)\])?", re.IGNORECASE)
 
@@ -69,7 +62,7 @@ register_external(
 
 
 class LintUsageError(ValueError):
-    """Invalid invocation (bad path, bad baseline, unknown rule) → exit 2."""
+    """Invalid invocation (bad path, unknown rule) → exit 2."""
 
 
 @dataclass
@@ -79,21 +72,17 @@ class LintReport:
     Attributes
     ----------
     findings:
-        Active findings — not suppressed, not baselined.  Non-empty
-        findings mean exit code 1.
+        Active findings — not suppressed.  Non-empty findings mean exit
+        code 1.
     suppressed:
         Findings silenced by a ``# repro: noqa[RULE]`` comment on their
         line.
-    baselined:
-        Findings matched (by fingerprint, with counting) against the
-        baseline file.
     files_checked:
         Number of Python files and artifacts analysed.
     """
 
     findings: list = field(default_factory=list)
     suppressed: list = field(default_factory=list)
-    baselined: list = field(default_factory=list)
     files_checked: int = 0
 
     def to_dict(self) -> dict:
@@ -106,7 +95,6 @@ class LintReport:
             "files_checked": self.files_checked,
             "findings": [finding.to_dict() for finding in sorted(self.findings)],
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
             "summary": dict(sorted(summary.items())),
         }
 
@@ -151,34 +139,6 @@ def iter_python_files(paths: Sequence, root: Path) -> Iterator[Path]:
                 yield candidate
 
 
-def _changed_files(root: Path) -> set | None:
-    """Repo-relative paths changed vs HEAD (tracked + untracked).
-
-    Returns ``None`` when git is unavailable or the tree is not a work
-    tree — the caller then lints everything rather than failing.
-    """
-    changed: set = set()
-    for command in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            result = subprocess.run(
-                command,
-                cwd=root,
-                capture_output=True,
-                text=True,
-                timeout=30,
-                check=True,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        changed.update(
-            line.strip() for line in result.stdout.splitlines() if line.strip()
-        )
-    return changed
-
-
 def _relpath(path: Path, root: Path) -> str:
     try:
         return path.resolve().relative_to(root.resolve()).as_posix()
@@ -209,63 +169,11 @@ def _is_suppressed(finding: Finding, lines: list) -> bool:
     return not suppressed or finding.rule in suppressed
 
 
-def load_baseline(path) -> dict:
-    """Fingerprint → allowed count from a baseline file.
-
-    Raises :class:`LintUsageError` on a missing file or wrong schema so
-    the CLI exits 2 instead of silently linting without the baseline.
-    """
-    baseline_path = Path(path)
-    try:
-        payload = json.loads(baseline_path.read_text())
-    except FileNotFoundError:
-        raise LintUsageError(f"baseline file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise LintUsageError(f"baseline file is not valid JSON: {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("schema") != LINT_BASELINE_SCHEMA:
-        raise LintUsageError(
-            f"baseline file {path} does not declare schema {LINT_BASELINE_SCHEMA!r}"
-        )
-    counts = payload.get("findings", {})
-    if not isinstance(counts, dict):
-        raise LintUsageError(f"baseline file {path} has a malformed findings map")
-    return {str(key): int(value) for key, value in counts.items()}
-
-
-def write_baseline(findings: Iterable, path) -> None:
-    """Write the baseline that grandfathers exactly ``findings``."""
-    counts: dict[str, int] = {}
-    for finding in findings:
-        counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
-    payload = {
-        "schema": LINT_BASELINE_SCHEMA,
-        "findings": dict(sorted(counts.items())),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _apply_baseline(
-    findings: list, baseline: dict
-) -> tuple[list, list]:
-    remaining = dict(baseline)
-    active: list = []
-    baselined: list = []
-    for finding in sorted(findings):
-        if remaining.get(finding.fingerprint, 0) > 0:
-            remaining[finding.fingerprint] -= 1
-            baselined.append(finding)
-        else:
-            active.append(finding)
-    return active, baselined
-
-
 def run_lint(
     paths: Sequence,
     *,
     root=None,
     select: Sequence | None = None,
-    changed_only: bool = False,
-    baseline_path=None,
 ) -> LintReport:
     """Run the AST rules over ``paths`` and return the report.
 
@@ -286,12 +194,6 @@ def run_lint(
     select:
         Optional subset of rule ids to run; unknown ids raise
         :class:`LintUsageError`.  Artifact paths are always checked.
-    changed_only:
-        Restrict to files changed vs ``git HEAD`` (plus untracked files);
-        silently lints everything when git is unavailable.
-    baseline_path:
-        Optional baseline file; matching findings are reported as
-        ``baselined`` instead of active.
     """
     root = Path(root) if root is not None else Path.cwd()
     rules = ast_rules()
@@ -303,12 +205,9 @@ def run_lint(
             except KeyError as exc:
                 raise LintUsageError(str(exc.args[0])) from None
         rules = [candidate for candidate in rules if candidate.rule_id in wanted]
-    baseline = load_baseline(baseline_path) if baseline_path is not None else {}
-    changed = _changed_files(root) if changed_only else None
 
     project = ProjectContext(root)
     report = LintReport()
-    raw_findings: list = []
     sources = []
     for raw in paths:
         path = root / raw  # an absolute ``raw`` replaces ``root``
@@ -316,19 +215,17 @@ def run_lint(
             sources.append(raw)
             continue
         report.files_checked += 1
-        raw_findings.extend(
+        report.findings.extend(
             finding.relocated(_relpath(Path(finding.path), root))
             for finding in artifacts.check_snapshot_path(path)
         )
     for path in iter_python_files(sources, root):
         relpath = _relpath(path, root)
-        if changed_only and changed is not None and relpath not in changed:
-            continue
         report.files_checked += 1
         try:
             module = ModuleContext(path, root)
         except SyntaxError as exc:
-            raw_findings.append(
+            report.findings.append(
                 Finding(
                     path=relpath,
                     line=int(exc.lineno or 0),
@@ -354,11 +251,8 @@ def run_lint(
                 if _is_suppressed(finding, module.lines):
                     report.suppressed.append(finding)
                 else:
-                    raw_findings.append(finding)
-
-    active, baselined = _apply_baseline(raw_findings, baseline)
-    report.findings = active
-    report.baselined = baselined
+                    report.findings.append(finding)
+    report.findings.sort()
     return report
 
 
@@ -373,13 +267,8 @@ def render_findings(report: LintReport, fmt: str = "pretty") -> str:
     tail = (
         f"{len(report.findings)} finding(s) in {report.files_checked} {noun}"
     )
-    extras = []
     if report.suppressed:
-        extras.append(f"{len(report.suppressed)} suppressed")
-    if report.baselined:
-        extras.append(f"{len(report.baselined)} baselined")
-    if extras:
-        tail += f" ({', '.join(extras)})"
+        tail += f" ({len(report.suppressed)} suppressed)"
     lines.append(tail)
     return "\n".join(lines)
 

@@ -4,9 +4,8 @@ A :class:`Finding` is one problem at one location: the rule that fired, its
 severity, a repo-root-relative path, a 1-based line (0 for whole-file or
 artifact findings) and a human-readable message.  The AST rule engine, the
 docs gate and the artifact schema gates all emit this type, so there is a
-single rendering, a single baseline fingerprint and a single exit-code
-convention across ``python -m repro lint`` and the ``tools/check_*.py``
-wrappers.
+single rendering and a single exit-code convention across ``python -m
+repro lint`` and the ``tools/check_*.py`` wrappers.
 """
 
 from __future__ import annotations
@@ -51,16 +50,6 @@ class Finding:
     def __str__(self) -> str:
         location = f"{self.path}:{self.line}:{self.column}" if self.line else self.path
         return f"{location}: {self.rule} [{self.severity}] {self.message}"
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used by baseline files.
-
-        Deliberately excludes the line/column so a baseline survives
-        unrelated edits above the finding; duplicates within a file are
-        handled by counting (see :func:`repro.lint.engine.load_baseline`).
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_dict(self) -> dict:
         """JSON-able view (the ``findings`` entries of the JSON report)."""

@@ -16,7 +16,7 @@ Check functions receive a :class:`~repro.lint.context.ModuleContext` and a
 :class:`~repro.lint.context.ProjectContext` and yield
 ``(module, node_or_None, message)`` triples; the engine turns those into
 :class:`~repro.lint.findings.Finding` objects, applies ``# repro:
-noqa[RULE]`` suppressions and the baseline, and renders the report.
+noqa[RULE]`` suppressions, and renders the report.
 
 Rules that are *not* AST rules (the docs and artifact gates refolded from
 ``tools/check_*.py``) register with ``check=None`` so they appear in
@@ -72,8 +72,7 @@ class Rule:
         parts += [
             "",
             f"Suppress a single occurrence with `# repro: noqa[{self.rule_id}]`",
-            "on the offending line, or grandfather it via a baseline file",
-            "(`python -m repro lint --write-baseline <path>`).",
+            "on the offending line.",
         ]
         return "\n".join(parts)
 

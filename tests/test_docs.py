@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import doctest
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.lint import SEVERITIES, rule_ids
 from repro.lint.docs_check import (
     check_docstrings,
     check_markdown_links,
@@ -39,6 +41,17 @@ def test_markdown_links_resolve():
 
 def test_public_engine_and_experiments_symbols_have_docstrings():
     assert check_docstrings(REPO_ROOT) == []
+
+
+def test_rule_catalogue_lists_exactly_the_registered_rules():
+    """Each rule row with a severity in docs/static-analysis.md names a
+    registered rule, once, and every registered rule has such a row."""
+    catalogue = (REPO_ROOT / "docs" / "static-analysis.md").read_text()
+    severity = "|".join(SEVERITIES)
+    documented = re.findall(
+        rf"^\| `([A-Z]+[0-9]+)` \| (?:{severity}) \|", catalogue, re.MULTILINE
+    )
+    assert sorted(documented) == rule_ids()
 
 
 def test_docs_tree_exists():

@@ -2,10 +2,10 @@
 
 Covers the golden fixtures (each known-bad snippet triggers exactly its
 rule), the self-clean guarantee on ``src/repro``, ``# repro: noqa``
-suppressions, baseline round trips, the JSON report schema, the CLI
-exit-code contract (0 clean / 1 findings / 2 usage), and the seeded
-regressions the CI lint job must catch (a sketch losing ``update_block``,
-a metric renamed away from the catalogue).
+suppressions, the JSON report schema, the CLI exit-code contract (0 clean
+/ 1 findings / 2 usage), and the seeded regressions the CI lint job must
+catch (a metric renamed away from the catalogue, pickled worker payloads,
+a bare transport connect, an unseeded RNG).
 """
 
 from __future__ import annotations
@@ -128,87 +128,11 @@ def test_noqa_for_a_different_rule_does_not_suppress(tmp_path):
     assert report.suppressed == []
 
 
-# ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-
 _BAD_SOURCE = (
     "import numpy as np\n"
     "def make():\n"
     "    return np.random.default_rng()\n"
 )
-
-
-def test_baseline_round_trip(tmp_path):
-    """Findings written to a baseline are reported as baselined, exit 0."""
-    sample = tmp_path / "sample.py"
-    sample.write_text(_BAD_SOURCE)
-    first = lint.run_lint([str(sample)], root=tmp_path)
-    assert len(first.findings) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    lint.write_baseline(first.findings, baseline_path)
-    payload = json.loads(baseline_path.read_text())
-    assert payload["schema"] == lint.LINT_BASELINE_SCHEMA
-
-    second = lint.run_lint(
-        [str(sample)], root=tmp_path, baseline_path=baseline_path
-    )
-    assert second.findings == []
-    assert len(second.baselined) == 1
-    assert lint.exit_code(second) == 0
-
-
-def test_baseline_does_not_mask_new_findings(tmp_path):
-    sample = tmp_path / "sample.py"
-    sample.write_text(_BAD_SOURCE)
-    baseline_path = tmp_path / "baseline.json"
-    lint.write_baseline(
-        lint.run_lint([str(sample)], root=tmp_path).findings, baseline_path
-    )
-    # A second, different violation appears: the baseline keeps covering
-    # the old one but the new one stays active.
-    sample.write_text(_BAD_SOURCE + "def seed():\n    np.random.seed(3)\n")
-    report = lint.run_lint(
-        [str(sample)], root=tmp_path, baseline_path=baseline_path
-    )
-    assert [finding.rule for finding in report.findings] == ["DET002"]
-    assert [finding.rule for finding in report.baselined] == ["DET001"]
-    assert lint.exit_code(report) == 1
-
-
-def test_baseline_counts_duplicate_fingerprints(tmp_path):
-    """Two identical findings need a count of two in the baseline."""
-    doubled = (
-        "import numpy as np\n"
-        "def a():\n"
-        "    return np.random.default_rng()\n"
-        "def b():\n"
-        "    return np.random.default_rng()\n"
-    )
-    sample = tmp_path / "sample.py"
-    sample.write_text(doubled)
-    first = lint.run_lint([str(sample)], root=tmp_path)
-    assert len(first.findings) == 2
-    fingerprints = {finding.fingerprint for finding in first.findings}
-    assert len(fingerprints) == 1  # same rule, path and message
-
-    baseline_path = tmp_path / "baseline.json"
-    lint.write_baseline(first.findings[:1], baseline_path)  # count = 1
-    report = lint.run_lint(
-        [str(sample)], root=tmp_path, baseline_path=baseline_path
-    )
-    assert len(report.baselined) == 1
-    assert len(report.findings) == 1  # the second occurrence stays active
-
-
-def test_malformed_baseline_is_a_usage_error(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"schema": "something-else"}')
-    with pytest.raises(lint.LintUsageError):
-        lint.load_baseline(bad)
-    with pytest.raises(lint.LintUsageError):
-        lint.load_baseline(tmp_path / "missing.json")
 
 
 # ---------------------------------------------------------------------------
@@ -283,30 +207,23 @@ def test_directory_with_nothing_to_check_is_a_usage_error(tmp_path, files):
         lint.run_lint([str(target)], root=tmp_path)
 
 
-def test_changed_only_with_nothing_changed_exits_zero(tmp_path):
-    """An unchanged tree of .py files is a clean run, not a usage error."""
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "clean.py").write_text("x = 1\n")
-    git = ["git", "-c", "user.name=lint", "-c", "user.email=lint@example.com"]
-    for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
-        subprocess.run(git + command, cwd=tmp_path, check=True, timeout=30)
-    report = lint.run_lint(["pkg"], root=tmp_path, changed_only=True)
-    assert report.files_checked == 0
-    assert lint.exit_code(report) == 0
-
-
-def test_changed_only_without_git_lints_everything(tmp_path):
-    """Outside a git work tree --changed-only degrades to a full lint."""
-    sample = tmp_path / "sample.py"
-    sample.write_text(_BAD_SOURCE)
-    report = lint.run_lint([str(sample)], root=tmp_path, changed_only=True)
-    assert [finding.rule for finding in report.findings] == ["DET001"]
+#: Every registered rule id.  Retired ids (PRO001–PRO005, PRO007, PRO008)
+#: are never reused, so none may come back.
+RULE_IDS = [
+    "ART001", "ART002",
+    "DET001", "DET002", "DET003", "DET004",
+    "DOC001", "DOC002",
+    "KER001", "KER002", "KER003",
+    "LINT001",
+    "PRO006", "PRO009",
+    "TEL001", "TEL002", "TEL003",
+]
 
 
 def test_rule_registry_contract():
     """Every rule has a summary, rationale and valid severity; ids sort."""
     rules = lint.all_rules()
-    assert len(rules) >= 20
+    assert [rule.rule_id for rule in rules] == RULE_IDS
     for rule in rules:
         assert rule.summary and rule.rationale
         assert rule.severity in lint.SEVERITIES
@@ -327,12 +244,6 @@ def _run_cli(args, monkeypatch, capsys):
     code = cli_main(["lint", *args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_cli_clean_tree_exits_zero(monkeypatch, capsys):
-    code, out, _ = _run_cli(["src/repro"], monkeypatch, capsys)
-    assert code == 0
-    assert "0 finding(s)" in out
 
 
 def test_cli_findings_exit_one(monkeypatch, capsys):
@@ -356,15 +267,14 @@ def test_cli_json_format(monkeypatch, capsys):
 def test_cli_list_rules(monkeypatch, capsys):
     code, out, _ = _run_cli(["--list-rules"], monkeypatch, capsys)
     assert code == 0
-    for rule_id in ("DET001", "KER001", "PRO001", "TEL001"):
-        assert rule_id in out
+    assert [line.split()[0] for line in out.splitlines()] == RULE_IDS
 
 
 def test_cli_explain(monkeypatch, capsys):
-    code, out, _ = _run_cli(["--explain", "PRO004"], monkeypatch, capsys)
+    code, out, _ = _run_cli(["--explain", "PRO006"], monkeypatch, capsys)
     assert code == 0
-    assert "PRO004" in out
-    assert "noqa[PRO004]" in out
+    assert "PRO006" in out
+    assert "noqa[PRO006]" in out
 
 
 def test_cli_explain_unknown_rule_exits_two(monkeypatch, capsys):
@@ -394,26 +304,16 @@ def test_cli_unknown_select_exits_two(monkeypatch, capsys):
     assert "unknown rule" in err
 
 
-def test_cli_write_baseline_round_trip(tmp_path, monkeypatch, capsys):
-    sample = tmp_path / "sample.py"
-    sample.write_text(_BAD_SOURCE)
-    baseline = tmp_path / "baseline.json"
-    code, out, _ = _run_cli(
-        [str(sample), "--write-baseline", str(baseline)], monkeypatch, capsys
-    )
-    assert code == 0
-    assert "wrote baseline" in out
-    code, out, _ = _run_cli(
-        [str(sample), "--baseline", str(baseline)], monkeypatch, capsys
-    )
-    assert code == 0
-    assert "1 baselined" in out
-
-
-def test_cli_changed_only_smoke(monkeypatch, capsys):
-    """--changed-only runs end to end inside the repo work tree."""
-    code, _, _ = _run_cli(["src/repro", "--changed-only"], monkeypatch, capsys)
-    assert code == 0
+@pytest.mark.parametrize(
+    "option", ["--baseline=lint.json", "--write-baseline=lint.json", "--changed-only"]
+)
+def test_cli_refuses_retired_options(option, monkeypatch, capsys):
+    """There are no baseline files and no git-diff scoping: argparse
+    refuses those options with the usage exit code."""
+    with pytest.raises(SystemExit) as refused:
+        _run_cli(["src/repro", option], monkeypatch, capsys)
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -525,49 +425,6 @@ def test_no_module_imports_a_name_it_never_uses():
 # ---------------------------------------------------------------------------
 
 
-def _strip_method(source: str, class_name: str, method_name: str) -> str:
-    """Remove one method from one class by line surgery on real source."""
-    tree = ast.parse(source)
-    lines = source.splitlines(keepends=True)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for item in node.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == method_name
-                ):
-                    start = min(
-                        [item.lineno]
-                        + [dec.lineno for dec in item.decorator_list]
-                    )
-                    return "".join(
-                        lines[: start - 1] + lines[item.end_lineno :]
-                    )
-    raise AssertionError(f"{class_name}.{method_name} not found")
-
-
-def test_regression_deleting_update_block_fails_lint(tmp_path):
-    """Deleting update_block from a real sketch re-introduces PRO004."""
-    source = (REPO_ROOT / "src/repro/sketches/countmin.py").read_text()
-    broken = _strip_method(source, "CountMinSketch", "update_block")
-    mutated = tmp_path / "countmin.py"
-    mutated.write_text(broken)
-    report = lint.run_lint([str(mutated)], root=REPO_ROOT)
-    assert "PRO004" in {finding.rule for finding in report.findings}
-    assert lint.exit_code(report) == 1
-
-
-def test_regression_deleting_estimate_block_fails_lint(tmp_path):
-    """Deleting estimate_block from a real sketch re-introduces PRO007."""
-    source = (REPO_ROOT / "src/repro/sketches/countmin.py").read_text()
-    broken = _strip_method(source, "CountMinSketch", "estimate_block")
-    mutated = tmp_path / "countmin.py"
-    mutated.write_text(broken)
-    report = lint.run_lint([str(mutated)], root=REPO_ROOT)
-    assert "PRO007" in {finding.rule for finding in report.findings}
-    assert lint.exit_code(report) == 1
-
-
 def test_regression_renaming_a_metric_fails_lint(tmp_path):
     """Renaming a catalogued metric re-introduces TEL001."""
     source = (REPO_ROOT / "src/repro/engine/coordinator.py").read_text()
@@ -636,3 +493,4 @@ def test_module_invocation_matches_in_process_exit_code():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+    assert "0 finding(s)" in result.stdout

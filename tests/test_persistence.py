@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import importlib
 import json
 import pickle
+import pkgutil
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +27,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     CHECKPOINT_FORMAT,
     SNAPSHOT_FORMAT,
@@ -52,8 +55,13 @@ from repro.persistence import (
 )
 from repro.sketches import (
     CountMinSketch,
+    DistinctCountSketch,
+    FrequencyMomentSketch,
     KMVSketch,
+    MergeableSketch,
+    PointQuerySketch,
     ReservoirSampler,
+    Sketch,
     StableLpSketch,
     WithReplacementSampler,
 )
@@ -129,6 +137,136 @@ def test_every_registered_sketch_family_is_covered():
     covered = {snapshot_tag(case.make()) for case in SKETCH_CASES}
     sketch_tags = {tag for tag in registered_tags() if tag.startswith("sketch.")}
     assert covered == sketch_tags
+
+
+# -- class contracts -------------------------------------------------------------
+
+#: The classes that declare the contract.  Their versions of the methods
+#: below raise SnapshotError or NotImplementedError, or loop item by item,
+#: so a class deriving from them must define its own.
+PROTOCOL_BASES = (
+    Sketch,
+    MergeableSketch,
+    DistinctCountSketch,
+    FrequencyMomentSketch,
+    PointQuerySketch,
+    ProjectedFrequencyEstimator,
+)
+
+#: (base, methods every class deriving from it must define itself).
+CONTRACT_METHODS = (
+    (Sketch, ("state_dict", "load_state_dict")),
+    (MergeableSketch, ("merge", "update_block")),
+    (PointQuerySketch, ("estimate_block",)),
+    (ProjectedFrequencyEstimator, ("_summary_state", "_load_summary_state", "_merge_summaries")),
+)
+
+
+def _contract_gaps(cls: type) -> list:
+    """What ``cls`` lacks of its contract: ``"@snapshottable"`` and method names."""
+    gaps = []
+    try:
+        snapshot_tag(cls)
+    except SnapshotError:
+        gaps.append("@snapshottable")
+    for base, names in CONTRACT_METHODS:
+        if not issubclass(cls, base):
+            continue
+        for name in names:
+            owner = next(klass for klass in cls.__mro__ if name in vars(klass))
+            if owner in PROTOCOL_BASES:
+                gaps.append(name)
+    return gaps
+
+
+def _library_classes() -> list:
+    """Every class in ``repro.*`` below a protocol base, at any depth."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    found, pending = [], [Sketch, ProjectedFrequencyEstimator]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            if cls not in found:
+                found.append(cls)
+                pending.append(cls)
+    library = [
+        cls
+        for cls in found
+        if cls.__module__.split(".")[0] == "repro" and cls not in PROTOCOL_BASES
+    ]
+    return sorted(library, key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+LIBRARY_CLASSES = _library_classes()
+
+
+@pytest.mark.parametrize("cls", LIBRARY_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_every_sketch_and_estimator_class_keeps_its_contract(cls):
+    """Each library class below a protocol base, at any depth, is registered
+    and defines its own snapshot, merge and block methods."""
+    assert _contract_gaps(cls) == []
+
+
+def test_the_contract_walk_finds_every_registered_class():
+    """The walk sees every registered class, and nothing else is registered."""
+    assert sorted(snapshot_tag(cls) for cls in LIBRARY_CLASSES) == registered_tags()
+
+
+def _broken(base: type, *defined: str) -> type:
+    """An undecorated subclass of ``base`` whose own body defines ``defined``."""
+    return type(
+        f"Broken{base.__name__}",
+        (base,),
+        {name: lambda self, *args, **kwargs: None for name in defined},
+    )
+
+
+class Transitive(CountMinSketch):
+    """A subclass of a registered sketch that carries no tag of its own."""
+
+
+@pytest.mark.parametrize(
+    ("cls", "expected"),
+    [
+        (
+            _broken(MergeableSketch, "merge", "update_block"),
+            ["@snapshottable", "state_dict", "load_state_dict"],
+        ),
+        (
+            _broken(MergeableSketch, "merge", "update_block", "state_dict", "load_state_dict"),
+            ["@snapshottable"],
+        ),
+        (
+            _broken(DistinctCountSketch, "update_block", "state_dict", "load_state_dict"),
+            ["@snapshottable", "merge"],
+        ),
+        (
+            _broken(PointQuerySketch, "merge", "state_dict", "load_state_dict", "estimate_block"),
+            ["@snapshottable", "update_block"],
+        ),
+        (
+            _broken(PointQuerySketch, "merge", "update_block", "state_dict", "load_state_dict"),
+            ["@snapshottable", "estimate_block"],
+        ),
+        (
+            _broken(ProjectedFrequencyEstimator, "_summary_state"),
+            ["@snapshottable", "_load_summary_state", "_merge_summaries"],
+        ),
+        (Transitive, ["@snapshottable"]),
+    ],
+    ids=[
+        "no-state-dict",
+        "unregistered",
+        "no-merge",
+        "no-update-block",
+        "no-estimate-block",
+        "partial-estimator-hooks",
+        "transitive-unregistered",
+    ],
+)
+def test_contract_check_names_each_gap(cls, expected):
+    """The contract check names every gap of a broken class, and no other."""
+    assert _contract_gaps(cls) == expected
 
 
 def _estimator_probe(estimator, query: ColumnQuery) -> tuple:
