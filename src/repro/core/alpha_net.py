@@ -430,13 +430,17 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
             )
         return float(sketch.estimate())
 
-    def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
-        """Estimate a pattern frequency from the rounded neighbour's sketch.
+    def estimate_frequency_block(self, query: ColumnQuery, patterns) -> np.ndarray:
+        """Estimate pattern frequencies from the rounded neighbour's sketch.
+
+        The query resolves to its net neighbour once, every pattern
+        translates onto the neighbour's columns in one ``(m, k)`` integer
+        block, and the neighbour's point sketch answers the whole batch via
+        its ``estimate_block`` kernel.
 
         A query that is itself a net member is answered within the point
-        sketch's own bound, Count-Min's additive ``ε · F_1``.  Otherwise
-        :meth:`_translate_pattern` maps the pattern onto the neighbour's
-        columns, and the answer has no bound:
+        sketch's own bound, Count-Min's additive ``ε · F_1``.  Otherwise the
+        translation changes the pattern, and the answer has no bound:
 
         * a smaller neighbour (the query shrank) drops the removed columns
           and answers for that sub-pattern, an over-estimate;
@@ -446,29 +450,6 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
         Theorem 6.5 bounds ``F_p`` answers, not point frequencies.  The
         uniform-sample estimator's Theorem 5.1 bound holds for every query.
-        """
-        self._check_query(query)
-        self._check_patterns(query, (pattern,))
-        if self._point_sketches is None:
-            raise EstimationError("this estimator keeps no point-query sketches")
-        index, neighbour = self._resolve(query)
-        translated = self._translate_pattern(pattern, query, neighbour)
-        return float(self._point_sketches[index].estimate(translated))
-
-    def estimate_frequency_block(self, query: ColumnQuery, patterns) -> np.ndarray:
-        """Batch pattern frequencies through one vectorized sketch pass.
-
-        The query resolves to its net neighbour once, every pattern
-        translates onto the neighbour's columns in one ``(m, k)`` integer
-        block (the vectorized twin of :meth:`_translate_pattern`), and the
-        neighbour's point sketch answers the whole batch via its
-        ``estimate_block`` kernel.  Entry ``i`` is bit-identical to
-        ``estimate_frequency(query, patterns[i])`` wherever the sketch's
-        block kernel is bit-identical to its scalar path (see
-        ``docs/architecture.md``, *Batch query kernels*), and it carries
-        the same guarantee: Count-Min's ``ε · F_1`` on a net-member query,
-        no bound on a rounded one (sub-pattern over-estimates when the
-        query shrank, zero-filled under-estimates when it grew).
         """
         self._check_query(query)
         words = pattern_words(patterns)
@@ -487,12 +468,6 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         return np.asarray(
             self._point_sketches[index].estimate_block(translated), dtype=np.float64
         )
-
-    def _translate_pattern(
-        self, pattern: Word, query: ColumnQuery, neighbour: ColumnQuery
-    ) -> Word:
-        by_column = dict(zip(query.columns, pattern))
-        return tuple(by_column.get(column, 0) for column in neighbour.columns)
 
     # -- guarantees -------------------------------------------------------------------
 

@@ -29,9 +29,8 @@ def pattern_words(patterns: object) -> list[Word]:
     """Normalise a batch of query patterns to a list of symbol tuples.
 
     Accepts an ``(m, k)`` integer ndarray (each row one pattern) or any
-    iterable of words; the returned tuples are the canonical keys the
-    estimators' scalar query paths use, so block and scalar answers index
-    the same frequency entries.
+    iterable of words; the returned tuples are the keys every
+    ``estimate_frequency_block`` looks its patterns up by.
     """
     if isinstance(patterns, np.ndarray):
         if patterns.ndim != 2:
@@ -46,7 +45,8 @@ class ProjectedFrequencyEstimator(abc.ABC):
     """Base class for summaries supporting projected frequency queries.
 
     Subclasses implement :meth:`observe_row` (the streaming phase) and any of
-    the ``estimate_*`` query methods they support; unsupported queries raise
+    the query methods they support, point frequencies through
+    :meth:`estimate_frequency_block` alone; unsupported queries raise
     :class:`~repro.errors.EstimationError` by default, so callers can probe
     capabilities with ``try/except`` or check :meth:`supports`.
     """
@@ -380,7 +380,7 @@ class ProjectedFrequencyEstimator(abc.ABC):
     def _check_patterns(self, query: ColumnQuery, patterns: Iterable[Word]) -> None:
         """Refuse a pattern whose length is not the query's size.
 
-        The scalar and block frequency entry points call this after
+        Every ``estimate_frequency_block`` calls this after
         :meth:`_check_query`, so a pattern of another length fails on every
         estimator instead of being counted as absent.
         """
@@ -398,25 +398,22 @@ class ProjectedFrequencyEstimator(abc.ABC):
         )
 
     def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
-        """Estimate the frequency of ``pattern`` among the projected rows."""
-        raise EstimationError(
-            f"{type(self).__name__} does not support point frequency estimation"
-        )
+        """Estimate the frequency of ``pattern`` among the projected rows:
+        a one-pattern call into the only point-query kernel,
+        :meth:`estimate_frequency_block`."""
+        return float(self.estimate_frequency_block(query, (pattern,))[0])
 
     def estimate_frequency_block(self, query: ColumnQuery, patterns) -> np.ndarray:
         """Batch point-frequency queries over one column query.
 
-        Entry ``i`` of the returned float64 array equals
-        ``estimate_frequency(query, patterns[i])`` exactly; ``patterns`` is
-        an ``(m, k)`` integer ndarray or an iterable of words (see
-        :func:`pattern_words`).  The base implementation is that per-pattern
-        loop; estimators backed by vectorized sketch kernels override it to
-        answer the whole batch in one pass.
+        Returns one float64 estimate per pattern; ``patterns`` is an
+        ``(m, k)`` integer ndarray or an iterable of words (see
+        :func:`pattern_words`).  Estimators that answer point frequencies
+        override this one method; the base class raises
+        :class:`~repro.errors.EstimationError`.
         """
-        words = pattern_words(patterns)
-        return np.array(
-            [float(self.estimate_frequency(query, word)) for word in words],
-            dtype=np.float64,
+        raise EstimationError(
+            f"{type(self).__name__} does not support point frequency estimation"
         )
 
     def heavy_hitters(
@@ -429,6 +426,8 @@ class ProjectedFrequencyEstimator(abc.ABC):
 
     def supports(self, capability: str) -> bool:
         """Whether this estimator overrides the named query method."""
+        if capability == "estimate_frequency":  # answered by its kernel
+            capability = "estimate_frequency_block"
         base_method = getattr(ProjectedFrequencyEstimator, capability, None)
         own_method = getattr(type(self), capability, None)
         if base_method is None or own_method is None:

@@ -95,19 +95,11 @@ class ExactBaseline(ProjectedFrequencyEstimator):
     def estimate_fp(self, query: ColumnQuery, p: float) -> float:
         return self._frequencies(query).frequency_moment(p)
 
-    def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
-        self._check_query(query)
-        self._check_patterns(query, (pattern,))
-        return float(self._frequencies(query).frequency(pattern))
-
     def estimate_frequency_block(self, query: ColumnQuery, patterns) -> np.ndarray:
-        """Batch exact pattern frequencies from one projection pass.
+        """Exact pattern frequencies from one projection pass.
 
-        The scalar path re-projects and re-counts all stored rows for every
-        pattern; the block path builds the projected frequency vector once
-        and answers every pattern from it — the same exact integer counts,
-        so entry ``i`` is bit-identical to
-        ``estimate_frequency(query, patterns[i])``.
+        The projected frequency vector is built once per call and every
+        pattern reads its exact integer count from it.
         """
         self._check_query(query)
         words = pattern_words(patterns)

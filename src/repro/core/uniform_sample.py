@@ -199,21 +199,13 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
             self._sample_rows()[:, list(query.columns)], self.alphabet_size
         )
 
-    def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
-        """Estimate ``f_{e(pattern)}(A, C)`` as ``(n / t) ×`` its sample count."""
-        self._check_query(query)
-        self._check_patterns(query, (pattern,))
-        sample_count = self.sample_frequencies(query).frequency(pattern)
-        return sample_count * self._scale_factor()
-
     def estimate_frequency_block(self, query: ColumnQuery, patterns) -> np.ndarray:
-        """Batch pattern frequencies from one projected-sample pass.
+        """Estimate each ``f_{e(pattern)}(A, C)`` as ``(n / t) ×`` its sample count.
 
-        The sample projects onto ``query`` once (instead of once per
-        pattern, the scalar path's cost) and every pattern looks its count
-        up in the resulting frequency vector.  Entry ``i`` is bit-identical
-        to ``estimate_frequency(query, patterns[i])``: the same integer
-        sample count times the same ``n / t`` scale factor.
+        The sample projects onto ``query`` once per call and every pattern
+        looks its count up in the resulting frequency vector.  Theorem 5.1
+        bounds each answer's error by ``ε · n`` with probability ``1 − δ``,
+        whatever the query.
         """
         self._check_query(query)
         words = pattern_words(patterns)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 from .. import telemetry
 from ..coding.words import Word
@@ -84,9 +84,9 @@ class QueryRequest:
 
     ``kind`` selects the query method (``"fp"``, ``"frequency"`` or
     ``"heavy_hitters"``) and the matching parameter fields must be set; the
-    classmethod constructors below build well-formed requests and normalise
-    the parameters exactly as the scalar entry points do, so a request and
-    its scalar twin share one cache entry.
+    classmethod constructors below build well-formed requests.  The scalar
+    entry points build theirs with them, so a request and its scalar twin
+    share one cache entry.
     """
 
     kind: str
@@ -336,20 +336,6 @@ class QueryService:
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
 
-    def _serve(self, kind: str, key: Hashable, compute: Callable[[], object]) -> object:
-        self._flush_if_stale()
-        cache_key = (kind, key)
-        if self._cache_size and cache_key in self._cache:
-            self._record_hit(kind)
-            self._cache.move_to_end(cache_key)
-            return self._cache[cache_key]
-        with telemetry.span("service.query", kind=kind):
-            started = time.perf_counter()
-            value = compute()
-            elapsed = time.perf_counter() - started
-        self._finish_miss(kind, cache_key, value, elapsed)
-        return value
-
     def invalidate(self) -> None:
         """Drop every cached result (call after merging in more data)."""
         self._cache.clear()
@@ -399,45 +385,41 @@ class QueryService:
 
     def estimate_fp(self, query: ColumnQuery, p: float) -> float:
         """Serve ``F_p(A, C)`` for one query."""
-        return self._annotate(  # type: ignore[return-value]
-            "fp",
-            self._serve(
-                "fp",
-                (query.columns, float(p)),
-                lambda: float(self._estimator.estimate_fp(query, p)),
-            ),
-        )
+        return self._answer_one(QueryRequest.fp(query, p))
 
     def estimate_frequency(self, query: ColumnQuery, pattern: Word) -> float:
         """Serve a projected point-frequency estimate for one query."""
-        return self._annotate(  # type: ignore[return-value]
-            "frequency",
-            self._serve(
-                "frequency",
-                (query.columns, tuple(pattern)),
-                lambda: float(
-                    self._estimator.estimate_frequency(query, pattern)
-                ),
-            ),
-        )
+        return self._answer_one(QueryRequest.frequency(query, pattern))
 
     def heavy_hitters(
         self, query: ColumnQuery, phi: float, p: float = 1.0
     ) -> dict[Word, float]:
         """Serve the ``φ``-heavy hitters of one projection."""
-        report = self._serve(
-            "heavy_hitters",
-            (query.columns, float(phi), float(p)),
-            lambda: dict(self._estimator.heavy_hitters(query, phi, p)),
-        )
-        # Hand out a copy so callers cannot mutate the cached value.
-        return self._annotate("heavy_hitters", dict(report))  # type: ignore[arg-type]
+        return self._answer_one(QueryRequest.heavy_hitters(query, phi, p))
+
+    def _answer_one(self, request: QueryRequest) -> Any:
+        """Serve one request as a one-entry batch, without the batch
+        metrics and span that :meth:`answer_block` records."""
+        key = self._request_key(request)
+        self._flush_if_stale()
+        return self._hand_out(request, self._answer_batch([request], [key])[0])
+
+    def _hand_out(self, request: QueryRequest, value: Any) -> Any:
+        """Copy a heavy-hitter report, so callers cannot mutate a cached or
+        batch-shared value, and annotate an answer from a partial summary."""
+        if request.kind == "heavy_hitters":
+            value = dict(value)
+        return self._annotate(request.kind, value)
 
     # -- batch queries -----------------------------------------------------------
 
     def _request_key(self, request: QueryRequest) -> tuple:
-        """The ``(kind, key)`` cache key of ``request`` — identical to the
-        key its scalar twin uses, validated upfront."""
+        """The ``(kind, key)`` cache key of ``request``, validated upfront.
+
+        Every entry point keys its requests here, so a query built for
+        another dimension is refused before the cache could answer it.
+        """
+        self._estimator._check_query(request.query)
         if request.kind == "fp":
             if request.p is None:
                 raise InvalidParameterError("an 'fp' request must set p")
@@ -471,12 +453,13 @@ class QueryService:
 
         Entry ``i`` of the returned list equals what ``requests[i]``'s scalar
         twin (:meth:`estimate_fp` / :meth:`estimate_frequency` /
-        :meth:`heavy_hitters`) would return, with the same per-entry cache
-        semantics: every entry whose key is already cached counts a hit,
-        duplicates of an earlier entry in the same batch count hits exactly
-        as a scalar replay would (when caching is enabled), and every first
-        occurrence counts a miss, feeds the latency histogram, and lands in
-        the cache under the key the scalar path uses.  Point-frequency
+        :meth:`heavy_hitters`) would return: each scalar call is a one-entry
+        batch through the same core.  Cache semantics are per entry: every
+        entry whose key is already cached counts a hit, duplicates of an
+        earlier entry in the same batch count hits exactly as a scalar
+        replay would (when caching is enabled), and every first occurrence
+        counts a miss, feeds the latency histogram, and lands in the
+        cache.  Point-frequency
         misses sharing one column query answer through a single vectorized
         :meth:`~repro.core.estimator.ProjectedFrequencyEstimator.
         estimate_frequency_block` pass (their recorded latency is the pass
@@ -502,15 +485,8 @@ class QueryService:
             ).observe(len(batch))
         with telemetry.span("service.answer_block", size=len(batch)):
             values = self._answer_batch(batch, keys)
-        # Hand out per-entry copies of heavy-hitter reports so callers
-        # cannot mutate cached (or batch-shared) values; under a partial
-        # summary every entry is coverage-annotated like its scalar twin.
         return [
-            self._annotate(
-                request.kind,
-                dict(value) if request.kind == "heavy_hitters" else value,
-            )
-            for request, value in zip(batch, values)
+            self._hand_out(request, value) for request, value in zip(batch, values)
         ]
 
     def _answer_batch(self, batch: list[QueryRequest], keys: list[tuple]) -> list:
@@ -535,6 +511,8 @@ class QueryService:
         for index in misses:
             request = batch[index]
             if request.kind == "frequency":
+                # Every query has the estimator's dimension (_request_key),
+                # so its columns identify it.
                 frequency_groups.setdefault(request.query.columns, []).append(index)
                 continue
             with telemetry.span("service.query", kind=request.kind):

@@ -25,9 +25,9 @@ It is a dependency-free (stdlib ``ast`` + ``importlib``) analyzer:
   ``# repro: noqa[RULE]`` suppressions, pretty/JSON reports and the
   shared exit-code convention (0 clean, 1 findings, 2 usage error);
 * :mod:`repro.lint.docs_check` and :mod:`repro.lint.artifacts` — the
-  docs gate ``tests/test_docs.py`` runs, the snapshot checks the runner
-  applies to artifact paths, and the checkers behind
-  ``tools/check_telemetry_schema.py``, emitting the same findings.
+  docs gate ``tests/test_docs.py`` runs, and the snapshot, trace and
+  result checks the runner applies to artifact paths, emitting the same
+  findings.
 
 See ``docs/static-analysis.md`` for the rule catalogue.
 """

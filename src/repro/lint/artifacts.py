@@ -1,9 +1,10 @@
 """Artifact schema gates in the lint finding format (ART001/ART002).
 
-Snapshot / checkpoint / bundle validation (``ART001``) runs from
-``python -m repro lint`` on any path that is an artifact rather than Python
-source (:func:`is_artifact_path`), and ``tools/check_telemetry_schema.py``
-wraps the trace and result-telemetry validation (``ART002``).  Both emit
+``python -m repro lint`` checks any path that is an artifact rather than
+Python source (:func:`is_artifact_path`), and the file decides the check
+(:func:`check_artifact_path`): a trace or experiment-result JSON gets the
+telemetry validation (``ART002``), and anything else the snapshot /
+checkpoint / bundle validation (``ART001``).  Both emit
 :class:`~repro.lint.findings.Finding` objects, keeping one finding format
 and one exit-code convention across every repro checker.
 """
@@ -21,9 +22,7 @@ __all__ = [
     "is_artifact_path",
     "check_snapshot_file",
     "check_bundle_dir",
-    "check_snapshot_path",
-    "check_trace_file",
-    "check_result_file",
+    "check_artifact_path",
 ]
 
 register_external(
@@ -52,10 +51,10 @@ register_external(
     rationale=(
         "Trace files must match repro/trace@1 (span field types, unique\n"
         "span ids, valid parent references, nested intervals) and result\n"
-        "JSONs must carry a valid repro/telemetry@1 section; CI additionally\n"
-        "requires engine traces to contain the coordinator.ingest /\n"
-        "coordinator.merge / service.query spans.  An invalid artifact\n"
-        "breaks `python -m repro stats` and every trace consumer."
+        "JSONs must carry a valid repro/telemetry@1 section.  An invalid\n"
+        "artifact breaks `python -m repro stats` and every trace consumer.\n"
+        "`python -m repro lint` applies this rule to a JSON file whose\n"
+        "schema tag names a trace or an experiment result."
     ),
     example="a trace JSON missing the schema tag or with orphan parent ids",
 )
@@ -174,64 +173,28 @@ def is_artifact_path(path) -> bool:
     return path.is_file() and path.suffix != ".py"
 
 
-def check_snapshot_path(path) -> list:
-    """ART001 findings for one artifact: a bundle directory or a file."""
+def check_artifact_path(path) -> list:
+    """Findings for one artifact, checked as what its content says it is.
+
+    A JSON file whose ``schema`` tag names a trace or an experiment result
+    is checked against ART002 (the trace schema, or the result's telemetry
+    section); a bundle directory and any other file against ART001.
+    """
+    from repro import telemetry
+    from repro.experiments.runner import RESULT_SCHEMA
+
     path = Path(path)
     if path.is_dir():
         return check_bundle_dir(path)
-    return check_snapshot_file(path)
-
-
-def _load_json(path: Path) -> tuple:
-    if not path.exists():
-        return None, [_finding("ART002", path, "does not exist")]
     try:
-        return json.loads(path.read_text()), []
-    except json.JSONDecodeError as error:
-        return None, [_finding("ART002", path, f"invalid JSON: {error}")]
-
-
-def check_trace_file(path, required_spans=()) -> list:
-    """ART002 findings for one ``repro/trace@1`` file."""
-    from repro import telemetry
-
-    path = Path(path)
-    payload, findings = _load_json(path)
-    if payload is None:
-        return findings
-    findings = [
-        _finding("ART002", path, problem)
-        for problem in telemetry.validate_trace_payload(payload)
-    ]
-    if findings:
-        return findings
-    present = {entry["name"] for entry in payload["spans"]}
-    for name in required_spans:
-        if name not in present:
-            findings.append(
-                _finding(
-                    "ART002",
-                    path,
-                    f"required span {name!r} not present (trace has: "
-                    f"{', '.join(sorted(present)) or 'no spans'})",
-                )
-            )
-    return findings
-
-
-def check_result_file(path) -> list:
-    """ART002 findings for the telemetry section of one result JSON."""
-    from repro import telemetry
-
-    path = Path(path)
-    payload, findings = _load_json(path)
-    if payload is None:
-        return findings
-    if not isinstance(payload, dict):
-        return [_finding("ART002", path, "result payload must be an object")]
-    return [
-        _finding("ART002", path, problem)
-        for problem in telemetry.validate_telemetry_section(
-            payload.get("telemetry")
-        )
-    ]
+        payload = json.loads(path.read_bytes())
+    except (OSError, ValueError):  # unreadable, or not JSON
+        payload = None
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema == telemetry.TRACE_SCHEMA:
+        problems = telemetry.validate_trace_payload(payload)
+    elif schema == RESULT_SCHEMA:
+        problems = telemetry.validate_telemetry_section(payload.get("telemetry"))
+    else:
+        return check_snapshot_file(path)
+    return [_finding("ART002", path, problem) for problem in problems]

@@ -217,7 +217,7 @@ def run_lint(
         report.files_checked += 1
         report.findings.extend(
             finding.relocated(_relpath(Path(finding.path), root))
-            for finding in artifacts.check_snapshot_path(path)
+            for finding in artifacts.check_artifact_path(path)
         )
     for path in iter_python_files(sources, root):
         relpath = _relpath(path, root)

@@ -14,7 +14,7 @@ naming convention):
   trace-event format;
 * :mod:`repro.telemetry.export` — Prometheus text exposition, JSON
   metrics, a span-tree pretty-printer, and the schema validators behind
-  ``tools/check_telemetry_schema.py``.
+  ``python -m repro lint``'s trace and result checks (rule ``ART002``).
 
 Instrumented paths: ``Coordinator.ingest`` (rows/blocks/bytes, per-shard
 timings, partition skew), estimator ``observe_rows`` blocks, the α-net

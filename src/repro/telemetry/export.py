@@ -12,7 +12,7 @@ Two renderers over a :class:`~repro.telemetry.registry.MetricsRegistry`:
 Plus the span-side counterparts: :func:`render_span_tree` pretty-prints a
 finished trace as an indented tree, and :func:`validate_trace_payload` /
 :func:`validate_telemetry_section` are the schema checks behind
-``tools/check_telemetry_schema.py``.
+``python -m repro lint``'s trace and result checks (rule ``ART002``).
 
 Example::
 

@@ -12,8 +12,8 @@ epoch), so durations are immune to wall-clock steps; the tracer also
 records one wall-clock epoch so exported traces can be placed in real
 time.  Two export shapes:
 
-* :meth:`Tracer.to_dict` — the ``repro/trace@1`` JSON schema this repo's
-  tools validate (``tools/check_telemetry_schema.py``);
+* :meth:`Tracer.to_dict` — the ``repro/trace@1`` JSON schema that
+  ``python -m repro lint`` validates (rule ``ART002``);
 * :meth:`Tracer.to_chrome` — Chrome trace-event format, loadable in
   ``chrome://tracing`` / Perfetto.
 

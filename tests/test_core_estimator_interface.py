@@ -51,6 +51,8 @@ class TestEstimatorBase:
         query = ColumnQuery.of([0], 2)
         with pytest.raises(EstimationError):
             estimator.estimate_frequency(query, (0,))
+        with pytest.raises(EstimationError, match="point frequency"):
+            estimator.estimate_frequency_block(query, [(0,), (1,)])
         with pytest.raises(EstimationError):
             estimator.heavy_hitters(query, phi=0.1)
 

@@ -24,6 +24,7 @@ from repro import (
     EstimationError,
     ExactBaseline,
     InvalidParameterError,
+    QueryRequest,
     QueryService,
     RowStream,
     SketchPlan,
@@ -351,6 +352,62 @@ def test_service_cache_still_hits_between_ingests() -> None:
     assert (info.hits, info.misses) == (1, 1)
 
 
+# -- queries built for another dimension -------------------------------------------
+
+FOREIGN_DATA = Dataset.random(n_rows=200, n_columns=6, seed=2)
+QUERY_D6 = ColumnQuery.of([0, 3], 6)
+#: The same columns, built for d = 9: the cache key and the frequency
+#: grouping see only columns, so this query must be refused before either.
+QUERY_D9 = ColumnQuery.of([0, 3], 9)
+FOREIGN = "query dimension 9 does not match estimator dimension 6"
+
+_SCALAR_ENTRY_POINTS = {
+    "estimate_fp": lambda service, query: service.estimate_fp(query, 0),
+    "estimate_frequency": lambda service, query: service.estimate_frequency(
+        query, (0, 1)
+    ),
+    "heavy_hitters": lambda service, query: service.heavy_hitters(query, phi=0.2),
+}
+
+
+def _foreign_service(cache_size: int = 1024) -> QueryService:
+    estimator = ExactBaseline(n_columns=6).observe(FOREIGN_DATA)
+    return QueryService(estimator, cache_size=cache_size)
+
+
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ENTRY_POINTS))
+def test_service_refuses_a_query_of_another_dimension_after_its_twin(entry) -> None:
+    """A cached answer for the d = 6 query is never served for the d = 9 one."""
+    service = _foreign_service()
+    ask = _SCALAR_ENTRY_POINTS[entry]
+    ask(service, QUERY_D6)
+    with pytest.raises(EstimationError, match=FOREIGN):
+        ask(service, QUERY_D9)
+    assert service.cache_info().hits == 0
+
+
+def test_answer_block_refuses_a_cached_query_of_another_dimension() -> None:
+    service = _foreign_service()
+    service.answer_block([QueryRequest.fp(QUERY_D6, 0)])
+    with pytest.raises(EstimationError, match=FOREIGN):
+        service.answer_block([QueryRequest.fp(QUERY_D9, 0)])
+    assert service.cache_info().hits == 0
+
+
+def test_uncached_batch_refuses_a_query_of_another_dimension() -> None:
+    """Frequency misses group by columns, so without the check the d = 9
+    request was answered under the d = 6 one."""
+    service = _foreign_service(cache_size=0)
+    with pytest.raises(EstimationError, match=FOREIGN):
+        service.answer_block(
+            [
+                QueryRequest.frequency(QUERY_D6, (0, 1)),
+                QueryRequest.frequency(QUERY_D9, (0, 1)),
+            ]
+        )
+    assert service.cache_info().misses == 0
+
+
 def test_latency_recorder_percentiles(monkeypatch) -> None:
     """The service's latency histogram: exact count/total/mean/min/max, and
     p50/p95 as bucket bounds never below the exact nearest-rank value."""
@@ -386,8 +443,8 @@ def test_latency_recorder_percentiles(monkeypatch) -> None:
 class _ConstantEstimator(ExactBaseline):
     """An estimator whose answers cost nothing, so only serving state shows."""
 
-    def estimate_frequency(self, query, pattern) -> float:
-        return 1.0
+    def estimate_frequency_block(self, query, patterns) -> np.ndarray:
+        return np.ones(len(patterns))
 
 
 def test_serving_memory_is_bounded() -> None:

@@ -376,6 +376,60 @@ def test_bundle_directory_is_checked_as_an_artifact(tmp_path):
     assert all(finding.path.startswith("bundle.ckpt") for finding in report.findings)
 
 
+def _trace_file(tmp_path) -> Path:
+    from repro.telemetry import Tracer
+
+    tracer = Tracer()
+    with tracer.span("coordinator.ingest"):
+        with tracer.span("coordinator.merge"):
+            pass
+    path = tmp_path / "run.trace.json"
+    path.write_text(json.dumps(tracer.to_dict()))
+    return path
+
+
+def _result_file(tmp_path) -> Path:
+    from repro.experiments import RunParams, run_experiment, write_result
+
+    path, _ = write_result(run_experiment("figure1", RunParams(quick=True)), tmp_path)
+    return path
+
+
+def _orphan_span(payload: dict) -> None:
+    payload["spans"][-1]["parent_id"] = 10_000
+
+
+def _broken_telemetry(payload: dict) -> None:
+    payload["telemetry"]["cache"]["hits"] = "many"
+
+
+@pytest.mark.parametrize("make", [_trace_file, _result_file], ids=["trace", "result"])
+def test_cli_valid_telemetry_artifact_exits_zero(make, tmp_path, monkeypatch, capsys):
+    """A trace or result JSON is checked against its own schema (ART002),
+    not refused as a file that is not a snapshot."""
+    code, out, _ = _run_cli([str(make(tmp_path))], monkeypatch, capsys)
+    assert code == 0, out
+    assert "0 finding(s) in 1 file" in out
+
+
+@pytest.mark.parametrize(
+    ("make", "corrupt"),
+    [(_trace_file, _orphan_span), (_result_file, _broken_telemetry)],
+    ids=["trace", "result"],
+)
+def test_cli_corrupted_telemetry_artifact_exits_one(
+    make, corrupt, tmp_path, monkeypatch, capsys
+):
+    path = make(tmp_path)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    code, out, _ = _run_cli([str(path)], monkeypatch, capsys)
+    assert code == 1
+    assert "ART002" in out and "ART001" not in out
+    assert "1 finding(s) in 1 file" in out
+
+
 # ---------------------------------------------------------------------------
 # imports: every imported name is used
 # ---------------------------------------------------------------------------

@@ -161,9 +161,15 @@ CONTRACT_METHODS = (
     (ProjectedFrequencyEstimator, ("_summary_state", "_load_summary_state", "_merge_summaries")),
 )
 
+#: (base, methods only the base may define).  A scalar point query is a
+#: one-entry ``estimate_frequency_block`` call, so an estimator that defines
+#: its own ``estimate_frequency`` keeps a second query path beside its kernel.
+BASE_ONLY_METHODS = ((ProjectedFrequencyEstimator, ("estimate_frequency",)),)
+
 
 def _contract_gaps(cls: type) -> list:
-    """What ``cls`` lacks of its contract: ``"@snapshottable"`` and method names."""
+    """What ``cls`` lacks of its contract: ``"@snapshottable"`` and method
+    names, plus ``"own NAME"`` for each base-only method it defines."""
     gaps = []
     try:
         snapshot_tag(cls)
@@ -176,6 +182,13 @@ def _contract_gaps(cls: type) -> list:
             owner = next(klass for klass in cls.__mro__ if name in vars(klass))
             if owner in PROTOCOL_BASES:
                 gaps.append(name)
+    for base, names in BASE_ONLY_METHODS:
+        if not issubclass(cls, base):
+            continue
+        for name in names:
+            owner = next(klass for klass in cls.__mro__ if name in vars(klass))
+            if owner is not base:
+                gaps.append(f"own {name}")
     return gaps
 
 
@@ -202,8 +215,9 @@ LIBRARY_CLASSES = _library_classes()
 
 @pytest.mark.parametrize("cls", LIBRARY_CLASSES, ids=lambda cls: cls.__qualname__)
 def test_every_sketch_and_estimator_class_keeps_its_contract(cls):
-    """Each library class below a protocol base, at any depth, is registered
-    and defines its own snapshot, merge and block methods."""
+    """Each library class below a protocol base, at any depth, is registered,
+    defines its own snapshot, merge and block methods, and answers point
+    queries through one kernel."""
     assert _contract_gaps(cls) == []
 
 
@@ -253,6 +267,17 @@ class Transitive(CountMinSketch):
             ["@snapshottable", "_load_summary_state", "_merge_summaries"],
         ),
         (Transitive, ["@snapshottable"]),
+        (
+            _broken(
+                ProjectedFrequencyEstimator,
+                "_summary_state",
+                "_load_summary_state",
+                "_merge_summaries",
+                "estimate_frequency",
+                "estimate_frequency_block",
+            ),
+            ["@snapshottable", "own estimate_frequency"],
+        ),
     ],
     ids=[
         "no-state-dict",
@@ -262,6 +287,7 @@ class Transitive(CountMinSketch):
         "no-estimate-block",
         "partial-estimator-hooks",
         "transitive-unregistered",
+        "second-point-query-path",
     ],
 )
 def test_contract_check_names_each_gap(cls, expected):

@@ -33,7 +33,7 @@ from repro import (
     SketchPlan,
     UniformSampleEstimator,
 )
-from repro.core.estimator import ProjectedFrequencyEstimator, pattern_words
+from repro.core.estimator import pattern_words
 from repro.sketches import CountMinSketch
 from repro.sketches.base import PointQuerySketch, as_query_block
 
@@ -295,14 +295,6 @@ def test_estimate_frequency_block_rejects_bad_patterns(estimator):
         estimator.estimate_frequency_block(
             EST_QUERY, np.zeros((2, 2, 2), dtype=np.int64)
         )
-
-
-def test_base_estimate_frequency_block_is_the_scalar_loop():
-    exact = ExactBaseline(EST_D).observe(EST_ROWS)
-    fallback = ProjectedFrequencyEstimator.estimate_frequency_block(
-        exact, EST_QUERY, PATTERNS
-    )
-    assert np.array_equal(fallback, exact.estimate_frequency_block(EST_QUERY, PATTERNS))
 
 
 def test_pattern_words_normalisation():

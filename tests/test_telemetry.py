@@ -313,6 +313,12 @@ def test_query_service_cache_counters_and_invalidation():
         )
         == 1
     )
+    # Scalar queries are one-entry batches, but only answer_block records
+    # the batch metrics and span: one service.query span per miss.
+    assert registry.counter("repro_query_batch_total").value() == 0
+    names = [record.name for record in telemetry.get_tracer().spans]
+    assert "service.answer_block" not in names
+    assert names.count("service.query") == 2
 
 
 def test_manual_invalidate_counts():
@@ -440,7 +446,12 @@ def test_cli_trace_and_metrics_artifacts(tmp_path, capsys):
     payload = json.loads(trace_path.read_text())
     assert validate_trace_payload(payload) == []
     names = {entry["name"] for entry in payload["spans"]}
-    assert {"experiment.run", "coordinator.ingest", "service.query"} <= names
+    assert {
+        "experiment.run",
+        "coordinator.ingest",
+        "coordinator.merge",
+        "service.query",
+    } <= names
     exposition = metrics_path.read_text()
     assert "# TYPE repro_ingest_rows_total counter" in exposition
     capsys.readouterr()
