@@ -7,11 +7,13 @@ the tentpole of the vectorized sketch-ingest subsystem on a Zipf-distributed
 stream: the same estimator (KMV distinct sketches + Count-Min point sketches
 per member), same seeds, ingesting the stream through
 
-* the per-row path — every row projects onto every member and every sketch
-  hashes the pattern tuple item by item through BLAKE2b;
-* the block path — ``observe_rows`` projects each member once per block,
-  collapses the projection to ``(unique pattern, count)`` pairs, and feeds
-  the sketches' counted ``update_block`` scatter kernels.
+* the per-row path — every row projects onto every member, and every
+  sketch hashes the pattern's canonical key (Remark 1's index) one row at
+  a time;
+* the block path — ``observe_rows`` keys every row on every member with one
+  place-value product per block, reduces each member's keys to
+  ``(key, count)`` pairs, and feeds the sketches' counted ``update_block``
+  kernels.
 
 The two paths are compared by rows/s.  The per-row path costs the same
 per row all along the stream, so it is timed on the first
@@ -20,10 +22,11 @@ Both paths produce bit-identical summaries for this plan (Count-Min's
 integer counters and KMV's sorted minima are functions of the rows seen,
 not of their order), which is asserted on the prefix the per-row path
 ingests — the throughput ratio is a pure fast-path measurement.  The
-acceptance floor is a conservative >= 3x (a 2-core x86-64 host measures
-55-81x); results can be written to ``BENCH_alpha_ingest.json`` at the
-repo root with ``--record-bench`` or ``REPRO_RECORD_BENCH=1`` so the perf
-trajectory is recorded run over run.
+acceptance floor is a conservative >= 3x (``BENCH_alpha_ingest.json``
+holds the last figure recorded on a 2-core x86-64 host); results can be
+written to ``BENCH_alpha_ingest.json`` at the repo root with
+``--record-bench`` or ``REPRO_RECORD_BENCH=1`` so the perf trajectory is
+recorded run over run.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.sketches.kmv import KMVSketch
 from repro.workloads.synthetic import zipfian_rows
 
 N_ROWS, N_COLUMNS = 4_000, 10
-#: Rows the per-row path ingests (about 140 rows/s on a 2-core host).
+#: Rows the per-row path ingests (about 450 rows/s on a 2-core host).
 PER_ROW_ROWS = 500
 ALPHA = 0.25
 BATCH_SIZE = 2_048

@@ -1,26 +1,25 @@
-"""E15 — Batch query kernels: ``estimate_block`` vs the per-item loop.
+"""E15 — Batch query kernels: ``estimate_block`` vs the per-key loop.
 
-PR 5 vectorized the ingest half of the sketch pipeline; the query half
-still answered one item at a time — every point query re-keyed its pattern
-tuple through BLAKE2b and walked the table rows in python.  This benchmark
-measures the batch query kernels on a sketch built from a Zipf-distributed
-stream: the same Count-Min summary (same seed, same ``update_block``
-ingest) answering the same mixed batch of point queries and the same
-whole-table heavy-hitter candidate filter through
+This benchmark measures the batch query kernel on a sketch built from a
+Zipf-distributed stream: the same Count-Min summary (same seed, same
+``update_block`` ingest) answering the same mixed batch of point queries
+through
 
-* the per-item path — ``estimate(item)`` per query and the base
-  per-candidate ``heavy_hitters`` loop;
-* the block path — one ``estimate_block`` gather (the batch serialises
-  once, each row hashes it in one ``evaluate_block`` pass) and the
-  vectorized candidate filter built on top of it.
+* the per-key path — one ``estimate(key)`` call per query, each a one-key
+  ``estimate_block`` call;
+* the block path — one ``estimate_block`` gather over the whole batch (one
+  broadcast hash pass over every row, one gather, one ``np.min``).
 
-Both paths are bit-identical here (Count-Min takes integer minima), which
-is asserted — the ratio is a pure fast-path measurement.  Each path's time
-is the best of ``REPEATS`` interleaved runs: the block path takes tens of
-milliseconds, so in a single run one stall on a shared machine moves the
-ratio by a whole factor.  The acceptance floor is a conservative >= 3x; results can be written to
-``BENCH_query_block.json`` at the repo root with ``--record-bench`` or
-``REPRO_RECORD_BENCH=1`` so the perf trajectory is recorded run over run.
+Each query's key is its pattern's index (Remark 1).  Both paths are
+bit-identical here (Count-Min takes integer minima), which is asserted,
+together with the keys at or above the heavy-hitter threshold — the ratio
+is a pure fast-path measurement.  Each path's time is the best of
+``REPEATS`` interleaved runs: the block path takes about a millisecond, so
+in a single run one stall on a shared machine moves the ratio by a whole
+factor.  The acceptance floor is a conservative >= 3x; results can be
+written to ``BENCH_query_block.json`` at the repo root with
+``--record-bench`` or ``REPRO_RECORD_BENCH=1`` so the perf trajectory is
+recorded run over run.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 from _bench_utils import emit, render_table
-from repro.sketches.base import PointQuerySketch
 from repro.sketches.countmin import CountMinSketch
 from repro.workloads.synthetic import zipfian_rows
 
@@ -53,11 +51,15 @@ STREAM = zipfian_rows(
 ).to_array()
 
 # A mixed batch: mostly catalogue patterns plus symbols one past the
-# alphabet, so never-observed items flow through the same kernels.
+# alphabet, so never-observed keys flow through the same kernels.
 QUERY_BLOCK = np.random.default_rng(91).integers(
     0, ALPHABET_SIZE + 1, size=(N_QUERIES, N_COLUMNS), dtype=np.int64
 )
-QUERY_ITEMS = [tuple(row) for row in QUERY_BLOCK.tolist()]
+#: A pattern's key: its index over symbols [0, ALPHABET_SIZE + 1).
+PLACES = (ALPHABET_SIZE + 1) ** np.arange(N_COLUMNS - 1, -1, -1)
+STREAM_KEYS = STREAM @ PLACES
+QUERY_KEYS = QUERY_BLOCK @ PLACES
+QUERY_ITEMS = QUERY_KEYS.tolist()
 
 
 def _best_of(*paths):
@@ -77,42 +79,39 @@ def _best_of(*paths):
 
 
 def test_query_block_throughput(benchmark, record_bench, bench_metadata):
-    """Point queries/sec of block vs per-item answering; block must be >= 3x."""
+    """Point queries/sec of block vs per-key answering; block must be >= 3x."""
     sketch = CountMinSketch(width=272, depth=5, seed=7)
-    sketch.update_block(STREAM)
+    sketch.update_block(STREAM_KEYS)
 
     def scalar_path():
-        estimates = np.array([sketch.estimate(item) for item in QUERY_ITEMS])
-        return estimates, PointQuerySketch.heavy_hitters(sketch, QUERY_ITEMS, THRESHOLD)
+        return np.array([sketch.estimate(key) for key in QUERY_ITEMS])
 
     def block_path():
-        return sketch.estimate_block(QUERY_BLOCK), sketch.heavy_hitters(
-            QUERY_BLOCK, THRESHOLD
-        )
+        return sketch.estimate_block(QUERY_KEYS)
 
     def run_comparison():
         (scalar_seconds, block_seconds), answers = _best_of(scalar_path, block_path)
-        (scalar_estimates, scalar_report), (block_estimates, block_report) = answers
+        scalar_estimates, block_estimates = answers
         assert np.array_equal(scalar_estimates, block_estimates)
-        assert scalar_report == block_report
-        assert list(scalar_report) == list(block_report)  # candidate order too
-        return scalar_seconds, block_seconds, len(block_report)
+        heavy = QUERY_KEYS[block_estimates >= THRESHOLD]
+        assert heavy.tolist() == [
+            key for key in QUERY_ITEMS if sketch.estimate(key) >= THRESHOLD
+        ]
+        return scalar_seconds, block_seconds, len(heavy)
 
     scalar_seconds, block_seconds, n_heavy = benchmark.pedantic(
         run_comparison, rounds=1, iterations=1
     )
-    # Each path answers the full batch twice: once as point queries, once
-    # inside the candidate filter.
-    n_answers = 2 * N_QUERIES
+    n_answers = N_QUERIES
     speedup = scalar_seconds / block_seconds
     emit(
         f"Batch query of {N_QUERIES:,} patterns against CountMin "
         f"built from {N_ROWS:,} Zipf rows "
-        f"(threshold={THRESHOLD:,.0f}, {n_heavy} heavy hitters)",
+        f"(threshold={THRESHOLD:,.0f}, {n_heavy} queries at or above it)",
         render_table(
             ["path", "queries/sec", "speedup"],
             [
-                ("per-item (estimate)", f"{n_answers / scalar_seconds:,.0f}", "1.0x"),
+                ("per-key (estimate)", f"{n_answers / scalar_seconds:,.0f}", "1.0x"),
                 (
                     "block (estimate_block)",
                     f"{n_answers / block_seconds:,.0f}",

@@ -41,17 +41,17 @@ from typing import Callable
 import numpy as np
 
 from .. import telemetry
-from ..coding.words import Word, project_word
+from ..coding.words import Word, project_word, word_to_index
 from ..errors import EstimationError, InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
 from ..sketches.base import (
     DistinctCountSketch,
     FrequencyMomentSketch,
     PointQuerySketch,
-    collapse_block,
     merge_all,
 )
 from ..sketches.countmin import CountMinSketch
+from ..sketches.hashing import MERSENNE_PRIME_61
 from ..sketches.kmv import KMVSketch
 from ..sketches.stable_lp import StableLpSketch
 from .dataset import ColumnQuery
@@ -59,6 +59,32 @@ from .estimator import ProjectedFrequencyEstimator, pattern_words
 from .rounding import AlphaNet, NeighbourRule
 
 __all__ = ["SketchPlan", "AlphaNetEstimator", "TheoremSixFiveGuarantee"]
+
+
+def _place_values(
+    members: list[ColumnQuery], n_columns: int, alphabet_size: int
+) -> np.ndarray:
+    """The ``(d, members)`` place-value matrix ``P`` of Remark 1's keys.
+
+    Column ``i`` holds ``Q^{k-1-j}`` at the ``j``-th column of member ``i``
+    (``k`` its size), so ``row @ P[:, i]`` is the index ``e(w)`` of the
+    row's pattern ``w`` on member ``i``.  A net whose largest member has
+    ``Q^k > 2^61 - 1`` is refused: every key must be exact and below the
+    sketches' prime.
+    """
+    largest = max((len(member.columns) for member in members), default=0)
+    if alphabet_size**largest > MERSENNE_PRIME_61:
+        raise InvalidParameterError(
+            f"a net member of {largest} columns over an alphabet of "
+            f"{alphabet_size} has {alphabet_size}^{largest} > 2^61 - 1 "
+            "patterns, more than a sketch key can name"
+        )
+    places = np.zeros((n_columns, len(members)), dtype=np.int64)
+    for index, member in enumerate(members):
+        size = len(member.columns)
+        for position, column in enumerate(member.columns):
+            places[column, index] = alphabet_size ** (size - 1 - position)
+    return places
 
 
 @dataclass
@@ -177,6 +203,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         self._member_index: dict[tuple[int, ...], int] = {
             member.columns: index for index, member in enumerate(members)
         }
+        self._places = _place_values(members, n_columns, alphabet_size)
         self._distinct_sketches: list[DistinctCountSketch] | None = None
         self._moment_sketches: list[FrequencyMomentSketch] | None = None
         self._point_sketches: list[PointQuerySketch] | None = None
@@ -217,29 +244,34 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
     # -- observation ---------------------------------------------------------------
 
+    def _families(self) -> list[tuple[str, list]]:
+        """The ``(name, per-member sketches)`` pairs this estimator keeps."""
+        return [
+            (name, sketches)
+            for name, sketches in (
+                ("distinct", self._distinct_sketches),
+                ("moment", self._moment_sketches),
+                ("point", self._point_sketches),
+            )
+            if sketches is not None
+        ]
+
     def _observe(self, row: Word) -> None:
+        families = [sketches for _, sketches in self._families()]
         for index, member in enumerate(self._members):
-            pattern = project_word(row, member.columns)
-            if self._distinct_sketches is not None:
-                self._distinct_sketches[index].update(pattern)
-            if self._moment_sketches is not None:
-                self._moment_sketches[index].update(pattern)
-            if self._point_sketches is not None:
-                self._point_sketches[index].update(pattern)
+            key = word_to_index(project_word(row, member.columns), self._alphabet_size)
+            for sketches in families:
+                sketches[index].update(key)
 
     def _observe_block(self, block) -> None:
-        """Project and collapse each net member's view, then feed its sketches.
+        """Key every row on every member, then feed each member's sketches.
 
-        The vectorized spine of Algorithm 1's ingest path: per member the
-        block projects with a single NumPy column slice and collapses to
-        ``(unique pattern, count)`` pairs via
-        :func:`~repro.sketches.base.collapse_block`, which deduplicates one
-        packed ``int64`` code per row.  The counted batch feeds every sketch
-        family through its ``update_block`` kernel, so the per-pattern
-        BLAKE2b/bucket work happens once per *distinct* projected pattern
-        instead of once per row.  Each kernel collapses its already-unique
-        input once more; on packed codes that costs little next to the
-        hashing.
+        The vectorized spine of Algorithm 1's ingest path: one product
+        ``block @ P`` gives every row's canonical key on every member
+        (Remark 1's index, see :func:`_place_values`), and per member
+        ``np.unique`` reduces the keys to ``(key, count)`` pairs that feed
+        every sketch family through its ``update_block`` kernel.  Each
+        distinct pattern is hashed once per member and family.
 
         Equivalence to per-row ingestion: Count-Min's counters and KMV's
         sorted minima are functions of the multiset of rows seen, so they
@@ -249,21 +281,16 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         their rounding depends on addition order.
         """
         timed = telemetry.enabled()
-        family_seconds = {"distinct": 0.0, "moment": 0.0, "point": 0.0}
-        for index, member in enumerate(self._members):
-            projected = block[:, list(member.columns)]
-            unique, counts = collapse_block(projected)
-            for family, sketches in (
-                ("distinct", self._distinct_sketches),
-                ("moment", self._moment_sketches),
-                ("point", self._point_sketches),
-            ):
-                if sketches is None:
-                    continue
+        families = self._families()
+        family_seconds = {name: 0.0 for name, _ in families}
+        keys = (block @ self._places).T
+        for index in range(len(self._members)):
+            unique, counts = np.unique(keys[index], return_counts=True)
+            for name, sketches in families:
                 if timed:
                     started = time.perf_counter()
                     sketches[index].update_block(unique, counts)
-                    family_seconds[family] += time.perf_counter() - started
+                    family_seconds[name] += time.perf_counter() - started
                 else:
                     sketches[index].update_block(unique, counts)
         if timed:
@@ -274,13 +301,8 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
                 "repro_sketch_update_block_seconds",
                 "update_block kernel seconds per ingested block, by family",
             )
-            for family, sketches in (
-                ("distinct", self._distinct_sketches),
-                ("moment", self._moment_sketches),
-                ("point", self._point_sketches),
-            ):
-                if sketches is not None:
-                    histogram.observe(family_seconds[family], family=family)
+            for name, seconds in family_seconds.items():
+                histogram.observe(seconds, family=name)
 
     def _merge_summaries(self, other: "ProjectedFrequencyEstimator") -> None:
         """Merge member-by-member via the sketches' own ``merge()`` methods.
@@ -368,6 +390,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         self._member_index = {
             member.columns: index for index, member in enumerate(members)
         }
+        self._places = _place_values(members, self._n_columns, self._alphabet_size)
         families = []
         for name, sketches in (
             ("distinct", summary["distinct"]),
@@ -381,6 +404,12 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
                 raise SnapshotError(
                     f"alpha-net state holds {len(sketches)} {name} sketches "
                     f"for {member_count} net members"
+                )
+            seen = {sketch.items_processed for sketch in sketches}
+            if seen - {self._rows_observed}:
+                raise SnapshotError(
+                    f"alpha-net state holds {name} sketches that did not each "
+                    f"see its rows_observed = {self._rows_observed} rows"
                 )
             families.append(list(sketches))
         self._distinct_sketches, self._moment_sketches, self._point_sketches = families
@@ -435,8 +464,9 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
         The query resolves to its net neighbour once, every pattern
         translates onto the neighbour's columns in one ``(m, k)`` integer
-        block, and the neighbour's point sketch answers the whole batch via
-        its ``estimate_block`` kernel.
+        block, the neighbour's place values turn that block into keys, and
+        the neighbour's point sketch answers the whole batch via its
+        ``estimate_block`` kernel.
 
         A query that is itself a net member is answered within the point
         sketch's own bound, Count-Min's additive ``ε · F_1``.  Otherwise the
@@ -465,9 +495,8 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
             i = position.get(column)
             if i is not None:
                 translated[:, j] = [word[i] for word in words]
-        return np.asarray(
-            self._point_sketches[index].estimate_block(translated), dtype=np.float64
-        )
+        keys = translated @ self._places[list(neighbour.columns), index]
+        return self._point_sketches[index].estimate_block(keys)
 
     # -- guarantees -------------------------------------------------------------------
 

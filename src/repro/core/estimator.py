@@ -30,15 +30,29 @@ def pattern_words(patterns: object) -> list[Word]:
 
     Accepts an ``(m, k)`` integer ndarray (each row one pattern) or any
     iterable of words; the returned tuples are the keys every
-    ``estimate_frequency_block`` looks its patterns up by.
+    ``estimate_frequency_block`` looks its patterns up by.  A symbol that
+    is not an integer is refused, never truncated.
     """
     if isinstance(patterns, np.ndarray):
         if patterns.ndim != 2:
             raise EstimationError(
                 f"a pattern block must be 2-D, got {patterns.ndim} dimension(s)"
             )
+        if patterns.size and not np.issubdtype(patterns.dtype, np.integer):
+            raise EstimationError(
+                f"a pattern block must hold integers, got dtype {patterns.dtype}"
+            )
         return [tuple(row) for row in patterns.tolist()]
-    return [tuple(int(symbol) for symbol in pattern) for pattern in patterns]
+    return [_integer_symbols(pattern, "pattern") for pattern in patterns]
+
+
+def _integer_symbols(word: Iterable[object], what: str) -> Word:
+    """``word`` as a tuple of Python ints, refusing any non-integer symbol."""
+    symbols = tuple(word)
+    for symbol in symbols:
+        if not isinstance(symbol, (int, np.integer)):
+            raise EstimationError(f"{what} symbol {symbol!r} is not an integer")
+    return tuple(int(symbol) for symbol in symbols)
 
 
 class ProjectedFrequencyEstimator(abc.ABC):
@@ -92,15 +106,19 @@ class ProjectedFrequencyEstimator(abc.ABC):
         """Absorb one row (already validated)."""
 
     def observe_row(self, row: Word) -> None:
-        """Absorb one row of the stream."""
+        """Absorb one row of the stream; every symbol must be an integer in
+        ``[0, Q)``."""
         if len(row) != self._n_columns:
             raise EstimationError(
                 f"row of length {len(row)} fed to an estimator expecting "
                 f"{self._n_columns} columns"
             )
+        word = _integer_symbols(row, "row")
+        for symbol in word:
+            self._check_symbol(symbol, "row")
         self._rows_observed += 1
         self._version += 1
-        self._observe(tuple(int(symbol) for symbol in row))
+        self._observe(word)
 
     def _observe_block(self, block: np.ndarray) -> None:
         """Absorb one validated ``(m, d)`` block (hook for subclasses).
@@ -117,12 +135,12 @@ class ProjectedFrequencyEstimator(abc.ABC):
 
         The batch counterpart of :meth:`observe_row` — and the blessed fast
         path through :meth:`~repro.engine.coordinator.Coordinator` batch
-        ingest: the block is validated once (shape and dtype) instead of
-        once per row, and estimators with a vectorized
-        :meth:`_observe_block` override skip the per-row Python loop
-        entirely.  Sketch-backed summaries route each block onward through
-        the sketches' counted ``update_block`` kernels (project → dedup →
-        block-hash → scatter), so the full chain
+        ingest: the block is validated once (shape, dtype and the alphabet
+        ``[0, Q)``) instead of once per row, and estimators with a
+        vectorized :meth:`_observe_block` override skip the per-row Python
+        loop entirely.  Sketch-backed summaries route each block onward
+        through the sketches' counted ``update_block`` kernels (key →
+        dedup → hash → scatter), so the full chain
         ``observe_rows → _observe_block → update_block`` never touches a
         per-item Python loop on the hot path.  Feeding the same rows through
         :meth:`observe_row` and :meth:`observe_rows` produces identical
@@ -148,6 +166,8 @@ class ProjectedFrequencyEstimator(abc.ABC):
             )
         if block.shape[0] == 0:
             return self
+        self._check_symbol(int(block.min()), "row")
+        self._check_symbol(int(block.max()), "row")
         self._rows_observed += int(block.shape[0])
         self._version += 1
         block = block.astype(np.int64, copy=False)
@@ -272,11 +292,11 @@ class ProjectedFrequencyEstimator(abc.ABC):
     def _load_summary_state(self, summary: dict) -> None:
         """Subclass hook: restore the estimator-specific state.
 
-        Called by :meth:`load_state_dict` after the base fields (including
-        ``n_columns`` and ``alphabet_size``, which rebuilt structures may
-        depend on) are in place.  Implementations must assign their fields
-        directly — never route through ``__init__``, which would clobber the
-        base accounting.
+        Called by :meth:`load_state_dict` after the base fields
+        (``n_columns``, ``alphabet_size`` and ``rows_observed``, which
+        rebuilt structures and their checks may depend on) are in place.
+        Implementations must assign their fields directly — never route
+        through ``__init__``, which would clobber the base accounting.
         """
         raise SnapshotError(
             f"{type(self).__name__} does not support snapshot serialization"
@@ -324,8 +344,8 @@ class ProjectedFrequencyEstimator(abc.ABC):
         )
         self._n_columns = int(state["n_columns"])
         self._alphabet_size = int(state["alphabet_size"])
-        self._load_summary_state(state["summary"])
         self._rows_observed = int(state["rows_observed"])
+        self._load_summary_state(state["summary"])
         self._version += 1
 
     @classmethod
@@ -377,12 +397,22 @@ class ProjectedFrequencyEstimator(abc.ABC):
                 f"dimension {self._n_columns}"
             )
 
+    def _check_symbol(self, symbol: int, what: str) -> None:
+        """Refuse a symbol outside the alphabet ``[0, Q)``."""
+        if not 0 <= symbol < self._alphabet_size:
+            raise EstimationError(
+                f"{what} symbol {symbol} is outside the alphabet "
+                f"[0, {self._alphabet_size})"
+            )
+
     def _check_patterns(self, query: ColumnQuery, patterns: Iterable[Word]) -> None:
-        """Refuse a pattern whose length is not the query's size.
+        """Refuse a pattern whose length is not the query's size, or that
+        holds a symbol outside the alphabet.
 
         Every ``estimate_frequency_block`` calls this after
-        :meth:`_check_query`, so a pattern of another length fails on every
-        estimator instead of being counted as absent.
+        :meth:`_check_query`, so such a pattern fails on every estimator
+        instead of being counted as absent (or, on the α-net, aliasing
+        another pattern's key).
         """
         for pattern in patterns:
             if len(pattern) != len(query):
@@ -390,6 +420,8 @@ class ProjectedFrequencyEstimator(abc.ABC):
                     f"pattern length {len(pattern)} does not match query size "
                     f"{len(query)}"
                 )
+            for symbol in pattern:
+                self._check_symbol(symbol, "pattern")
 
     def estimate_fp(self, query: ColumnQuery, p: float) -> float:
         """Estimate the projected moment ``F_p(A, C)``."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..coding.words import Word, word_to_index
 from ..errors import InvalidParameterError, QueryError
-from ..sketches.base import as_item_block, collapse_block
+from ..sketches.base import collapse_block
 from .dataset import ColumnQuery, Dataset
 
 __all__ = ["FrequencyVector", "exact_fp", "exact_heavy_hitters"]
@@ -57,7 +57,12 @@ class FrequencyVector:
         keyed in ``np.unique``'s lexicographic order, whatever order the rows
         arrived in.
         """
-        block = as_item_block(np.asarray(rows), caller="FrequencyVector.from_rows")
+        block = np.asarray(rows)
+        if block.ndim != 2 or not np.issubdtype(block.dtype, np.integer):
+            raise InvalidParameterError(
+                f"FrequencyVector.from_rows expects a 2-D integer block, got "
+                f"{block.ndim} dimension(s) of dtype {block.dtype}"
+            )
         unique, counts = collapse_block(block)
         return cls(
             counts=dict(zip(map(tuple, unique.tolist()), counts.tolist())),

@@ -7,10 +7,11 @@ every row of a :class:`~repro.streaming.stream.RowStream` to exactly one of
 * ``"round_robin"`` — row ``i`` goes to shard ``i mod n_shards``.  Perfectly
   balanced and cheap, but placement depends on arrival order, so it models a
   load balancer spraying traffic.
-* ``"hash"`` — each row is placed by a stable 64-bit hash of its content.
-  Placement is order independent (two ingest pipelines replaying the same
-  rows in different orders agree on every assignment), which is what
-  content-addressed routing in a distributed ingest tier needs.
+* ``"hash"`` — each row is placed by a seeded fingerprint of its content
+  in ``GF(2^61 - 1)``.  Placement is order independent (two ingest
+  pipelines replaying the same rows in different orders agree on every
+  assignment), which is what content-addressed routing in a distributed
+  ingest tier needs.
 
 Both policies are *partitions*: the substreams are disjoint and their union
 is the input stream, which is exactly the precondition under which merging

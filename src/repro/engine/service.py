@@ -27,7 +27,7 @@ from typing import Any, Hashable, Iterable, Sequence
 from .. import telemetry
 from ..coding.words import Word
 from ..core.dataset import ColumnQuery
-from ..core.estimator import ProjectedFrequencyEstimator
+from ..core.estimator import ProjectedFrequencyEstimator, pattern_words
 from ..errors import InvalidParameterError
 from .resilience import DegradedAnswer
 
@@ -104,11 +104,8 @@ class QueryRequest:
     def frequency(cls, query: ColumnQuery, pattern: Word) -> "QueryRequest":
         """A point-frequency request, twin of
         :meth:`QueryService.estimate_frequency`."""
-        return cls(
-            kind="frequency",
-            query=query,
-            pattern=tuple(int(symbol) for symbol in pattern),
-        )
+        (word,) = pattern_words([pattern])
+        return cls(kind="frequency", query=query, pattern=word)
 
     @classmethod
     def heavy_hitters(

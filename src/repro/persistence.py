@@ -63,14 +63,15 @@ __all__ = [
 ]
 
 #: Format tag of a single serialized estimator or sketch.  ``@1`` persisted
-#: the estimator ``version`` counter and KMV's heap in arrival order; it is
-#: refused.
-SNAPSHOT_FORMAT = "repro/estimator-snapshot@2"
+#: the estimator ``version`` counter and KMV's heap in arrival order, and
+#: ``@2`` held sketches that hashed serialised tuples through BLAKE2b; both
+#: are refused.
+SNAPSHOT_FORMAT = "repro/estimator-snapshot@3"
 
 #: Format tag of an engine checkpoint (config manifest + merged summary).
-#: ``@1`` also carried the last ingest's per-shard replicas, and ``@2``
-#: held an ``@1`` summary; both are refused.
-CHECKPOINT_FORMAT = "repro/engine-checkpoint@3"
+#: ``@1`` also carried the last ingest's per-shard replicas, ``@2`` held an
+#: ``@1`` summary and ``@3`` an ``@2`` summary; all are refused.
+CHECKPOINT_FORMAT = "repro/engine-checkpoint@4"
 
 #: Magic prefix identifying every file/payload written by this module.
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\x00"
@@ -391,7 +392,7 @@ def to_bytes(obj: object) -> bytes:
         >>> from repro.persistence import from_bytes, to_bytes
         >>> from repro.sketches.kmv import KMVSketch
         >>> sketch = KMVSketch(k=8, seed=3)
-        >>> sketch.update_many(["a", "b", "c"])
+        >>> sketch.update_block([11, 12, 13])
         >>> restored = from_bytes(to_bytes(sketch))
         >>> restored.estimate() == sketch.estimate()
         True

@@ -2,8 +2,10 @@
 
 The α-net meta-algorithm of Section 6 (Algorithm 1 in the paper) is agnostic
 to the concrete sketch it stores for each column subset in the net: it only
-needs a *β-approximate sketch* that can be updated one item at a time and
-queried once the column query arrives.  These abstract base classes pin down
+needs a *β-approximate sketch* that can be updated with the member's
+projected patterns and queried once the column query arrives.  The hashed
+sketches name each pattern by one integer key (Remark 1's index ``e(w)``,
+see :mod:`repro.sketches.hashing`).  These abstract base classes pin down
 that contract so sketches, estimators, and benchmarks can be mixed freely.
 
 Three sketch flavours are distinguished:
@@ -12,8 +14,7 @@ Three sketch flavours are distinguished:
   items observed.
 * :class:`FrequencyMomentSketch` — estimates ``F_p = sum_i f_i^p`` for some
   fixed ``p``.
-* :class:`PointQuerySketch` — estimates individual item frequencies ``f_i``
-  and, by enumeration of candidates, heavy hitters.
+* :class:`PointQuerySketch` — estimates individual item frequencies ``f_i``.
 
 Each sketch also reports an estimate of its own memory footprint in bits via
 :meth:`Sketch.size_in_bits`, which the benchmarks use for space accounting.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Generic, Hashable, Iterable, TypeVar
+from typing import Generic, Iterable, TypeVar
 
 import numpy as np
 
@@ -36,85 +37,12 @@ __all__ = [
     "DistinctCountSketch",
     "FrequencyMomentSketch",
     "PointQuerySketch",
-    "as_item_block",
-    "as_query_block",
     "validate_counts",
     "collapse_block",
     "merge_all",
 ]
 
-ItemT = TypeVar("ItemT", bound=Hashable)
-
-
-def as_item_block(items: object, caller: str = "update_block") -> np.ndarray | None:
-    """Normalise ``items`` for the vectorized block kernels.
-
-    Returns an ``(m, w)`` ``int64`` view when ``items`` is a 2-D integer
-    ndarray (each row standing for the tuple of its entries), or ``None``
-    when ``items`` is not an ndarray at all — the caller then takes the
-    generic per-item path.  An ndarray of the wrong shape or dtype raises
-    immediately rather than degrading to the slow path silently.
-    ``caller`` only names the entry point in error messages.
-    """
-    if not isinstance(items, np.ndarray):
-        return None
-    if items.ndim != 2:
-        raise InvalidParameterError(
-            f"{caller} expects a 2-D (rows, width) block, got "
-            f"{items.ndim} dimension(s)"
-        )
-    if not np.issubdtype(items.dtype, np.integer):
-        raise InvalidParameterError(
-            f"{caller} expects an integer block, got dtype {items.dtype}"
-        )
-    if (
-        items.dtype == np.uint64
-        and items.size
-        and int(items.max()) > np.iinfo(np.int64).max
-    ):
-        # astype(int64) would wrap these silently and the hashed patterns
-        # would no longer match the scalar update path.
-        raise InvalidParameterError(
-            f"{caller} cannot represent uint64 values above the int64 "
-            "range; pass the items as Python-int tuples instead"
-        )
-    return items.astype(np.int64, copy=False)
-
-
-def as_query_block(items: object) -> tuple[list, np.ndarray | None]:
-    """Normalise a query batch for the vectorized ``estimate_block`` kernels.
-
-    Returns ``(sequence, block)``: ``sequence`` is the list of hashable
-    items the batch stands for (an ndarray row stands for the tuple of its
-    entries, exactly as in :func:`as_item_block`), and ``block`` is the
-    ``(m, w)`` ``int64`` pattern block the hashing kernels consume — or
-    ``None`` when the items cannot be packed into one (non-tuple items,
-    ragged widths, values outside the int64 range), in which case the
-    caller answers through the per-item scalar path.  Query results keyed
-    by item therefore always use the ``sequence`` entries, so block and
-    tuple-sequence inputs report identical keys.
-    """
-    block = as_item_block(items, caller="estimate_block")
-    if block is not None:
-        return [tuple(row) for row in block.tolist()], block
-    sequence = list(items)  # type: ignore[arg-type]
-    if not sequence:
-        return sequence, np.empty((0, 0), dtype=np.int64)
-    width = None
-    for item in sequence:
-        if not isinstance(item, tuple) or not all(
-            isinstance(symbol, (int, np.integer)) for symbol in item
-        ):
-            return sequence, None
-        if width is None:
-            width = len(item)
-        elif len(item) != width:
-            return sequence, None
-    try:
-        packed = np.array(sequence, dtype=np.int64)
-    except OverflowError:
-        return sequence, None
-    return sequence, packed.reshape(len(sequence), width or 0)
+ItemT = TypeVar("ItemT")
 
 
 def validate_counts(n_items: int, counts: object) -> np.ndarray:
@@ -221,33 +149,17 @@ class Sketch(abc.ABC, Generic[ItemT]):
         input array ``A`` only ever gains rows.
         """
 
-    def update_many(self, items: Iterable[ItemT]) -> None:
-        """Record one occurrence of every item in ``items``."""
-        for item in items:
-            self.update(item)
-
+    @abc.abstractmethod
     def update_block(self, items, counts=None) -> None:
         """Record a batch of items with optional per-item multiplicities.
 
-        ``items`` is either a 2-D integer ndarray — each row standing for
-        the tuple of its entries, the wire format of the batch-ingest path —
-        or any iterable of hashable items.  ``counts`` (optional) gives one
-        positive multiplicity per item.
-
-        The contract: ``update_block(items, counts)`` leaves the sketch in
-        the same state as ``for item, count in zip(items, counts):
-        update(item, count)``.  This base implementation *is* that loop;
-        every sketch and sampler in this package overrides it with a
-        counted kernel that is bit-identical to the loop.
+        ``counts`` (optional) gives one positive multiplicity per item.  The
+        contract: ``update_block(items, counts)`` leaves the sketch in the
+        same state as ``for item, count in zip(items, counts):
+        update(item, count)``.  The hashed sketches take a 1-D integer key
+        array (see :func:`~repro.sketches.hashing.as_key_block`); the
+        samplers take a sequence of items or an ``(m, d)`` block of rows.
         """
-        block = as_item_block(items)
-        if block is not None:
-            sequence = [tuple(row) for row in block.tolist()]
-        else:
-            sequence = list(items)
-        multiplicities = validate_counts(len(sequence), counts)
-        for item, count in zip(sequence, multiplicities.tolist()):
-            self.update(item, count)
 
     # -- persistence ------------------------------------------------------------
 
@@ -406,37 +318,13 @@ class FrequencyMomentSketch(MergeableSketch[ItemT]):
 class PointQuerySketch(MergeableSketch[ItemT]):
     """Sketch supporting per-item frequency estimates."""
 
+    def estimate(self, key: int) -> float:
+        """Estimate the frequency of ``key``: a one-key :meth:`estimate_block` call."""
+        return float(self.estimate_block(np.array([key]))[0])
+
     @abc.abstractmethod
-    def estimate(self, item: ItemT) -> float:
-        """Return an estimate of the frequency of ``item``."""
+    def estimate_block(self, keys) -> np.ndarray:
+        """Batch point queries: entry ``i`` estimates the frequency of ``keys[i]``.
 
-    def estimate_block(self, items) -> np.ndarray:
-        """Batch point queries: entry ``i`` estimates the ``i``-th item.
-
-        ``items`` is either a 2-D integer ndarray — each row standing for
-        the tuple of its entries, the wire format of the batch query path —
-        or any iterable of hashable items.  The contract mirrors
-        :meth:`Sketch.update_block`: the returned ``float64`` array equals
-        ``[estimate(item) for item in items]`` entry for entry.  This base
-        implementation *is* that loop; hash-based sketches override it with
-        vectorized gather kernels.
+        ``keys`` is a 1-D integer key array; the result is ``float64``.
         """
-        sequence, _ = as_query_block(items)
-        return np.array(
-            [float(self.estimate(item)) for item in sequence], dtype=np.float64
-        )
-
-    def heavy_hitters(
-        self, candidates: Iterable[ItemT], threshold: float
-    ) -> dict[ItemT, float]:
-        """Return candidates whose estimated frequency reaches ``threshold``.
-
-        The candidate set must be supplied by the caller: a hashed sketch
-        cannot enumerate the items it has seen.
-        """
-        report: dict[ItemT, float] = {}
-        for candidate in candidates:
-            estimate = self.estimate(candidate)
-            if estimate >= threshold:
-                report[candidate] = estimate
-        return report

@@ -1,14 +1,15 @@
-"""Count-Min sketch for point frequency queries and heavy hitters.
+"""Count-Min sketch for point frequency queries.
 
 The Count-Min sketch (Cormode & Muthukrishnan) keeps a ``depth x width``
-array of counters; each of the ``depth`` rows hashes items into ``width``
-buckets with an independent 2-universal hash function, and a point query
-returns the minimum counter over the rows.  With ``width = ceil(e / epsilon)``
+array of counters; each of the ``depth`` rows hashes integer keys into
+``width`` buckets with its own 2-universal function
+``((a·x + b) mod p) mod width``, and a point query returns the minimum
+counter over the rows.  With ``width = ceil(e / epsilon)``
 and ``depth = ceil(ln(1 / delta))`` the estimate ``f̂_i`` satisfies
 ``f_i <= f̂_i <= f_i + epsilon * F_1`` with probability at least ``1 - delta``.
 
-Within this reproduction Count-Min sketches are the default point-query and
-heavy-hitter summary stored per column subset by the α-net estimator, and a
+Within this reproduction Count-Min sketches are the default point-query
+summary stored per column subset by the α-net estimator, and a
 baseline against which the uniform-sample estimator of Theorem 5.1 is
 compared in the benchmarks.
 """
@@ -16,20 +17,25 @@ compared in the benchmarks.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
 
 import numpy as np
 
 from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
-from .base import PointQuerySketch, as_item_block, as_query_block, collapse_block
-from .hashing import HashFamily, encode_pattern_block
+from .base import PointQuerySketch, validate_counts
+from .hashing import (
+    MERSENNE_PRIME_61,
+    as_key,
+    as_key_block,
+    field_hash,
+    hash_coefficients,
+)
 
 __all__ = ["CountMinSketch"]
 
 
 @snapshottable("sketch.countmin")
-class CountMinSketch(PointQuerySketch[Hashable]):
+class CountMinSketch(PointQuerySketch[int]):
     """Count-Min sketch with conservative ``min`` point queries.
 
     Parameters
@@ -39,8 +45,8 @@ class CountMinSketch(PointQuerySketch[Hashable]):
     depth:
         Number of independent rows.
     seed:
-        Seed of the hash family; sketches must share a seed, width and depth
-        to be mergeable.
+        Seed of the ``(depth, 2)`` hash coefficient table; sketches must
+        share a seed, width and depth to be mergeable.
     """
 
     _merge_config = ("width", "depth", "seed")
@@ -53,11 +59,7 @@ class CountMinSketch(PointQuerySketch[Hashable]):
         self._width = int(width)
         self._depth = int(depth)
         self._seed = int(seed)
-        family = HashFamily(seed)
-        self._hashes = [
-            family.polynomial(independence=2, range_size=self._width)
-            for _ in range(self._depth)
-        ]
+        self._coefficients = hash_coefficients(self._seed, self._depth)
         self._table = np.zeros((self._depth, self._width), dtype=np.int64)
         self._items_processed = 0
 
@@ -93,39 +95,33 @@ class CountMinSketch(PointQuerySketch[Hashable]):
     def items_processed(self) -> int:
         return self._items_processed
 
-    def update(self, item: Hashable, count: int = 1) -> None:
+    def _buckets(self, keys: np.ndarray) -> np.ndarray:
+        """``(depth, m)`` bucket of every validated key in every row."""
+        return (
+            field_hash(self._coefficients, keys) % np.uint64(self._width)
+        ).astype(np.intp)
+
+    def update(self, key: int, count: int = 1) -> None:
         if count < 1:
             raise InvalidParameterError(f"count must be >= 1, got {count}")
-        if not isinstance(item, Hashable):
-            raise InvalidParameterError(
-                f"CountMinSketch items must be hashable, got {type(item).__name__}; "
-                f"feed ndarray rows through update_block instead"
-            )
+        key = as_key(key)
         self._items_processed += count
-        for row, hash_function in enumerate(self._hashes):
-            self._table[row, hash_function(item)] += count
+        for row, (a, b) in enumerate(self._coefficients.tolist()):
+            self._table[row, (a * key + b) % MERSENNE_PRIME_61 % self._width] += count
 
-    def update_block(self, items, counts=None) -> None:
-        """Counted batch update, bit-identical to the per-item loop.
+    def update_block(self, keys, counts=None) -> None:
+        """Counted batch update, bit-identical to the per-key loop.
 
-        Duplicate rows collapse into one ``(pattern, count)`` pair, each row
-        of the sketch hashes the unique patterns in a single
-        :func:`~repro.sketches.hashing.stable_hash64_patterns` pass, and the
-        counters absorb the whole batch through one ``np.add.at`` scatter per
-        row — commutative integer additions, so the final table matches
-        sequential :meth:`update` calls exactly.
+        One broadcast pass hashes every key in every row, and one
+        ``np.add.at`` scatter adds the counts into the table.  ``np.add.at``
+        sums repeated keys exactly, so the input needs no deduplication and
+        the table matches sequential :meth:`update` calls.
         """
-        block = as_item_block(items)
-        if block is None:
-            return super().update_block(items, counts)
-        unique, multiplicities = collapse_block(block, counts)
-        if unique.shape[0] == 0:
-            return
+        keys = as_key_block(keys)
+        multiplicities = validate_counts(keys.shape[0], counts)
         self._items_processed += int(multiplicities.sum())
-        encoded = encode_pattern_block(unique)
-        for row, hash_function in enumerate(self._hashes):
-            buckets = hash_function.evaluate_block(encoded.hash64(hash_function.seed))
-            np.add.at(self._table[row], buckets.astype(np.intp), multiplicities)
+        rows = np.arange(self._depth)[:, np.newaxis]
+        np.add.at(self._table, (rows, self._buckets(keys)), multiplicities)
 
     def merge(self, other: "CountMinSketch") -> None:
         self.check_mergeable(other)
@@ -133,7 +129,7 @@ class CountMinSketch(PointQuerySketch[Hashable]):
         self._table += other._table
 
     def state_dict(self) -> dict:
-        """Configuration plus the counter table (hashes re-derive from seed)."""
+        """Configuration plus the counter table (coefficients re-derive from seed)."""
         return {
             "width": self._width,
             "depth": self._depth,
@@ -143,7 +139,7 @@ class CountMinSketch(PointQuerySketch[Hashable]):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Rebuild the hash rows from the seed and restore the counters.
+        """Rebuild the coefficient table from the seed and restore the counters.
 
         Every update adds its count once to each row, so a table some
         sketch could hold is ``(depth, width)``, non-negative, and has rows
@@ -174,56 +170,15 @@ class CountMinSketch(PointQuerySketch[Hashable]):
         self._table = table.copy()
         self._items_processed = items_processed
 
-    def estimate(self, item: Hashable) -> float:
-        """Return the (over-)estimate of the frequency of ``item``."""
-        return float(
-            min(
-                self._table[row, hash_function(item)]
-                for row, hash_function in enumerate(self._hashes)
-            )
-        )
+    def estimate_block(self, keys) -> np.ndarray:
+        """Batch point queries: the minimum counter over the rows, per key.
 
-    def estimate_block(self, items) -> np.ndarray:
-        """Batch point queries, bit-identical to per-item :meth:`estimate` calls.
-
-        The whole batch serialises once (:func:`~repro.sketches.hashing.
-        encode_pattern_block`), each sketch row hashes it in one
-        ``evaluate_block`` pass, and the counters gather into a
-        ``(depth, m)`` slab reduced by ``np.min`` — the same integer minima
-        the scalar path takes one item at a time.
+        One broadcast pass gives every key's bucket in every row, and the
+        counters gather into a ``(depth, m)`` slab reduced by ``np.min``.
         """
-        sequence, block = as_query_block(items)
-        if block is None:
-            return super().estimate_block(sequence)
-        if block.shape[0] == 0:
-            return np.zeros(0, dtype=np.float64)
-        encoded = encode_pattern_block(block)
-        slab = np.empty((self._depth, block.shape[0]), dtype=np.int64)
-        for row, hash_function in enumerate(self._hashes):
-            buckets = hash_function.evaluate_block(encoded.hash64(hash_function.seed))
-            slab[row] = self._table[row, buckets.astype(np.intp)]
-        return slab.min(axis=0).astype(np.float64)
-
-    def heavy_hitters(
-        self, candidates: Iterable[Hashable], threshold: float
-    ) -> dict[Hashable, float]:
-        """Return candidates whose estimated frequency reaches ``threshold``.
-
-        Whole-table candidate filter: the candidate set answers through one
-        :meth:`estimate_block` pass and a threshold mask, reporting exactly
-        the (key, estimate) pairs — in candidate order — that the scalar
-        per-candidate loop would.  Candidates that cannot pack into a
-        pattern block fall back to that loop.
-        """
-        sequence, block = as_query_block(candidates)
-        if block is None:
-            return super().heavy_hitters(sequence, threshold)
-        report: dict[Hashable, float] = {}
-        estimates = self.estimate_block(block)
-        for candidate, estimate in zip(sequence, estimates.tolist()):
-            if estimate >= threshold:
-                report[candidate] = estimate
-        return report
+        keys = as_key_block(keys, caller="estimate_block")
+        rows = np.arange(self._depth)[:, np.newaxis]
+        return self._table[rows, self._buckets(keys)].min(axis=0).astype(np.float64)
 
     def additive_error_bound(self, delta: float = 0.01) -> float:
         """Additive error guaranteed with probability ``1 - delta`` for ``F_1`` mass."""

@@ -1,27 +1,31 @@
-"""Hash function families used by the streaming sketches.
+"""Seeded Mersenne-61 hashing of integer keys.
 
-Every sketch in :mod:`repro.sketches` consumes *hashable items* (bytes,
-strings, ints or tuples thereof).  The families implemented here provide the
-independence guarantees the classical analyses require:
+Every hashed sketch in :mod:`repro.sketches` takes integer keys in
+``[0, p)``, ``p = 2^61 - 1``.  The α-net names each projected pattern ``w``
+by Remark 1's index ``e(w)``, so a sketch never sees a tuple.  Sketch row
+``i`` hashes a key ``x`` with its own Carter–Wegman function
+``h_i(x) = (a_i·x + b_i) mod p``, ``a_i ≠ 0``:
 
-* :class:`PolynomialHash` — k-wise independent hashing by evaluating a random
-  degree ``k-1`` polynomial over the Mersenne prime ``2^61 - 1``.  Count-Min
-  draws one pairwise-independent function per row from a
-  :class:`HashFamily`.
-* :func:`stable_hash64` — a deterministic, seed-able 64-bit hash of arbitrary
-  Python objects, used to map items into the integer domain the families
-  operate on.  KMV hashes items to the unit interval through it, and
-  StableLp seeds each item's stable draws with it.
+* the family is 2-wise independent, the independence Count-Min's bound
+  needs for its buckets ``h_i(x) mod width`` and the KMV analysis needs for
+  its hashes;
+* with ``a_i ≠ 0`` each ``h_i`` is a bijection on ``[0, p)``, so distinct
+  keys never share a hash;
+* StableLp seeds each (key, row) draw with ``h_i(x)``.
 
-All families are deterministic functions of their seed, which keeps every
-experiment in the repository reproducible.
+The partitioner's ``"hash"`` policy fingerprints whole rows with the same
+field arithmetic (:func:`fingerprint_rows`).
+
+:func:`hash_coefficients` draws a sketch's ``(rows, 2)`` table of
+``(a_i, b_i)`` from one seed, :func:`field_hash` evaluates every row over a
+key block in one broadcast pass, and the scalar ``update`` paths compute
+the same values with Python ints.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
-from dataclasses import dataclass, field
+import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -29,167 +33,105 @@ from ..errors import InvalidParameterError
 
 __all__ = [
     "MERSENNE_PRIME_61",
-    "stable_hash64",
-    "stable_hash64_patterns",
-    "EncodedPatternBlock",
-    "encode_pattern_block",
-    "hash_to_unit_interval",
-    "PolynomialHash",
-    "HashFamily",
+    "as_key",
+    "as_key_block",
+    "field_hash",
+    "fingerprint_row",
+    "fingerprint_rows",
+    "hash_coefficients",
 ]
 
-#: The Mersenne prime :math:`2^{61} - 1` used for polynomial hashing.
+#: The Mersenne prime :math:`2^{61} - 1`, the field every key is hashed in.
 MERSENNE_PRIME_61 = (1 << 61) - 1
 
-_MASK64 = (1 << 64) - 1
 
-
-def _item_to_bytes(item: object) -> bytes:
-    """Serialise ``item`` into a canonical byte string.
-
-    Integers, strings, bytes and (nested) tuples of those are supported; any
-    other object falls back to ``repr`` which is stable within a process and
-    adequate for test data.
-    """
-    if isinstance(item, bytes):
-        return b"b" + item
-    if isinstance(item, str):
-        return b"s" + item.encode("utf-8")
-    if isinstance(item, (int, np.integer)):
-        return b"i" + int(item).to_bytes(16, "little", signed=True)
-    if isinstance(item, tuple):
-        parts = [b"t", len(item).to_bytes(4, "little")]
-        for element in item:
-            encoded = _item_to_bytes(element)
-            parts.append(len(encoded).to_bytes(4, "little"))
-            parts.append(encoded)
-        return b"".join(parts)
-    return b"r" + repr(item).encode("utf-8")
-
-
-def stable_hash64(item: object, seed: int = 0) -> int:
-    """Return a deterministic 64-bit hash of ``item`` for the given ``seed``.
-
-    The hash is derived from BLAKE2b, so distinct seeds give effectively
-    independent hash functions.  This function is the single entry point
-    through which arbitrary Python items are reduced to integers before the
-    structured families below are applied.
-    """
-    digest = hashlib.blake2b(
-        _item_to_bytes(item), digest_size=8, key=seed.to_bytes(8, "little", signed=False)
-    ).digest()
-    return struct.unpack("<Q", digest)[0]
-
-
-def hash_to_unit_interval(item: object, seed: int = 0) -> float:
-    """Hash ``item`` to a float uniformly distributed in ``[0, 1)``."""
-    return stable_hash64(item, seed) / float(1 << 64)
-
-
-class EncodedPatternBlock:
-    """The seed-independent half of :func:`stable_hash64_patterns`.
-
-    Serialising an ``(m, w)`` integer block into per-row byte payloads
-    depends only on the block, not on the hash seed — but sketches with
-    several internal hash functions (the Count-Min rows, the StableLp row
-    seeds) need the *digest* under many different seeds.  Encoding once
-    and calling :meth:`hash64` per seed avoids rebuilding the identical
-    serialisation for every seed on the hot ingest path.
-    """
-
-    __slots__ = ("_payloads",)
-
-    def __init__(self, payloads: list[bytes]) -> None:
-        self._payloads = payloads
-
-    def __len__(self) -> int:
-        return len(self._payloads)
-
-    def hash64(self, seed: int = 0) -> np.ndarray:
-        """Keyed BLAKE2b digests of every encoded row, as ``uint64`` keys.
-
-        Entry ``i`` equals ``stable_hash64(tuple(block[i]), seed)`` for the
-        block this encoding was built from.  Keyed BLAKE2b compresses the
-        key as a block of its own, so the keyed state is built once and
-        copied per payload, and the digests decode in one pass.
-        """
-        keyed = hashlib.blake2b(
-            digest_size=8, key=int(seed).to_bytes(8, "little", signed=False)
-        )
-        digests = []
-        for payload in self._payloads:
-            state = keyed.copy()
-            state.update(payload)
-            digests.append(state.digest())
-        return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
-
-
-def encode_pattern_block(block: np.ndarray) -> EncodedPatternBlock:
-    """Serialise an ``(m, w)`` integer block into per-row hash payloads.
-
-    Each row encodes exactly as :func:`stable_hash64` serialises the
-    corresponding tuple of Python ints, built for the whole block in a few
-    NumPy passes.  The returned :class:`EncodedPatternBlock` digests the
-    rows under any number of seeds without re-serialising.
-    """
-    block = np.asarray(block)
-    if block.ndim != 2:
+def as_key(key: object) -> int:
+    """Validate one key for a scalar ``update``: an integer in ``[0, p)``."""
+    if not isinstance(key, (int, np.integer)) or not 0 <= key < MERSENNE_PRIME_61:
         raise InvalidParameterError(
-            f"encode_pattern_block expects a 2-D block, got {block.ndim} dimension(s)"
+            f"a sketch key must be an integer in [0, 2^61 - 1), got "
+            f"{type(key).__name__} {key!r}"
         )
-    if not np.issubdtype(block.dtype, np.integer):
-        raise InvalidParameterError(
-            f"encode_pattern_block expects an integer block, got dtype {block.dtype}"
-        )
-    n_rows, n_columns = block.shape
-    if n_rows == 0:
-        return EncodedPatternBlock([])
-    prefix = b"t" + n_columns.to_bytes(4, "little")
-    # Per element, _item_to_bytes emits a 21-byte record: the length prefix
-    # (17, little-endian, 4 bytes), the b"i" tag, and the value as a 16-byte
-    # little-endian signed integer (low 8 bytes from int64 two's complement,
-    # high 8 bytes sign-filled).
-    records = np.zeros((n_rows, n_columns, 21), dtype=np.uint8)
-    records[:, :, 0] = 17
-    records[:, :, 4] = ord("i")
-    values = np.ascontiguousarray(block, dtype="<i8")
-    records[:, :, 5:13] = values.view(np.uint8).reshape(n_rows, n_columns, 8)
-    records[:, :, 13:21] = np.where(values < 0, 0xFF, 0).astype(np.uint8)[:, :, None]
-    bodies = records.reshape(n_rows, n_columns * 21)
-    return EncodedPatternBlock(
-        [prefix + bodies[index].tobytes() for index in range(n_rows)]
-    )
+    return int(key)
 
 
-def stable_hash64_patterns(block: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Row-wise :func:`stable_hash64` over an ``(m, w)`` integer pattern block.
+def as_key_block(keys: object, caller: str = "update_block") -> np.ndarray:
+    """Validate a 1-D integer key array in ``[0, p)``; return it as ``uint64``.
 
-    Returns a ``uint64`` array where entry ``i`` equals
-    ``stable_hash64(tuple(block[i]), seed)`` — the per-row serialisation is
-    built for the whole block in a few NumPy passes (see
-    :func:`encode_pattern_block`), leaving only the (mandatory) one BLAKE2b
-    digest per row.  This is the block-hashing entry point of the vectorized
-    sketch-ingest path: a sketch's ``update_block`` hashes a block of
-    projected patterns with each of its internal seeds exactly as the scalar
-    ``update`` path would hash the corresponding tuples, so the structured
-    families below can consume the resulting keys through their
-    ``evaluate_block`` kernels without changing a single output bucket.
+    ``caller`` only names the entry point in error messages.
     """
-    return encode_pattern_block(block).hash64(seed)
+    array = np.asarray(keys)
+    if array.ndim != 1:
+        raise InvalidParameterError(
+            f"{caller} expects a 1-D key array, got {array.ndim} dimension(s)"
+        )
+    if array.size == 0:
+        return array.astype(np.uint64)
+    if not np.issubdtype(array.dtype, np.integer):
+        raise InvalidParameterError(
+            f"{caller} expects integer keys, got dtype {array.dtype}"
+        )
+    if int(array.min()) < 0 or int(array.max()) >= MERSENNE_PRIME_61:
+        raise InvalidParameterError(
+            f"{caller} expects keys in [0, 2^61 - 1), got "
+            f"[{int(array.min())}, {int(array.max())}]"
+        )
+    return array.astype(np.uint64, copy=False)
 
 
-def _as_uint64(values: np.ndarray) -> np.ndarray:
-    """Validate a 1-D ``uint64`` key array (the output of the block hashers)."""
-    keys = np.asarray(values)
-    if keys.ndim != 1:
-        raise InvalidParameterError(
-            f"evaluate_block expects a 1-D key array, got {keys.ndim} dimension(s)"
+def hash_coefficients(seed: int, rows: int) -> np.ndarray:
+    """A ``(rows, 2)`` ``uint64`` table of ``(a_i, b_i)`` drawn from ``seed``.
+
+    ``a_i`` is drawn from ``[1, p)`` and ``b_i`` from ``[0, p)``, both
+    through ``np.random.default_rng``.  The seed is taken mod ``2^64``, so
+    any integer seed is accepted.
+    """
+    rng = np.random.default_rng(seed % (1 << 64))
+    table = np.empty((rows, 2), dtype=np.uint64)
+    table[:, 0] = rng.integers(1, MERSENNE_PRIME_61, size=rows, dtype=np.uint64)
+    table[:, 1] = rng.integers(0, MERSENNE_PRIME_61, size=rows, dtype=np.uint64)
+    return table
+
+
+def field_hash(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``(rows, m)`` ``uint64`` array: entry ``(i, j)`` is ``h_i(keys[j])``.
+
+    ``keys`` is a validated ``uint64`` block (:func:`as_key_block`).
+    """
+    products = _mulmod_mersenne61(coefficients[:, :1], keys[np.newaxis, :])
+    return _addmod_mersenne61(products, coefficients[:, 1:])
+
+
+@functools.lru_cache(maxsize=64)
+def _fingerprint_coefficients(seed: int) -> tuple[int, int]:
+    """The ``(a, b)`` pair of the row fingerprint seeded by ``seed``."""
+    ((a, b),) = hash_coefficients(seed, 1).tolist()
+    return a, b
+
+
+def fingerprint_row(row: Sequence[int], seed: int = 0) -> int:
+    """Horner fingerprint of one row of integer symbols in ``GF(2^61 - 1)``.
+
+    Starting from ``b``, each symbol ``x`` maps the value ``h`` to
+    ``(h·a + x) mod p``, with ``(a, b)`` drawn from ``seed``
+    (:func:`hash_coefficients`).
+    """
+    a, fingerprint = _fingerprint_coefficients(seed)
+    for symbol in row:
+        fingerprint = (fingerprint * a + int(symbol)) % MERSENNE_PRIME_61
+    return fingerprint
+
+
+def fingerprint_rows(block: np.ndarray, seed: int = 0) -> np.ndarray:
+    """:func:`fingerprint_row` of every row of an ``(m, d)`` integer block."""
+    a, b = _fingerprint_coefficients(seed)
+    symbols = np.mod(block, MERSENNE_PRIME_61).astype(np.uint64)
+    fingerprints = np.full(block.shape[0], b, dtype=np.uint64)
+    for column in symbols.T:
+        fingerprints = _addmod_mersenne61(
+            _mulmod_mersenne61(fingerprints, np.uint64(a)), column
         )
-    if keys.dtype != np.uint64:
-        raise InvalidParameterError(
-            f"evaluate_block expects uint64 keys, got dtype {keys.dtype}"
-        )
-    return keys
+    return fingerprints
 
 
 def _mulmod_mersenne61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,126 +157,8 @@ def _mulmod_mersenne61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(total >= mersenne, total - mersenne, total)
 
 
-def _addmod_mersenne61(a: np.ndarray, b: np.uint64) -> np.ndarray:
+def _addmod_mersenne61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized ``(a + b) mod (2^61 - 1)`` for operands already ``< 2^61 - 1``."""
     mersenne = np.uint64(MERSENNE_PRIME_61)
     total = a + b
     return np.where(total >= mersenne, total - mersenne, total)
-
-
-@dataclass
-class PolynomialHash:
-    """k-wise independent hashing over the Mersenne prime ``2^61 - 1``.
-
-    Evaluates a random polynomial of degree ``independence - 1`` at the key.
-    With ``independence = 2`` this is the classical Carter–Wegman universal
-    family, the pairwise independence Count-Min's bound needs.
-
-    Parameters
-    ----------
-    independence:
-        Level of independence ``k >= 2``.
-    range_size:
-        Output range ``[0, range_size)``.  Defaults to the full prime field.
-    seed:
-        Seed controlling the polynomial coefficients.
-    """
-
-    independence: int = 2
-    range_size: int | None = None
-    seed: int = 0
-    _coefficients: tuple[int, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.independence < 2:
-            raise InvalidParameterError(
-                f"independence must be >= 2, got {self.independence}"
-            )
-        if self.range_size is not None and self.range_size < 1:
-            raise InvalidParameterError(
-                f"range_size must be positive, got {self.range_size}"
-            )
-        rng = np.random.default_rng(self.seed)
-        coefficients = [
-            int(rng.integers(1, MERSENNE_PRIME_61))
-        ]  # leading coefficient non-zero
-        coefficients.extend(
-            int(rng.integers(0, MERSENNE_PRIME_61))
-            for _ in range(self.independence - 1)
-        )
-        self._coefficients = tuple(coefficients)
-
-    def field_value(self, item: object) -> int:
-        """Evaluate the polynomial at ``item`` in the field ``GF(2^61 - 1)``."""
-        key = stable_hash64(item, self.seed) % MERSENNE_PRIME_61
-        value = 0
-        for coefficient in self._coefficients:
-            value = (value * key + coefficient) % MERSENNE_PRIME_61
-        return value
-
-    def __call__(self, item: object) -> int:
-        value = self.field_value(item)
-        if self.range_size is None:
-            return value
-        return value % self.range_size
-
-    def field_value_block(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`field_value` over pre-hashed ``uint64`` keys.
-
-        ``keys`` must come from :func:`stable_hash64_patterns` called with
-        *this* function's seed.  Horner evaluation runs entirely in ``uint64``
-        via split-multiply reduction modulo the Mersenne prime, so entry
-        ``i`` equals the scalar ``field_value`` of the corresponding item.
-        """
-        keys = _as_uint64(keys) % np.uint64(MERSENNE_PRIME_61)
-        # The scalar loop's first step maps 0 to the leading coefficient.
-        leading, *rest = self._coefficients
-        value = np.full(len(keys), leading, dtype=np.uint64)
-        for coefficient in rest:
-            value = _addmod_mersenne61(
-                _mulmod_mersenne61(value, keys), np.uint64(coefficient)
-            )
-        return value
-
-    def evaluate_block(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized ``__call__`` over pre-hashed ``uint64`` keys."""
-        value = self.field_value_block(keys)
-        if self.range_size is None:
-            return value
-        return value % np.uint64(self.range_size)
-
-
-class HashFamily:
-    """Factory producing independent hash functions from a master seed.
-
-    Sketches that need several independent hash functions (for example one
-    per CountMin row) draw them from a single :class:`HashFamily` so that the
-    whole sketch remains a deterministic function of one seed.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
-        self._counter = 0
-
-    @property
-    def seed(self) -> int:
-        """The master seed of this family."""
-        return self._seed
-
-    def _next_seed(self) -> int:
-        self._counter += 1
-        return stable_hash64(("family", self._seed, self._counter)) & _MASK64
-
-    def polynomial(
-        self, independence: int = 2, range_size: int | None = None
-    ) -> PolynomialHash:
-        """Draw a fresh :class:`PolynomialHash`."""
-        return PolynomialHash(
-            independence=independence, range_size=range_size, seed=self._next_seed()
-        )
-
-    def draw_seeds(self, count: int) -> list[int]:
-        """Draw ``count`` independent integer seeds."""
-        if count < 0:
-            raise InvalidParameterError(f"count must be non-negative, got {count}")
-        return [self._next_seed() for _ in range(count)]

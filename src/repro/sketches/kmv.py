@@ -1,9 +1,11 @@
 """K-Minimum Values (KMV) distinct-count sketch.
 
-The KMV sketch hashes every item to the unit interval and keeps only the
+The KMV sketch hashes every integer key with one seeded
+``h(x) = (a·x + b) mod p`` (``p = 2^61 - 1``, ``a ≠ 0``) and keeps only the
 ``k`` smallest hash values seen.  If ``v_k`` is the ``k``-th smallest value
-then ``(k - 1) / v_k`` is an unbiased estimator of the number of distinct
-items, with relative standard error roughly ``1 / sqrt(k - 2)``.
+then ``(k - 1) / (v_k / p)`` estimates the number of distinct keys, with
+relative standard error roughly ``1 / sqrt(k - 2)``.  ``h`` is a bijection
+on ``[0, p)``, so below ``k`` distinct keys the count is exact.
 
 Choosing ``k = O(1 / epsilon^2)`` therefore gives a ``(1 ± epsilon)``
 approximation with constant probability, which is exactly the kind of
@@ -18,14 +20,20 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Hashable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
-from .base import DistinctCountSketch, as_item_block, collapse_block
-from .hashing import hash_to_unit_interval, stable_hash64_patterns
+from .base import DistinctCountSketch, validate_counts
+from .hashing import (
+    MERSENNE_PRIME_61,
+    as_key,
+    as_key_block,
+    field_hash,
+    hash_coefficients,
+)
 
 __all__ = ["KMVSketch", "kmv_size_for_epsilon"]
 
@@ -44,7 +52,7 @@ def kmv_size_for_epsilon(epsilon: float, delta: float = 0.05) -> int:
 
 
 @snapshottable("sketch.kmv")
-class KMVSketch(DistinctCountSketch[Hashable]):
+class KMVSketch(DistinctCountSketch[int]):
     """Distinct-count estimator keeping the ``k`` minimum hash values.
 
     Parameters
@@ -64,8 +72,9 @@ class KMVSketch(DistinctCountSketch[Hashable]):
             raise InvalidParameterError(f"k must be >= 2, got {k}")
         self._k = int(k)
         self._seed = int(seed)
+        self._coefficients = hash_coefficients(self._seed, 1)
         # The k smallest distinct hashes seen so far, ascending.
-        self._minima = np.empty(0, dtype=np.float64)
+        self._minima = np.empty(0, dtype=np.uint64)
         self._items_processed = 0
 
     @classmethod
@@ -91,36 +100,33 @@ class KMVSketch(DistinctCountSketch[Hashable]):
         """Keep the ``k`` smallest distinct values of the minima and ``values``."""
         self._minima = np.union1d(self._minima, values)[: self._k]
 
-    def update(self, item: Hashable, count: int = 1) -> None:
+    def update(self, key: int, count: int = 1) -> None:
         if count < 1:
             raise InvalidParameterError(f"count must be >= 1, got {count}")
+        key = as_key(key)
         self._items_processed += count
-        value = hash_to_unit_interval(item, self._seed)
+        ((a, b),) = self._coefficients.tolist()
+        value = (a * key + b) % MERSENNE_PRIME_61
         left = bisect.bisect_left(self._minima, value)
         # Above every one of k minima, or already retained (its left and
         # right insertion points differ): nothing changes.
         if left == self._k or left < bisect.bisect_right(self._minima, value, left):
             return
-        self._absorb(np.array([value]))
+        self._absorb(np.array([value], dtype=np.uint64))
 
-    def update_block(self, items, counts=None) -> None:
-        """Counted batch update, bit-identical to the per-item loop.
+    def update_block(self, keys, counts=None) -> None:
+        """Counted batch update, bit-identical to the per-key loop.
 
-        Duplicates collapse before hashing, and the unique hash values join
-        the minima in one union-then-truncate.  The retained minima are the
-        ``k`` smallest distinct hashes of everything seen, whatever the
-        order, so the state equals sequential :meth:`update` calls.
+        The keys hash in one pass and join the minima in one
+        union-then-truncate, which drops repeated hashes.  The retained
+        minima are the ``k`` smallest distinct hashes of everything seen,
+        whatever the order, so the state equals sequential :meth:`update`
+        calls.
         """
-        block = as_item_block(items)
-        if block is None:
-            return super().update_block(items, counts)
-        unique, multiplicities = collapse_block(block, counts)
-        if unique.shape[0] == 0:
-            return
+        keys = as_key_block(keys)
+        multiplicities = validate_counts(keys.shape[0], counts)
         self._items_processed += int(multiplicities.sum())
-        keys = stable_hash64_patterns(unique, self._seed)
-        # uint64 -> float64 rounds exactly as Python's int/float division.
-        self._absorb(keys.astype(np.float64) / float(1 << 64))
+        self._absorb(field_hash(self._coefficients, keys)[0])
 
     def merge(self, other: "KMVSketch") -> None:
         self.check_mergeable(other)
@@ -128,47 +134,69 @@ class KMVSketch(DistinctCountSketch[Hashable]):
         self._absorb(other._minima)
 
     def state_dict(self) -> dict:
-        """Configuration plus the retained minimum hash values, ascending."""
+        """Configuration plus the retained minimum hash values, as gaps.
+
+        ``minima_gaps`` holds the smallest hash, then each next one's
+        distance from the one before.  The gaps of a linear hash over
+        nearby keys repeat, so they compress to about a quarter of the
+        hashes themselves.
+        """
         return {
             "k": self._k,
             "seed": self._seed,
-            "minima": self._minima.copy(),
+            "minima_gaps": np.diff(self._minima, prepend=np.uint64(0)),
             "items_processed": self._items_processed,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore the minima, refusing any that no sketch could hold."""
-        require_keys(state, ("k", "seed", "minima", "items_processed"), "KMVSketch")
+        """Restore the minima, refusing any that no sketch could hold.
+
+        A sketch holds at most ``k`` distinct hashes in ``[0, p)``, in
+        ascending order, and at least as many updates as retained hashes.
+        """
+        require_keys(
+            state, ("k", "seed", "minima_gaps", "items_processed"), "KMVSketch"
+        )
         self.__init__(k=int(state["k"]), seed=int(state["seed"]))  # type: ignore[misc]
-        minima = np.asarray(state["minima"], dtype=np.float64)
-        if (
-            minima.ndim != 1
-            or minima.shape[0] > self._k
-            or not bool(np.all(np.diff(minima) > 0))
+        gaps = np.asarray(state["minima_gaps"])
+        minima = np.cumsum(gaps) if gaps.ndim == 1 else gaps
+        if not (
+            minima.ndim == 1
+            and minima.shape[0] <= self._k
+            and bool(np.all(minima[1:] > minima[:-1]))
+            and (
+                minima.size == 0
+                or np.issubdtype(minima.dtype, np.integer)
+                and 0 <= int(minima[0])
+                and int(minima[-1]) < MERSENNE_PRIME_61
+            )
         ):
             raise SnapshotError(
-                f"KMVSketch: 'minima' must be a strictly increasing 1-D array "
-                f"of at most k = {self._k} values"
+                f"KMVSketch: 'minima_gaps' must add up to a strictly increasing "
+                f"1-D array of at most k = {self._k} integer hashes in "
+                "[0, 2^61 - 1)"
             )
-        self._minima = minima.copy()
-        self._items_processed = int(state["items_processed"])
+        items_processed = int(state["items_processed"])
+        if items_processed < minima.shape[0]:
+            raise SnapshotError(
+                f"KMVSketch: items_processed = {items_processed} is below the "
+                f"{minima.shape[0]} retained hashes"
+            )
+        self._minima = minima.astype(np.uint64)
+        self._items_processed = items_processed
 
-    def minimum_values(self) -> Iterator[float]:
+    def minimum_values(self) -> Iterator[int]:
         """Yield the retained minimum hash values in ascending order."""
         return iter(self._minima.tolist())
 
     def estimate(self) -> float:
-        """Return the estimated number of distinct items."""
+        """Return the estimated number of distinct keys."""
         retained = self._minima.shape[0]
-        if retained == 0:
-            return 0.0
         if retained < self._k:
-            # Fewer than k distinct hashes seen: the sketch is exact.
+            # Fewer than k distinct hashes seen: distinct keys never share a
+            # hash, so the count is exact.
             return float(retained)
-        kth_minimum = float(self._minima[-1])
-        if kth_minimum <= 0.0:
-            return float(retained)
-        return (self._k - 1) / kth_minimum
+        return (self._k - 1) * MERSENNE_PRIME_61 / float(self._minima[-1])
 
     def relative_standard_error(self) -> float:
         """Theoretical relative standard error of :meth:`estimate`."""

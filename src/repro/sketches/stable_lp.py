@@ -9,23 +9,30 @@ normalised by the median of the absolute p-stable distribution, estimates
 ``||f||_p`` (and hence ``F_p = ||f||_p^p``) to within ``(1 ± epsilon)`` using
 ``O(1/epsilon^2)`` counters.
 
-The per-item stable draws are generated *on demand* from the item's hash, so
-the sketch stays sub-linear in the domain size: no random matrix over the
-``Q^{|C|}`` pattern domain is ever materialised.
+The per-key stable draws are generated *on demand*: row ``i`` seeds the
+draws of key ``x`` with its hash ``(a_i·x + b_i) mod p`` (see
+:mod:`repro.sketches.hashing`), so the sketch stays sub-linear in the
+domain size: no random matrix over the ``Q^{|C|}`` pattern domain is ever
+materialised.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from typing import Hashable
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
-from .base import FrequencyMomentSketch, as_item_block, validate_counts
-from .hashing import HashFamily, encode_pattern_block, stable_hash64
+from .base import FrequencyMomentSketch, validate_counts
+from .hashing import (
+    MERSENNE_PRIME_61,
+    as_key,
+    as_key_block,
+    field_hash,
+    hash_coefficients,
+)
 
 __all__ = ["StableLpSketch", "sample_p_stable", "median_of_absolute_stable"]
 
@@ -68,7 +75,7 @@ def median_of_absolute_stable(p: float, samples: int = 200_001, seed: int = 7) -
 
 
 @snapshottable("sketch.stable_lp")
-class StableLpSketch(FrequencyMomentSketch[Hashable]):
+class StableLpSketch(FrequencyMomentSketch[int]):
     """Median-of-p-stable-projections estimator of ``||f||_p`` and ``F_p``.
 
     Parameters
@@ -98,8 +105,7 @@ class StableLpSketch(FrequencyMomentSketch[Hashable]):
         self._width = int(width)
         self._depth = int(depth)
         self._seed = int(seed)
-        self._family = HashFamily(seed)
-        self._row_seeds = self._family.draw_seeds(self._depth)
+        self._coefficients = hash_coefficients(self._seed, self._depth)
         self._counters = np.zeros((self._depth, self._width), dtype=np.float64)
         self._scale = median_of_absolute_stable(self.p)
         self._items_processed = 0
@@ -136,51 +142,43 @@ class StableLpSketch(FrequencyMomentSketch[Hashable]):
     def items_processed(self) -> int:
         return self._items_processed
 
-    def _stable_row(self, item: Hashable, row: int) -> np.ndarray:
-        """Deterministic p-stable projection row for ``item``."""
-        item_seed = stable_hash64(item, self._row_seeds[row])
-        rng = np.random.default_rng(item_seed)
-        return sample_p_stable(self.p, rng, self._width)
-
-    def update(self, item: Hashable, count: int = 1) -> None:
+    def update(self, key: int, count: int = 1) -> None:
         if count < 1:
             raise InvalidParameterError(f"count must be >= 1, got {count}")
+        key = as_key(key)
         self._items_processed += count
-        for row in range(self._depth):
-            self._counters[row] += count * self._stable_row(item, row)
+        for row, (a, b) in enumerate(self._coefficients.tolist()):
+            rng = np.random.default_rng((a * key + b) % MERSENNE_PRIME_61)
+            self._counters[row] += count * sample_p_stable(self.p, rng, self._width)
 
     #: Batch rows accumulated per ``np.add.accumulate`` pass; bounds the
     #: temporary to ``(budget + 1) x width`` floats without changing the
     #: (strictly sequential) addition order.
     _BLOCK_ROW_BUDGET = 4096
 
-    def update_block(self, items, counts=None) -> None:
-        """Counted batch update, bit-identical to the per-item loop.
+    def update_block(self, keys, counts=None) -> None:
+        """Counted batch update, bit-identical to the per-key loop.
 
-        The expensive work — one BLAKE2b key, one ``default_rng`` and one
-        Chambers–Mallows–Stuck draw per (item, sketch row) — is deduplicated
-        to the *unique* patterns of the batch.  The float additions, whose
+        The expensive work — one ``default_rng`` and one
+        Chambers–Mallows–Stuck draw per (key, sketch row) — is deduplicated
+        to the *unique* keys of the batch.  The float additions, whose
         rounding depends on order, are **not** reordered: the scaled draws
         accumulate through ``np.add.accumulate`` (strictly sequential, the
         counter row seeded as the first operand), so the final counters match
-        ``for item, count in zip(items, counts): update(item, count)`` to the
+        ``for key, count in zip(keys, counts): update(key, count)`` to the
         last bit.  Note that collapsing duplicates *before* calling (as the
         α-net ingest path does) is a semantic choice: ``update(x, 2)`` and
         ``update(x); update(x)`` differ in float rounding, though never in
         the estimator's guarantees.
         """
-        block = as_item_block(items)
-        if block is None:
-            return super().update_block(items, counts)
-        multiplicities = validate_counts(len(block), counts)
-        if block.shape[0] == 0:
+        keys = as_key_block(keys)
+        multiplicities = validate_counts(keys.shape[0], counts)
+        if keys.shape[0] == 0:
             return
         self._items_processed += int(multiplicities.sum())
-        unique, inverse = np.unique(block, axis=0, return_inverse=True)
+        unique, inverse = np.unique(keys, return_inverse=True)
         scale = multiplicities.astype(np.float64)[:, np.newaxis]
-        encoded = encode_pattern_block(unique)
-        for row in range(self._depth):
-            item_seeds = encoded.hash64(self._row_seeds[row])
+        for row, item_seeds in enumerate(field_hash(self._coefficients, unique)):
             draws = np.empty((unique.shape[0], self._width), dtype=np.float64)
             for index, item_seed in enumerate(item_seeds.tolist()):
                 rng = np.random.default_rng(item_seed)
@@ -199,9 +197,9 @@ class StableLpSketch(FrequencyMomentSketch[Hashable]):
     def state_dict(self) -> dict:
         """Configuration plus the projection counters.
 
-        The row seeds and the de-bias scale are deterministic functions of
-        the configuration, so ``load_state_dict`` re-derives them instead of
-        shipping them over the wire.
+        The hash coefficients and the de-bias scale are deterministic
+        functions of the configuration, so ``load_state_dict`` re-derives
+        them instead of shipping them over the wire.
         """
         return {
             "p": self.p,
@@ -213,7 +211,11 @@ class StableLpSketch(FrequencyMomentSketch[Hashable]):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Re-derive hashing/scale from the config and restore the counters."""
+        """Re-derive hashing/scale from the config and restore the counters.
+
+        A sketch holds finite ``(depth, width)`` counters and a
+        non-negative ``items_processed``; any other state is refused.
+        """
         require_keys(
             state,
             ("p", "width", "depth", "seed", "counters", "items_processed"),
@@ -225,8 +227,20 @@ class StableLpSketch(FrequencyMomentSketch[Hashable]):
             depth=int(state["depth"]),
             seed=int(state["seed"]),
         )
-        self._counters = np.asarray(state["counters"], dtype=np.float64).copy()
-        self._items_processed = int(state["items_processed"])
+        counters = np.asarray(state["counters"], dtype=np.float64)
+        items_processed = int(state["items_processed"])
+        if (
+            counters.shape != self._counters.shape
+            or not bool(np.isfinite(counters).all())
+            or items_processed < 0
+        ):
+            raise SnapshotError(
+                f"StableLpSketch: 'counters' must be a finite "
+                f"({self._depth}, {self._width}) array and items_processed "
+                f"non-negative, got shape {counters.shape} and {items_processed}"
+            )
+        self._counters = counters.copy()
+        self._items_processed = items_processed
 
     def norm_estimate(self) -> float:
         """Return the estimated ``ℓ_p`` norm ``||f||_p`` of the frequency vector."""

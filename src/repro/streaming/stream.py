@@ -17,7 +17,7 @@ import numpy as np
 from ..coding.words import Word
 from ..core.dataset import Dataset
 from ..errors import DimensionError, InvalidParameterError
-from ..sketches.hashing import stable_hash64, stable_hash64_patterns
+from ..sketches.hashing import fingerprint_row, fingerprint_rows
 
 __all__ = [
     "RowStream",
@@ -38,11 +38,13 @@ def shard_assignment(
 
     The single definition both the lazy substreams and the engine's
     partitioner route through, so the two can never disagree on placement.
+    The ``"hash"`` policy places a row by its seeded Horner fingerprint in
+    ``GF(2^61 - 1)`` (:func:`~repro.sketches.hashing.fingerprint_row`).
     """
     if policy == "round_robin":
         return index % n_shards
     if policy == "hash":
-        return stable_hash64(row, hash_seed) % n_shards
+        return fingerprint_row(row, hash_seed) % n_shards
     raise InvalidParameterError(
         f"unknown shard policy {policy!r}; expected one of {SHARD_POLICIES}"
     )
@@ -69,8 +71,8 @@ def shard_assignment_block(
             start_index + np.arange(block.shape[0], dtype=np.int64)
         ) % n_shards
     if policy == "hash":
-        hashes = stable_hash64_patterns(block, hash_seed)
-        return (hashes % np.uint64(n_shards)).astype(np.int64)
+        fingerprints = fingerprint_rows(block, hash_seed)
+        return (fingerprints % np.uint64(n_shards)).astype(np.int64)
     raise InvalidParameterError(
         f"unknown shard policy {policy!r}; expected one of {SHARD_POLICIES}"
     )
@@ -225,8 +227,8 @@ class RowStream:
 
         Two assignment policies are supported: ``"round_robin"`` assigns row
         ``i`` to shard ``i mod n_shards`` (perfectly balanced, order
-        dependent) and ``"hash"`` assigns each row by a stable hash of its
-        content (order independent, so replicated ingest pipelines agree on
+        dependent) and ``"hash"`` assigns each row by a seeded fingerprint of
+        its content (order independent, so replicated ingest pipelines agree on
         placement).  The ``n_shards`` substreams partition this stream: every
         row appears in exactly one of them.
         """

@@ -25,8 +25,10 @@ from repro import (
     SketchPlan,
     UniformSampleEstimator,
 )
+from repro.coding.words import project_word, word_to_index
 from repro.errors import EstimationError, InvalidParameterError
-from repro.sketches.hashing import stable_hash64_patterns
+from repro.sketches.countmin import CountMinSketch
+from repro.sketches.kmv import KMVSketch
 from repro.sketches.reservoir import (
     ReservoirSampler,
     WithReplacementSampler,
@@ -169,6 +171,46 @@ def test_alpha_net_batch_equals_per_row():
         assert batch.estimate_fp(query, 0) == per_row.estimate_fp(query, 0)
 
 
+def _referee_plan() -> SketchPlan:
+    return SketchPlan(
+        distinct_factory=lambda index: KMVSketch(k=24, seed=40 + index),
+        point_factory=lambda index: CountMinSketch(width=31, depth=4, seed=40 + index),
+    )
+
+
+@pytest.mark.parametrize("path", ["rows", "blocks"])
+def test_alpha_net_members_equal_standalone_sketches_fed_canonical_keys(path):
+    """The canonical-key referee: member i's sketches equal, state_dict for
+    state_dict, standalone sketches with the same seeds fed Remark 1's
+    index of every row's pattern on member i, row by row."""
+    estimator = AlphaNetEstimator(
+        n_columns=D, alpha=0.3, plan=_referee_plan(), alphabet_size=3
+    )
+    rows = DATA.to_array()
+    if path == "rows":
+        for row in rows.tolist():
+            estimator.observe_row(row)
+    else:
+        for _, block in STREAM.iter_batches(128):
+            estimator.observe_rows(block)
+    plan = _referee_plan()
+    for index, member in enumerate(estimator._members):
+        keys = [
+            word_to_index(project_word(row, member.columns), 3)
+            for row in rows.tolist()
+        ]
+        for sketch, standalone in (
+            (estimator._distinct_sketches[index], plan.distinct_factory(index)),
+            (estimator._point_sketches[index], plan.point_factory(index)),
+        ):
+            for key in keys:
+                standalone.update(key)
+            want, got = standalone.state_dict(), sketch.state_dict()
+            assert want.keys() == got.keys()
+            for name in want:
+                assert np.array_equal(want[name], got[name]), (member, name)
+
+
 # -- observe_rows validation and version counter ----------------------------------
 
 
@@ -182,6 +224,33 @@ def test_observe_rows_validates_block_shape_and_dtype():
         estimator.observe_rows(np.zeros((3, D), dtype=np.float64))  # dtype
     estimator.observe_rows(np.zeros((0, D), dtype=np.int64))  # empty is a no-op
     assert estimator.rows_observed == 0
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: ExactBaseline(n_columns=D, alphabet_size=3),
+        lambda: UniformSampleEstimator(D, sample_size=8, alphabet_size=3, seed=1),
+        lambda: AlphaNetEstimator(
+            D, alpha=0.3, plan=SketchPlan.default_f0(seed=5), alphabet_size=3
+        ),
+    ],
+    ids=["exact", "usample", "alpha-net"],
+)
+def test_observe_refuses_symbols_outside_the_alphabet(factory):
+    """A row block or a single row holding a symbol outside [0, Q), or a
+    row symbol that is not an integer, is refused before anything changes."""
+    estimator = factory()
+    for symbol in (3, -1):
+        block = np.zeros((4, D), dtype=np.int64)
+        block[2, 5] = symbol
+        with pytest.raises(EstimationError, match="outside the alphabet"):
+            estimator.observe_rows(block)
+        with pytest.raises(EstimationError, match="outside the alphabet"):
+            estimator.observe_row(tuple(block[2].tolist()))
+    with pytest.raises(EstimationError, match="not an integer"):
+        estimator.observe_row((0.7,) + (0,) * (D - 1))
+    assert estimator.rows_observed == 0 and estimator.version == 0
 
 
 def test_observe_dispatches_ndarray_to_observe_rows():
@@ -218,14 +287,6 @@ def test_shard_assignment_block_matches_per_row(policy):
         for i, row in enumerate(block)
     ]
     assert vectorized.tolist() == reference
-
-
-def test_stable_hash64_patterns_validates_input():
-    with pytest.raises(InvalidParameterError):
-        stable_hash64_patterns(np.zeros(4, dtype=np.int64))
-    with pytest.raises(InvalidParameterError):
-        stable_hash64_patterns(np.zeros((2, 2), dtype=np.float64))
-    assert stable_hash64_patterns(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
 
 
 # -- coordinator batch pipeline ---------------------------------------------------

@@ -47,6 +47,18 @@ class TestAlphaNetEstimatorStructure:
                 max_net_members=100,
             )
 
+    def test_refuses_a_net_whose_keys_exceed_the_prime(self):
+        # Every member's patterns need keys below 2^61 - 1: with Q = 2^20 a
+        # 3-column member has 2^60 patterns, a 4-column one 2^80.
+        net = AlphaNetEstimator(
+            n_columns=3, alpha=0.3, plan=SketchPlan.default_f0(), alphabet_size=2**20
+        )
+        assert max(len(member) for member in net._members) == 3
+        with pytest.raises(InvalidParameterError, match="2\\^61 - 1"):
+            AlphaNetEstimator(
+                n_columns=4, alpha=0.3, plan=SketchPlan.default_f0(), alphabet_size=2**20
+            )
+
     def test_guarantee_combines_beta_and_distortion(self, f0_estimator):
         guarantee = f0_estimator.guarantee(p=0, beta=1.2)
         assert guarantee.approximation_factor == pytest.approx(

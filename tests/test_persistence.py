@@ -66,11 +66,11 @@ from repro.sketches import (
     WithReplacementSampler,
 )
 
-# Two overlapping streams with skew and tuple-valued items, so round trips
-# cover both the "restore answers" and the "restore then keep ingesting"
-# halves of the contract.
-STREAM_ONE = [f"item-{i % 23}" for i in range(180)] + [("row", i % 7) for i in range(60)]
-STREAM_TWO = [f"item-{i % 31}" for i in range(160)] + ["hot"] * 25
+# Two overlapping streams of keys with skew, so round trips cover both the
+# "restore answers" and the "restore then keep ingesting" halves of the
+# contract.
+STREAM_ONE = [i % 23 for i in range(180)] + [100 + i % 7 for i in range(60)]
+STREAM_TWO = [i % 31 for i in range(160)] + [999] * 25
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,14 @@ class SketchCase:
 
 
 def _point_probe(sketch) -> tuple:
-    candidates = [f"item-{i}" for i in range(35)] + [("row", i) for i in range(7)]
-    return (
-        tuple(sketch.estimate(item) for item in candidates),
-        tuple(sorted(sketch.heavy_hitters(candidates, 5.0).items(), key=repr)),
-    )
+    candidates = list(range(35)) + [100 + i for i in range(7)]
+    return tuple(sketch.estimate(key) for key in candidates)
+
+
+def _feed(sketch, items) -> None:
+    """One ``update`` per item, in order."""
+    for item in items:
+        sketch.update(item)
 
 
 def _kmv_probe(sketch) -> tuple:
@@ -119,15 +122,15 @@ SKETCH_CASES = [
 def test_sketch_roundtrip_answers_and_continues_identically(case: SketchCase):
     """from_bytes(to_bytes(s)) answers like s and keeps ingesting like s."""
     original = case.make()
-    original.update_many(STREAM_ONE)
+    _feed(original, STREAM_ONE)
     restored = from_bytes(to_bytes(original))
     assert type(restored) is type(original)
     assert restored.items_processed == original.items_processed
     assert case.probe(restored) == case.probe(original)
     # Continuation: the restored sketch must consume the rest of the stream
     # (and its RNG, where it has one) exactly as the never-serialized one.
-    original.update_many(case.continuation)
-    restored.update_many(case.continuation)
+    _feed(original, case.continuation)
+    _feed(restored, case.continuation)
     assert case.probe(restored) == case.probe(original)
     assert restored.size_in_bits() == original.size_in_bits()
 
@@ -142,8 +145,8 @@ def test_every_registered_sketch_family_is_covered():
 # -- class contracts -------------------------------------------------------------
 
 #: The classes that declare the contract.  Their versions of the methods
-#: below raise SnapshotError or NotImplementedError, or loop item by item,
-#: so a class deriving from them must define its own.
+#: below are abstract or raise SnapshotError or NotImplementedError, so a
+#: class deriving from them must define its own.
 PROTOCOL_BASES = (
     Sketch,
     MergeableSketch,
@@ -162,9 +165,13 @@ CONTRACT_METHODS = (
 )
 
 #: (base, methods only the base may define).  A scalar point query is a
-#: one-entry ``estimate_frequency_block`` call, so an estimator that defines
-#: its own ``estimate_frequency`` keeps a second query path beside its kernel.
-BASE_ONLY_METHODS = ((ProjectedFrequencyEstimator, ("estimate_frequency",)),)
+#: one-entry ``estimate_frequency_block`` (or sketch ``estimate_block``)
+#: call, so a class that defines its own ``estimate_frequency`` (or sketch
+#: ``estimate``) keeps a second query path beside its kernel.
+BASE_ONLY_METHODS = (
+    (ProjectedFrequencyEstimator, ("estimate_frequency",)),
+    (PointQuerySketch, ("estimate",)),
+)
 
 
 def _contract_gaps(cls: type) -> list:
@@ -278,6 +285,18 @@ class Transitive(CountMinSketch):
             ),
             ["@snapshottable", "own estimate_frequency"],
         ),
+        (
+            _broken(
+                PointQuerySketch,
+                "merge",
+                "update_block",
+                "state_dict",
+                "load_state_dict",
+                "estimate",
+                "estimate_block",
+            ),
+            ["@snapshottable", "own estimate"],
+        ),
     ],
     ids=[
         "no-state-dict",
@@ -288,6 +307,7 @@ class Transitive(CountMinSketch):
         "partial-estimator-hooks",
         "transitive-unregistered",
         "second-point-query-path",
+        "second-sketch-query-path",
     ],
 )
 def test_contract_check_names_each_gap(cls, expected):
@@ -370,14 +390,12 @@ def test_estimator_roundtrip_answers_and_continues_identically(factory):
 
 
 def _pinned_sketch(sketch):
-    """Feed a sketch counted blocks that exercise both collapse_block paths."""
+    """Feed a sketch counted key blocks, the key range's ends included."""
     rng = np.random.default_rng(11)
     for _ in range(3):
-        block = rng.integers(-3, 5, size=(150, 3))
-        sketch.update_block(block, rng.integers(1, 4, size=150))
-    # A radix product above 2^62 takes np.unique(axis=0) instead of codes.
-    extremes = np.iinfo(np.int64)
-    sketch.update_block(np.array([[extremes.min, 0, 1], [extremes.max, 1, 1]] * 3))
+        keys = rng.integers(0, 512, size=150)
+        sketch.update_block(keys, rng.integers(1, 4, size=150))
+    sketch.update_block(np.array([0, 2**61 - 2, 2**40] * 3, dtype=np.uint64))
     return sketch
 
 
@@ -401,33 +419,35 @@ def _pinned_alphanet() -> AlphaNetEstimator:
 #: bytes of a summary are a contract across commits, not only across the
 #: paths of one commit: a change to the packing, hashing or sampling
 #: kernels that moves a single bit shows here.  A snapshot-format bump
-#: updates these together with ``SNAPSHOT_FORMAT``.
+#: updates these together with ``SNAPSHOT_FORMAT``; the payload holds the
+#: format tag, so a summary whose state did not change moves by the tag
+#: alone.
 PINNED_SNAPSHOT_SHA256 = {
     "kmv": (
         lambda: _pinned_sketch(KMVSketch(k=32, seed=3)),
-        "c897070426288a9b12810b87a6c980fb92004d4132db55a1689744b4fd5f6632",
+        "87ec96d6d1c9c21bc5579b9b54ca48bdc9bfec7a5d9d679b9002ce1a669c57cb",
     ),
     "countmin": (
         lambda: _pinned_sketch(CountMinSketch(width=64, depth=4, seed=3)),
-        "bc0b128beabdb1e586490cfbde83f378c01c501e05f918adae22ca8225b28823",
+        "c445041fd530c05ca7fe2af23241ff6a603b60a145c39f3fa61c8ee4e8343524",
     ),
     "alphanet-kmv-countmin": (
         lambda: _pinned_estimator(_pinned_alphanet()),
-        "1a62f1434ec90c09c4ff72f8fca79d3564873a632e9af695478c2fbe36dc0889",
+        "9f6aafe49500fab8ec03fb96a5f253106a855188158a887bc7ab5e4529142e67",
     ),
     "usample-reservoir": (
         lambda: _pinned_estimator(UniformSampleEstimator(8, 64, seed=3)),
-        "6289f6ec33d2b4bf53002b78297d959322c4ffc4e407e846903d2062d0c8b9d5",
+        "c06f75e0882856f29727ad8f421e59a23261d75ed70106526301a21a45cc4baf",
     ),
     "usample-with-replacement": (
         lambda: _pinned_estimator(
             UniformSampleEstimator(8, 32, with_replacement=True, seed=3)
         ),
-        "d8f7aac0ab36618e514eaac22a7cc347da4accfcc87fb05acd3c4041974326a4",
+        "447c68cced02e3a7c2aa884b71e9182005937f77ec96af0dbeeb55ca4271e55b",
     ),
     "exact": (
         lambda: _pinned_estimator(ExactBaseline(n_columns=8)),
-        "97be534ba53f7317c6d4a19933d559f28630e56067f724904b917eafa7ea850e",
+        "64be80feab284ea0f3a375c217fae8426df58f11f0341f2fad6ae0988095736b",
     ),
 }
 
@@ -502,21 +522,92 @@ def test_snapshot_envelope_is_schema_checked():
 
 
 @pytest.mark.parametrize(
-    "minima",
-    [[[0.1, 0.2]], [0.1, 0.2, 0.3, 0.4, 0.5], [0.2, 0.1], [0.1, 0.1]],
+    "minima_gaps",
+    [[[1, 2]], [1, 1, 1, 1, 1], [2, -1], [1, 0]],
     ids=["2-d", "longer-than-k", "decreasing", "repeated"],
 )
-def test_kmv_refuses_minima_no_sketch_could_hold(minima):
+def test_kmv_refuses_minima_no_sketch_could_hold(minima_gaps):
     """A KMV state must be at most k distinct hashes in ascending order."""
     state = KMVSketch(k=4, seed=1).state_dict()
-    state["minima"] = np.array(minima)
+    state["minima_gaps"] = np.array(minima_gaps, dtype=np.int64)
+    state["items_processed"] = 5
     with pytest.raises(SnapshotError, match="strictly increasing"):
         KMVSketch.from_state_dict(state)
 
 
+def _restore_with(sketch, **changes):
+    """Restore ``sketch``'s state with ``changes`` applied."""
+    state = sketch.state_dict()
+    state.update(changes)
+    return type(sketch).from_state_dict(state)
+
+
+def _seeded(sketch):
+    for key in np.random.default_rng(0).integers(0, 64, size=200).tolist():
+        sketch.update(key)
+    return sketch
+
+
+@pytest.mark.parametrize(
+    ("make", "changes", "message"),
+    [
+        (lambda: KMVSketch(k=8, seed=1), {"minima_gaps": np.array([1.5, 1.0])}, "integer"),
+        (lambda: KMVSketch(k=8, seed=1), {"minima_gaps": np.array([-1, 3])}, "2\\^61"),
+        (lambda: _seeded(KMVSketch(k=8, seed=1)), {"items_processed": 7}, "below"),
+        (
+            lambda: _seeded(StableLpSketch(p=1.0, width=16, depth=3, seed=1)),
+            {"counters": np.zeros((1, 2))},
+            "finite \\(3, 16\\)",
+        ),
+        (
+            lambda: _seeded(StableLpSketch(p=1.0, width=16, depth=3, seed=1)),
+            {"counters": np.full((3, 16), np.nan)},
+            "finite",
+        ),
+        (
+            lambda: _seeded(StableLpSketch(p=1.0, width=16, depth=3, seed=1)),
+            {"items_processed": -5},
+            "non-negative",
+        ),
+    ],
+    ids=[
+        "kmv-float-minima",
+        "kmv-negative-minimum",
+        "kmv-fewer-updates-than-minima",
+        "stable-lp-wrong-shape",
+        "stable-lp-not-finite",
+        "stable-lp-negative-count",
+    ],
+)
+def test_sketch_restore_refuses_states_no_ingest_could_produce(make, changes, message):
+    """Each corrupted state raises SnapshotError; the uncorrupted one loads."""
+    sketch = make()
+    assert _restore_with(sketch).state_dict().keys() == sketch.state_dict().keys()
+    with pytest.raises(SnapshotError, match=message):
+        _restore_with(sketch, **changes)
+
+
+@pytest.mark.parametrize("family", ["distinct", "point"])
+def test_alpha_net_restore_refuses_sketches_that_saw_other_rows(family):
+    """Every member sketch sees every row, so each one's items_processed
+    must equal rows_observed; F1 would otherwise answer a made-up count."""
+    estimator = _pinned_estimator(_pinned_alphanet())
+    state = estimator.state_dict()
+    AlphaNetEstimator.from_state_dict(state)
+    stale = dict(state, rows_observed=7)
+    with pytest.raises(SnapshotError, match="rows_observed = 7"):
+        AlphaNetEstimator.from_state_dict(stale)
+    sketches = list(state["summary"][family])
+    sketches[3] = type(sketches[3]).from_state_dict(sketches[3].state_dict())
+    sketches[3].update(0)  # a consistent sketch that saw one row more
+    corrupted = dict(state, summary=dict(state["summary"], **{family: sketches}))
+    with pytest.raises(SnapshotError, match=f"{family} sketches"):
+        AlphaNetEstimator.from_state_dict(corrupted)
+
+
 def _countmin_state_with(change) -> dict:
     sketch = CountMinSketch(width=64, depth=3, seed=1)
-    sketch.update_block(np.random.default_rng(0).integers(0, 4, (200, 3)))
+    sketch.update_block(np.random.default_rng(0).integers(0, 4**3, 200))
     state = sketch.state_dict()
     change(state)
     return state
@@ -646,7 +737,7 @@ def test_checkpoint_file_declares_the_checkpoint_format(tmp_path):
     engine.save_checkpoint(path)
     envelope = load_envelope(path.read_bytes())
     assert set(envelope) == {"format", "config", "merged"}
-    assert envelope["format"] == CHECKPOINT_FORMAT == "repro/engine-checkpoint@3"
+    assert envelope["format"] == CHECKPOINT_FORMAT == "repro/engine-checkpoint@4"
     assert envelope["config"]["n_shards"] == 1
 
 
@@ -714,7 +805,33 @@ def test_version_2_checkpoints_and_version_1_snapshots_are_refused(tmp_path):
     _write_unchecked_envelope(snapshot, envelope)
     with pytest.raises(SnapshotError, match="estimator-snapshot@1"):
         from_bytes(snapshot.read_bytes())
-    assert SNAPSHOT_FORMAT == "repro/estimator-snapshot@2"
+    assert SNAPSHOT_FORMAT == "repro/estimator-snapshot@3"
+
+
+def test_version_3_checkpoints_and_version_2_snapshots_are_refused(tmp_path):
+    """Files written before sketches hashed integer keys are refused with
+    their format named, like every older format."""
+    engine = _engine(
+        lambda: AlphaNetEstimator(8, alpha=0.25, plan=SketchPlan.default_f0(seed=3)),
+        n_shards=2,
+        backend="serial",
+    )
+    path = tmp_path / "engine.ckpt"
+    engine.save_checkpoint(path)
+    envelope = load_envelope(path.read_bytes())
+    envelope["format"] = "repro/engine-checkpoint@3"
+    _write_unchecked_envelope(path, envelope)
+    with pytest.raises(SnapshotError, match="engine-checkpoint@3"):
+        Coordinator.load_checkpoint(path)
+    with pytest.raises(SnapshotError, match="engine-checkpoint@3"):
+        QueryService.from_checkpoint(str(path))
+
+    snapshot = tmp_path / "estimator.snapshot"
+    envelope = load_envelope(engine.merged_estimator.to_bytes())
+    envelope["format"] = "repro/estimator-snapshot@2"
+    _write_unchecked_envelope(snapshot, envelope)
+    with pytest.raises(SnapshotError, match="estimator-snapshot@2"):
+        from_bytes(snapshot.read_bytes())
 
 
 def test_checkpoint_schema_check_flags_any_extra_key(tmp_path):

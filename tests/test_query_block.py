@@ -6,7 +6,7 @@ divergence documented in ``docs/architecture.md``, *Batch query kernels*).
 This harness replays identical workloads through both paths on
 ``state_dict()``-identical summaries, across several Count-Min table
 shapes, several seeds, and the adversarial batch shapes of the query tier:
-empty batches, singletons, duplicate items inside one batch, and items the
+empty batches, singletons, duplicate keys inside one batch, and keys the
 summary never observed.  The same differential treatment, batch shapes
 included, covers the estimator-level ``estimate_frequency_block`` paths and the
 ``QueryService.answer_block`` cache semantics.
@@ -35,7 +35,6 @@ from repro import (
 )
 from repro.core.estimator import pattern_words
 from repro.sketches import CountMinSketch
-from repro.sketches.base import PointQuerySketch, as_query_block
 
 # ---------------------------------------------------------------------------
 # shared workloads
@@ -43,6 +42,9 @@ from repro.sketches.base import PointQuerySketch, as_query_block
 
 WIDTH = 3  # symbols per item pattern
 ALPHABET = 5  # observed symbols are drawn from [0, ALPHABET)
+#: The sketches' key of a pattern: its index over symbols [0, ALPHABET + 4),
+#: wide enough for every batch below.
+KEY_PLACES = (ALPHABET + 4) ** np.arange(WIDTH - 1, -1, -1)
 
 
 def _workload(seed: int, n_rows: int = 400) -> np.ndarray:
@@ -85,8 +87,8 @@ SEEDS = [0, 7, 1234]
 def _built_pair(factory, seed):
     """Two ``state_dict()``-identical summaries over the same workload."""
     original = factory(seed)
-    for row in _workload(seed).tolist():
-        original.update(tuple(row))
+    for key in (_workload(seed) @ KEY_PLACES).tolist():
+        original.update(key)
     clone = factory(seed)
     clone.load_state_dict(original.state_dict())
     assert clone.state_dict().keys() == original.state_dict().keys()
@@ -104,65 +106,38 @@ def _built_pair(factory, seed):
 def test_estimate_block_matches_scalar(factory, seed, batch_name):
     """Block answers on a restored clone equal scalar answers, bit for bit."""
     scalar_sketch, block_sketch = _built_pair(factory, seed)
-    batch = _query_batches(seed)[batch_name]
-    items = [tuple(row) for row in batch.tolist()]
+    batch = _query_batches(seed)[batch_name] @ KEY_PLACES
+    keys = batch.tolist()
     expected = np.array(
-        [scalar_sketch.estimate(item) for item in items], dtype=np.float64
+        [scalar_sketch.estimate(key) for key in keys], dtype=np.float64
     )
     answered = block_sketch.estimate_block(batch)
     assert answered.dtype == np.float64
-    assert answered.shape == (len(items),)
+    assert answered.shape == (len(keys),)
     assert np.array_equal(answered, expected)
 
 
 @pytest.mark.parametrize("factory", POINT_FACTORIES)
-def test_estimate_block_accepts_tuple_sequences(factory):
-    """Tuple-sequence input answers identically to the ndarray block."""
+def test_estimate_block_accepts_key_lists(factory):
+    """A list of Python-int keys answers identically to the ndarray block."""
     sketch, _ = _built_pair(factory, seed=3)
-    batch = _query_batches(3)["mixed"]
-    items = [tuple(row) for row in batch.tolist()]
-    assert np.array_equal(sketch.estimate_block(items), sketch.estimate_block(batch))
+    batch = _query_batches(3)["mixed"] @ KEY_PLACES
+    assert np.array_equal(
+        sketch.estimate_block(batch.tolist()), sketch.estimate_block(batch)
+    )
 
 
 @pytest.mark.parametrize("factory", POINT_FACTORIES)
 def test_estimate_block_on_empty_summary(factory):
     """A never-updated summary answers every batch entry like the scalar path."""
     sketch = factory(11)
-    batch = _query_batches(11)["mixed"]
+    batch = _query_batches(11)["mixed"] @ KEY_PLACES
     expected = np.array(
-        [sketch.estimate(tuple(row)) for row in batch.tolist()], dtype=np.float64
+        [sketch.estimate(key) for key in batch.tolist()], dtype=np.float64
     )
     assert np.array_equal(sketch.estimate_block(batch), expected)
-    assert sketch.estimate_block(np.empty((0, WIDTH), dtype=np.int64)).shape == (0,)
+    assert sketch.estimate_block(np.empty(0, dtype=np.int64)).shape == (0,)
     assert sketch.estimate_block([]).shape == (0,)
-
-
-def test_base_estimate_block_is_the_scalar_loop():
-    """The PointQuerySketch fallback equals the documented per-item loop."""
-    sketch, _ = _built_pair(lambda seed: CountMinSketch(width=29, depth=5, seed=seed), 5)
-    batch = _query_batches(5)["mixed"]
-    fallback = PointQuerySketch.estimate_block(sketch, batch)
-    assert np.array_equal(fallback, sketch.estimate_block(batch))
-
-
-def test_as_query_block_normalisation():
-    """Block and tuple inputs resolve to the same keys; odd inputs fall back."""
-    block = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    sequence, packed = as_query_block(block)
-    assert sequence == [(1, 2), (3, 4)]
-    assert np.array_equal(packed, block)
-    sequence, packed = as_query_block([(1, 2), (3, 4)])
-    assert sequence == [(1, 2), (3, 4)]
-    assert np.array_equal(packed, block)
-    # Ragged, non-tuple, and non-integer batches fall back to scalar keys.
-    for odd in ([(1, 2), (3,)], ["ab", "cd"], [(1.5, 2.0)]):
-        sequence, packed = as_query_block(odd)
-        assert packed is None
-        assert sequence == list(odd)
-    sequence, packed = as_query_block([])
-    assert sequence == [] and packed.shape == (0, 0)
-    with pytest.raises(InvalidParameterError, match="estimate_block"):
-        as_query_block(np.zeros((2, 2), dtype=np.float64))
 
 
 @given(
@@ -173,13 +148,13 @@ def test_as_query_block_normalisation():
 def test_estimate_block_fuzz(seed, data):
     """Random workloads and random batches: block == scalar on Count-Min."""
     rng = np.random.default_rng(seed)
-    rows = rng.integers(0, 4, size=(60, WIDTH)).astype(np.int64)
+    keys = rng.integers(0, 4, size=(60, WIDTH)) @ KEY_PLACES
     m = data.draw(st.integers(min_value=0, max_value=24))
-    batch = rng.integers(0, 6, size=(m, WIDTH)).astype(np.int64)
+    batch = rng.integers(0, 6, size=(m, WIDTH)) @ KEY_PLACES
     sketch = CountMinSketch(width=13, depth=3, seed=seed % 97)
-    sketch.update_block(rows)
+    sketch.update_block(keys)
     expected = np.array(
-        [sketch.estimate(tuple(row)) for row in batch.tolist()],
+        [sketch.estimate(key) for key in batch.tolist()],
         dtype=np.float64,
     )
     assert np.array_equal(sketch.estimate_block(batch), expected)
@@ -189,43 +164,13 @@ def test_estimate_block_tracks_a_planted_heavy_item():
     """Sanity anchor: the block answer sees a planted heavy item, and
     Count-Min never reports less than its true count."""
     sketch = CountMinSketch(width=64, depth=7, seed=1)
+    heavy = int(np.array([1, 1, 1]) @ KEY_PLACES)
     for _ in range(300):
-        sketch.update((1, 1, 1))
+        sketch.update(heavy)
     for noise in range(40):
-        sketch.update((0, noise % 3, 2))
-    (estimate,) = sketch.estimate_block(np.array([[1, 1, 1]], dtype=np.int64))
+        sketch.update(int(np.array([0, noise % 3, 2]) @ KEY_PLACES))
+    (estimate,) = sketch.estimate_block(np.array([heavy], dtype=np.int64))
     assert 300 <= estimate <= 340
-
-
-# ---------------------------------------------------------------------------
-# heavy_hitters: whole-table candidate filter vs per-candidate loop
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("factory", POINT_FACTORIES)
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("threshold", [0.0, 5.0, 25.0, 1e9])
-def test_heavy_hitters_filter_matches_scalar_loop(factory, seed, threshold):
-    """The vectorized candidate filter reports the scalar loop's dict exactly
-    — same keys, same estimates, same candidate order."""
-    scalar_sketch, block_sketch = _built_pair(factory, seed)
-    candidates = _query_batches(seed)["mixed"]
-    candidate_tuples = [tuple(row) for row in candidates.tolist()]
-    expected = PointQuerySketch.heavy_hitters(
-        scalar_sketch, candidate_tuples, threshold
-    )
-    answered = block_sketch.heavy_hitters(candidates, threshold)
-    assert answered == expected
-    assert list(answered) == list(expected)
-
-
-def test_heavy_hitters_falls_back_for_unpackable_candidates():
-    sketch, _ = _built_pair(lambda seed: CountMinSketch(width=29, depth=5, seed=seed), 2)
-    candidates = ["alpha", "beta"]
-    for candidate in candidates:
-        sketch.update(candidate)
-    report = sketch.heavy_hitters(candidates, 1.0)
-    assert report == PointQuerySketch.heavy_hitters(sketch, candidates, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +180,22 @@ def test_heavy_hitters_falls_back_for_unpackable_candidates():
 EST_D = 6
 EST_ROWS = Dataset.random(n_rows=500, n_columns=EST_D, seed=21).to_array()
 EST_QUERY = ColumnQuery.of([0, 2, 5], EST_D)
+#: The estimators' alphabet holds every batch's symbols, so the batches
+#: are answered, not refused; the rows themselves are binary.
+EST_ALPHABET = ALPHABET + 4
 
 
 def _estimators():
     alpha = AlphaNetEstimator(
-        EST_D, alpha=0.3, plan=SketchPlan.default_point(seed=5)
+        EST_D,
+        alpha=0.3,
+        plan=SketchPlan.default_point(seed=5),
+        alphabet_size=EST_ALPHABET,
     ).observe(EST_ROWS)
-    usample = UniformSampleEstimator(EST_D, sample_size=128, seed=13).observe(EST_ROWS)
-    exact = ExactBaseline(EST_D).observe(EST_ROWS)
+    usample = UniformSampleEstimator(
+        EST_D, sample_size=128, alphabet_size=EST_ALPHABET, seed=13
+    ).observe(EST_ROWS)
+    exact = ExactBaseline(EST_D, alphabet_size=EST_ALPHABET).observe(EST_ROWS)
     return [
         pytest.param(alpha, id="alpha-net"),
         pytest.param(usample, id="uniform-sample"),
@@ -297,6 +250,35 @@ def test_estimate_frequency_block_rejects_bad_patterns(estimator):
         )
 
 
+@pytest.mark.parametrize("estimator", _estimators())
+def test_estimate_frequency_block_refuses_symbols_it_cannot_hold(estimator):
+    """A non-integer symbol is refused, not truncated, and a symbol outside
+    [0, Q) is refused, not counted as absent (nor aliased onto another
+    pattern's key)."""
+    with pytest.raises(EstimationError, match="not an integer"):
+        estimator.estimate_frequency_block(EST_QUERY, [(0.7, 1, 0)])
+    with pytest.raises(EstimationError, match="integers"):
+        estimator.estimate_frequency_block(EST_QUERY, np.array([[0.7, 1.0, 0.0]]))
+    for outside in ((0, EST_ALPHABET, 1), (0, -1, 1)):
+        with pytest.raises(EstimationError, match="outside the alphabet"):
+            estimator.estimate_frequency_block(EST_QUERY, [outside])
+        with pytest.raises(EstimationError, match="outside the alphabet"):
+            estimator.estimate_frequency(EST_QUERY, outside)
+
+
+def test_query_service_refuses_symbols_it_cannot_hold():
+    """Every service entry point refuses what the estimators refuse."""
+    _, service = _service(cache_size=0)
+    with pytest.raises(EstimationError, match="not an integer"):
+        QueryRequest.frequency(SVC_QUERY, (0.7, 1, 0))
+    with pytest.raises(EstimationError, match="not an integer"):
+        service.estimate_frequency(SVC_QUERY, (0, 1.5, 0))
+    with pytest.raises(EstimationError, match="outside the alphabet"):
+        service.estimate_frequency(SVC_QUERY, (0, 2, 0))
+    with pytest.raises(EstimationError, match="outside the alphabet"):
+        service.answer_block([QueryRequest.frequency(SVC_QUERY, (0, 1, 2))])
+
+
 def test_pattern_words_normalisation():
     assert pattern_words([(0, 1), (1, 0)]) == [(0, 1), (1, 0)]
     assert pattern_words(np.array([[0, 1], [1, 0]], dtype=np.int64)) == [
@@ -308,7 +290,9 @@ def test_pattern_words_normalisation():
 
 
 def test_uniform_sample_block_raises_like_scalar_when_empty():
-    estimator = UniformSampleEstimator(EST_D, sample_size=16, seed=1)
+    estimator = UniformSampleEstimator(
+        EST_D, sample_size=16, alphabet_size=EST_ALPHABET, seed=1
+    )
     with pytest.raises(EstimationError, match="no rows observed"):
         estimator.estimate_frequency_block(EST_QUERY, PATTERNS)
     # ...but an empty batch never touches the sampler, as the scalar loop

@@ -28,11 +28,13 @@ from repro.sketches.reservoir import (
 )
 from repro.sketches.stable_lp import StableLpSketch
 
-# Two overlapping multisets with skew, so merges see shared and disjoint items.
-STREAM_ONE = [f"item-{i % 23}" for i in range(180)] + ["hot"] * 40
-STREAM_TWO = [f"item-{i % 31}" for i in range(160)] + ["hot"] * 25
+# Two overlapping multisets of keys with skew, so merges see shared and
+# disjoint keys; HOT is the heavy key.
+HOT = 99
+STREAM_ONE = [i % 23 for i in range(180)] + [HOT] * 40
+STREAM_TWO = [i % 31 for i in range(160)] + [HOT] * 25
 UNION = STREAM_ONE + STREAM_TWO
-EXACT_COUNTS: dict[str, int] = {}
+EXACT_COUNTS: dict[int, int] = {}
 for _item in UNION:
     EXACT_COUNTS[_item] = EXACT_COUNTS.get(_item, 0) + 1
 
@@ -110,6 +112,12 @@ CASES = [
 ]
 
 
+def _feed(sketch: MergeableSketch, items) -> None:
+    """One ``update`` per item, in order."""
+    for item in items:
+        sketch.update(item)
+
+
 def _state(sketch: MergeableSketch) -> dict:
     """``state_dict()`` with arrays as lists, so two states compare with ``==``."""
     return {
@@ -128,9 +136,9 @@ def _answers(sketch: MergeableSketch) -> list[float]:
 @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
 def test_merge_matches_union_stream(case: MergeCase) -> None:
     first, second, union = case.make(), case.make(), case.make()
-    first.update_many(STREAM_ONE)
-    second.update_many(STREAM_TWO)
-    union.update_many(UNION)
+    _feed(first, STREAM_ONE)
+    _feed(second, STREAM_TWO)
+    _feed(union, UNION)
 
     first.merge(second)
     assert first.items_processed == union.items_processed == len(UNION)
@@ -143,8 +151,8 @@ def test_merge_matches_union_stream(case: MergeCase) -> None:
 def test_merge_incompatible_configs_raise(case: MergeCase) -> None:
     for make_other in case.incompatible:
         sketch, other = case.make(), make_other()
-        sketch.update_many(STREAM_ONE)
-        other.update_many(STREAM_TWO)
+        _feed(sketch, STREAM_ONE)
+        _feed(other, STREAM_TWO)
         before = _state(sketch)
         with pytest.raises(InvalidParameterError):
             sketch.merge(other)
@@ -154,13 +162,13 @@ def test_merge_incompatible_configs_raise(case: MergeCase) -> None:
 @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
 def test_merge_rejects_foreign_sketch_type(case: MergeCase) -> None:
     sketch = case.make()
-    sketch.update_many(STREAM_ONE)
+    _feed(sketch, STREAM_ONE)
     foreign: MergeableSketch = (
         KMVSketch(k=8, seed=0)
         if not isinstance(sketch, KMVSketch)
         else CountMinSketch(width=8, depth=2, seed=0)
     )
-    foreign.update_many(STREAM_TWO)
+    _feed(foreign, STREAM_TWO)
     before = _state(sketch)
     with pytest.raises(InvalidParameterError):
         sketch.merge(foreign)  # type: ignore[arg-type]
@@ -179,9 +187,9 @@ def test_linear_sketch_merge_is_split_invariant(items: list[int], split: int) ->
         width=32, depth=3, seed=9
     )
     whole = CountMinSketch(width=32, depth=3, seed=9)
-    left.update_many(items[:split])
-    right.update_many(items[split:])
-    whole.update_many(items)
+    _feed(left, items[:split])
+    _feed(right, items[split:])
+    _feed(whole, items)
     left.merge(right)
     assert left.items_processed == whole.items_processed
     assert all(left.estimate(item) == whole.estimate(item) for item in set(items))
@@ -190,11 +198,11 @@ def test_linear_sketch_merge_is_split_invariant(items: list[int], split: int) ->
 def test_kmv_state_does_not_depend_on_arrival_or_merge_order() -> None:
     """Serial, reversed, a<-b and b<-a builds of one stream hold one state."""
     rows = np.random.default_rng(7).integers(0, 40, size=(3_000, 3))
-    items = [tuple(row) for row in rows.tolist()]
+    items = (rows @ [40 * 40, 40, 1]).tolist()
 
     def build(stream: list) -> KMVSketch:
         sketch = KMVSketch(k=64, seed=5)
-        sketch.update_many(stream)
+        _feed(sketch, stream)
         return sketch
 
     a_into_b = build(items[:1_700])
@@ -213,8 +221,8 @@ def test_kmv_state_does_not_depend_on_arrival_or_merge_order() -> None:
 def test_reservoir_merge_respects_capacity_and_membership() -> None:
     first = ReservoirSampler[int](capacity=32, seed=1)
     second = ReservoirSampler[int](capacity=32, seed=2)
-    first.update_many(range(100))
-    second.update_many(range(100, 250))
+    _feed(first, range(100))
+    _feed(second, range(100, 250))
     first.merge(second)
     assert first.items_processed == 250
     merged = first.sample()
@@ -225,8 +233,8 @@ def test_reservoir_merge_respects_capacity_and_membership() -> None:
 def test_reservoir_merge_small_streams_concatenates() -> None:
     first = ReservoirSampler[int](capacity=32, seed=1)
     second = ReservoirSampler[int](capacity=32, seed=2)
-    first.update_many(range(10))
-    second.update_many(range(10, 15))
+    _feed(first, range(10))
+    _feed(second, range(10, 15))
     first.merge(second)
     assert sorted(first.sample()) == list(range(15))
 
@@ -238,8 +246,8 @@ def test_reservoir_merge_is_statistically_uniform() -> None:
     for seed in range(trials):
         first = ReservoirSampler[int](capacity=10, seed=seed)
         second = ReservoirSampler[int](capacity=10, seed=1000 + seed)
-        first.update_many(range(50))
-        second.update_many(range(50, 100))
+        _feed(first, range(50))
+        _feed(second, range(50, 100))
         first.merge(second)
         hits += sum(1 for item in first.sample() if item < 50)
     # E[hits per trial] = 5; allow a generous band around it.
@@ -265,8 +273,8 @@ def test_reservoir_merge_is_uniform_over_unequal_streams() -> None:
     for trial in range(trials):
         first = ReservoirSampler[int](capacity=capacity, seed=2 * trial + 1)
         second = ReservoirSampler[int](capacity=capacity, seed=2 * trial + 2)
-        first.update_many(range(n_first))
-        second.update_many(range(n_first, total))
+        _feed(first, range(n_first))
+        _feed(second, range(n_first, total))
         first.merge(second)
         sample = first.sample()
         assert len(sample) == capacity
@@ -300,8 +308,8 @@ def test_reservoir_merge_is_uniform_over_unequal_streams() -> None:
 def test_with_replacement_merge_draw_distribution() -> None:
     first = WithReplacementSampler[int](draws=16, seed=3)
     second = WithReplacementSampler[int](draws=16, seed=4)
-    first.update_many(range(30))
-    second.update_many(range(30, 90))
+    _feed(first, range(30))
+    _feed(second, range(30, 90))
     first.merge(second)
     assert first.items_processed == 90
     merged = first.sample()
@@ -312,7 +320,7 @@ def test_with_replacement_merge_draw_distribution() -> None:
 def test_with_replacement_merge_with_empty_side() -> None:
     first = WithReplacementSampler[int](draws=8, seed=3)
     second = WithReplacementSampler[int](draws=8, seed=4)
-    second.update_many(range(20))
+    _feed(second, range(20))
     first.merge(second)
     assert first.items_processed == 20
     assert len(first.sample()) == 8
@@ -337,8 +345,8 @@ def test_with_replacement_merge_with_empty_side() -> None:
 )
 def test_sampler_merge_incompatibilities_raise(make_one, make_other) -> None:
     one, other = make_one(), make_other()
-    one.update_many(range(10))
-    other.update_many(range(10))
+    _feed(one, range(10))
+    _feed(other, range(10))
     before = _state(one)
     with pytest.raises(InvalidParameterError):
         one.merge(other)

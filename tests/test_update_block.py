@@ -3,10 +3,10 @@
 The contract behind the vectorized ingest path: for every sketch,
 ``update_block(items, counts)`` must leave the summary in the same state as
 the sequential loop ``for item, count in zip(items, counts): update(item,
-count)``.  For every sketch (Count-Min, KMV, StableLp) and the reservoir
-samplers the equivalence is *bit-identical* — asserted here on the full
-``state_dict()``, across random seeds, duplicate-heavy blocks, empty blocks
-and explicit multiplicities.
+count)``.  For every sketch (Count-Min, KMV, StableLp, fed integer keys)
+and the reservoir samplers (fed rows) the equivalence is *bit-identical* —
+asserted here on the full ``state_dict()``, across random seeds,
+duplicate-heavy blocks, empty blocks and explicit multiplicities.
 """
 
 from __future__ import annotations
@@ -24,11 +24,8 @@ from repro.sketches import (
     StableLpSketch,
     WithReplacementSampler,
     collapse_block,
-    stable_hash64,
-    stable_hash64_patterns,
 )
 from repro.sketches.base import _pattern_codes
-from repro.sketches.hashing import PolynomialHash
 
 # Small widths/depths keep the exhaustive per-item reference loops fast; the
 # kernels themselves are parameter-independent.  The variants cover the
@@ -68,12 +65,20 @@ def assert_state_dicts_equal(expected: dict, actual: dict, context: str) -> None
             assert want == got, f"{context}: {key} values"
 
 
-def _sequential_reference(factory, seed, block, counts):
+def _sequential_reference(factory, seed, items, counts):
     sketch = factory(seed)
-    effective = [1] * len(block) if counts is None else list(counts)
-    for row, count in zip(block.tolist(), effective):
-        sketch.update(tuple(row), int(count))
+    effective = [1] * len(items) if counts is None else list(counts)
+    for item, count in zip(items.tolist(), effective):
+        sketch.update(tuple(item) if items.ndim == 2 else item, int(count))
     return sketch
+
+
+def _batch(name, rng, n_items, value_span, width=3):
+    """``n_items`` integer keys for a hashed sketch, or rows for a sampler,
+    with ``value_span`` distinct values per key column."""
+    if name in SAMPLERS:
+        return rng.integers(-value_span, value_span, size=(n_items, width))
+    return rng.integers(0, 2 * value_span, size=n_items)
 
 
 # -- order-independent kernels and samplers: bit-identical to the sequential loop --
@@ -97,7 +102,7 @@ def test_update_block_is_bit_identical(name, data, n_items, value_span, seed, wi
     """
     factory = BIT_IDENTICAL[name]
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10_000)))
-    block = rng.integers(-value_span, value_span, size=(n_items, 3), dtype=np.int64)
+    block = _batch(name, rng, n_items, value_span)
     counts = (
         rng.integers(1, 5, size=n_items, dtype=np.int64) if with_counts else None
     )
@@ -119,7 +124,9 @@ def test_update_block_split_points_do_not_matter(name):
     guaranteed bitwise-stable for identical chunkings)."""
     factory = BIT_IDENTICAL[name]
     rng = np.random.default_rng(7)
-    block = rng.integers(0, 9, size=(120, 4), dtype=np.int64)
+    block = rng.integers(0, 9, size=(120, 4))
+    if name not in SAMPLERS:
+        block = block @ 9 ** np.arange(4)
     whole = factory(5)
     whole.update_block(block)
     chunked = factory(5)
@@ -145,10 +152,10 @@ def test_update_block_accepts_pre_collapsed_batches(name):
     for the integer-state sketches — counted scatter commutes exactly."""
     factory = ORDER_INDEPENDENT[name]
     rng = np.random.default_rng(3)
-    block = rng.integers(0, 6, size=(80, 3), dtype=np.int64)
-    reference = _sequential_reference(factory, 11, block, None)
-    unique, counts = collapse_block(block)
-    assert unique.shape[0] < block.shape[0]  # the workload is duplicate-heavy
+    keys = rng.integers(0, 6**3, size=80)
+    reference = _sequential_reference(factory, 11, keys, None)
+    unique, counts = np.unique(keys, return_counts=True)
+    assert unique.shape[0] < keys.shape[0]  # the workload is duplicate-heavy
     collapsed = factory(11)
     collapsed.update_block(unique, counts)
     assert_state_dicts_equal(
@@ -156,106 +163,53 @@ def test_update_block_accepts_pre_collapsed_batches(name):
     )
 
 
-def test_update_block_falls_back_for_non_array_items():
-    """Arbitrary hashable iterables run through the per-item fallback."""
-    direct = CountMinSketch(width=17, depth=2, seed=1)
-    for item in ("a", "b", "a"):
-        direct.update(item)
-    batched = CountMinSketch(width=17, depth=2, seed=1)
-    batched.update_block(["a", "b", "a"])
-    assert_state_dicts_equal(direct.state_dict(), batched.state_dict(), "fallback")
-
-
 def test_update_block_validates_input():
     sketch = CountMinSketch(width=17, depth=2, seed=1)
     with pytest.raises(InvalidParameterError):
-        sketch.update_block(np.zeros(4, dtype=np.int64))  # 1-D
+        sketch.update_block(np.zeros((4, 2), dtype=np.int64))  # 2-D
     with pytest.raises(InvalidParameterError):
-        sketch.update_block(np.zeros((3, 2), dtype=np.float64))  # dtype
+        sketch.update_block(np.zeros(3, dtype=np.float64))  # dtype
     with pytest.raises(InvalidParameterError):
-        sketch.update_block(np.zeros((3, 2), dtype=np.int64), counts=[1, 2])  # length
+        sketch.update_block(np.zeros(3, dtype=np.int64), counts=[1, 2])  # length
     with pytest.raises(InvalidParameterError):
-        sketch.update_block(np.zeros((3, 2), dtype=np.int64), counts=[1, 0, 2])  # < 1
+        sketch.update_block(np.zeros(3, dtype=np.int64), counts=[1, 0, 2])  # < 1
     with pytest.raises(InvalidParameterError):
         sketch.update_block(
-            np.zeros((2, 2), dtype=np.int64), counts=np.array([[1], [2]])
+            np.zeros(2, dtype=np.int64), counts=np.array([[1], [2]])
         )  # 2-D counts
-    sketch.update_block(np.zeros((0, 5), dtype=np.int64))  # empty block is a no-op
+    sketch.update_block(np.zeros(0, dtype=np.int64))  # empty block is a no-op
     assert sketch.items_processed == 0
 
 
 def test_update_block_rejects_unrepresentable_uint64():
-    """uint64 values above the int64 range would wrap silently under
-    astype(int64) and hash differently from the scalar path — rejected."""
+    """Keys at or above 2^61 - 1 name no field element and are refused,
+    whatever their dtype; in-range uint64 keys update like Python ints."""
     sketch = CountMinSketch(width=17, depth=2, seed=1)
-    with pytest.raises(InvalidParameterError, match="int64"):
-        sketch.update_block(np.array([[2**63 + 5]], dtype=np.uint64))
-    # In-range uint64 blocks stay bit-identical to the tuple path.
-    block = np.array([[7, 2**40], [7, 2**40], [1, 2]], dtype=np.uint64)
+    with pytest.raises(InvalidParameterError, match="2\\^61"):
+        sketch.update_block(np.array([2**63 + 5], dtype=np.uint64))
+    with pytest.raises(InvalidParameterError, match="2\\^61"):
+        sketch.update_block(np.array([2**61 - 1], dtype=np.int64))
+    keys = np.array([7, 2**40, 7, 2**61 - 2], dtype=np.uint64)
     reference = CountMinSketch(width=17, depth=2, seed=1)
-    for row in block.tolist():
-        reference.update(tuple(row))
-    sketch.update_block(block)
+    for key in keys.tolist():
+        reference.update(key)
+    sketch.update_block(keys)
     assert_state_dicts_equal(reference.state_dict(), sketch.state_dict(), "uint64")
 
 
-# -- the hashability satellite -----------------------------------------------------
+# -- scalar key check ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("factory", [CountMinSketch])
 def test_point_sketches_reject_unhashable_items(factory):
-    """ndarray rows slipping through the ``Hashable`` hint raise a clear
+    """ndarray rows slipping through the integer-key hint raise a clear
     error naming the offending type instead of a bare ``TypeError``."""
     sketch = factory(width=17, depth=2, seed=0)
     with pytest.raises(InvalidParameterError, match="ndarray"):
         sketch.update(np.array([1, 2, 3]))
 
 
-# -- block hashing layer -----------------------------------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n_rows=st.integers(min_value=0, max_value=40),
-    width=st.integers(min_value=0, max_value=5),
-    seed=st.integers(min_value=0, max_value=2**32),
-    low=st.integers(min_value=-(10**9), max_value=0),
-)
-def test_stable_hash64_patterns_matches_scalar(n_rows, width, seed, low):
-    rng = np.random.default_rng(abs(low) + n_rows)
-    block = rng.integers(low, 10**9, size=(n_rows, width), dtype=np.int64)
-    keys = stable_hash64_patterns(block, seed)
-    assert keys.dtype == np.uint64
-    for key, row in zip(keys, block):
-        assert int(key) == stable_hash64(tuple(int(v) for v in row), seed)
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    family_seed=st.integers(min_value=0, max_value=10_000),
-    item_seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_evaluate_block_matches_scalar_calls(family_seed, item_seed):
-    rng = np.random.default_rng(item_seed)
-    block = rng.integers(-50, 50, size=(30, 3), dtype=np.int64)
-    items = [tuple(int(v) for v in row) for row in block.tolist()]
-    functions = [
-        PolynomialHash(independence=2, range_size=53, seed=family_seed),
-        PolynomialHash(independence=4, range_size=None, seed=family_seed + 1),
-    ]
-    for function in functions:
-        keys = stable_hash64_patterns(block, function.seed)
-        assert [int(v) for v in function.evaluate_block(keys)] == [
-            function(item) for item in items
-        ]
-
-
-def test_evaluate_block_validates_keys():
-    function = PolynomialHash(independence=2, range_size=256, seed=0)
-    with pytest.raises(InvalidParameterError):
-        function.evaluate_block(np.zeros((2, 2), dtype=np.uint64))  # 2-D
-    with pytest.raises(InvalidParameterError):
-        function.evaluate_block(np.zeros(3, dtype=np.int64))  # signed dtype
+# -- projected-count kernel ---------------------------------------------------------
 
 
 def test_collapse_block_gives_a_shuffled_block_the_same_keys_in_the_same_order():
