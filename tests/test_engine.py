@@ -82,6 +82,24 @@ def test_hash_policy_is_content_addressed() -> None:
     ]
 
 
+@pytest.mark.parametrize("hash_seed", [0, 9])
+@pytest.mark.parametrize("n_shards", [2, 3, 5, 8])
+def test_hash_policy_spreads_distinct_rows(n_shards: int, hash_seed: int) -> None:
+    """Every shard receives a fair share of the 4,096 distinct binary rows of
+    width 12, and another seed places them differently."""
+    rows = (np.arange(2**12)[:, np.newaxis] >> np.arange(12)) & 1
+    placements = StreamPartitioner(
+        n_shards=n_shards, policy="hash", hash_seed=hash_seed
+    ).assign_block(0, rows)
+    sizes = np.bincount(placements, minlength=n_shards)
+    fair = rows.shape[0] / n_shards
+    assert 0.8 * fair < sizes.min() and sizes.max() < 1.2 * fair
+    reseeded = StreamPartitioner(
+        n_shards=n_shards, policy="hash", hash_seed=hash_seed + 1
+    ).assign_block(0, rows)
+    assert not np.array_equal(placements, reseeded)
+
+
 def test_lazy_substreams_match_routed_blocks() -> None:
     partitioner = StreamPartitioner(n_shards=3, policy="hash", hash_seed=5)
     assert [

@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.sketches.hashing import MERSENNE_PRIME_61
 from repro.sketches.kmv import KMVSketch, kmv_size_for_epsilon
+
+#: Key sets with repeats, consecutive runs, the field's edges and wide
+#: strides: any pair sharing a hash would show as an undercount below k.
+EXACT_KEY_SETS = {
+    "consecutive": list(range(300)) * 2,
+    "field-edges": [0, 1, 2, 2**32 - 1, 2**32, 2**60, MERSENNE_PRIME_61 - 2,
+                    MERSENNE_PRIME_61 - 1, 0, MERSENNE_PRIME_61 - 1],
+    "strided": [index << 32 for index in range(200)] * 2,
+    "random": np.random.default_rng(5).integers(0, MERSENNE_PRIME_61, 400).tolist(),
+}
 
 
 @pytest.fixture(
@@ -94,6 +106,20 @@ class TestKMVSpecifics:
         coarse = KMVSketch.from_epsilon(0.2)
         assert fine.k > coarse.k
         assert coarse.k == kmv_size_for_epsilon(0.2)
+
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    @pytest.mark.parametrize("key_set", sorted(EXACT_KEY_SETS))
+    def test_count_is_exact_below_k(self, key_set, seed):
+        """The key hash is a bijection on [0, 2^61 - 1), so below k distinct
+        keys the estimate is their exact number, by update and update_block."""
+        keys = EXACT_KEY_SETS[key_set]
+        distinct = len(set(keys))
+        scalar = KMVSketch(k=distinct + 1, seed=seed)
+        for key in keys:
+            scalar.update(key)
+        block = KMVSketch(k=distinct + 1, seed=seed)
+        block.update_block(np.array(keys, dtype=np.uint64))
+        assert scalar.estimate() == block.estimate() == distinct
 
     def test_invalid_k(self):
         with pytest.raises(InvalidParameterError):
