@@ -1,19 +1,19 @@
-"""E14 — Alpha-net ingest: counted block kernels vs the per-row loop.
+"""E14 — Alpha-net ingest: 2,048-row blocks vs one-row blocks on the bank.
 
 The α-net estimator pays the paper's inherent per-row cost — one sketch
 update per net member per row — which made it the slowest ingest path in the
 repository even after PR 2 vectorized the samplers.  This benchmark measures
-the tentpole of the vectorized sketch-ingest subsystem on a Zipf-distributed
-stream: the same estimator (KMV distinct sketches + Count-Min point sketches
-per member), same seeds, ingesting the stream through
+the sketch bank on a Zipf-distributed stream: the same estimator (a KMV
+bank and a Count-Min bank over every member), same seeds, ingesting the
+stream through
 
-* the per-row path — every row projects onto every member, and every
-  sketch hashes the pattern's canonical key (Remark 1's index) one row at
-  a time;
+* the per-row path — ``observe_row``, a one-row block on the bank: every
+  row is keyed on every member, and each family hashes that row's
+  distinct ``(member, key)`` pairs;
 * the block path — ``observe_rows`` keys every row on every member with one
-  place-value product per block, reduces each member's keys to
-  ``(key, count)`` pairs, and feeds the sketches' counted ``update_block``
-  kernels.
+  place-value product per block, reduces the keys to distinct
+  ``(member, key, count)`` triples with one sort, and scatters them into
+  each bank once.
 
 The two paths are compared by rows/s.  The per-row path costs the same
 per row all along the stream, so it is timed on the first
@@ -44,7 +44,7 @@ from repro.sketches.kmv import KMVSketch
 from repro.workloads.synthetic import zipfian_rows
 
 N_ROWS, N_COLUMNS = 4_000, 10
-#: Rows the per-row path ingests (about 450 rows/s on a 2-core host).
+#: Rows the per-row path ingests (about 2,000 rows/s on a 2-core host).
 PER_ROW_ROWS = 500
 ALPHA = 0.25
 BATCH_SIZE = 2_048
@@ -127,7 +127,7 @@ def test_alpha_net_block_ingest_throughput(benchmark, record_bench, bench_metada
                     "1.0x",
                 ),
                 (
-                    "block (update_block)",
+                    "block (banks)",
                     f"{block_rate:,.0f}",
                     f"{block_rate * member_count:,.0f}",
                     f"{speedup:.1f}x",

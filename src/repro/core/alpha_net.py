@@ -15,6 +15,21 @@ this is inherent to the algorithm, which trades a ``2^{H(1/2-α)d}`` factor of
 space (and per-row work) for the ability to answer arbitrary late-arriving
 queries.
 
+The hashed families are held as *banks*, not as one object per member.
+The plan's per-member KMV sketches stack into one
+:class:`~repro.sketches.kmv.KMVBank` (a ``(members, k)`` array of
+ascending minima) and its Count-Min sketches into one
+:class:`~repro.sketches.countmin.CountMinBank` (a
+``(members, depth, width)`` counter array), each with one coefficient
+table derived from all members' seeds at once.  A block is keyed once
+(``block @ P``, Remark 1's index on every member), reduced once to
+distinct ``(member, key, count)`` triples, and scattered once per family;
+a merge is an array add plus a per-member min-k, and a snapshot is a few
+arrays.  Member ``i`` of a bank equals the standalone sketch the plan
+built for member ``i``, fed member ``i``'s keys.  Moment sketches
+(StableLp) stay one object per member, fed each member's slice of the
+same triples.
+
 What each answer guarantees:
 
 * ``F_0`` and ``F_p`` answers carry Theorem 6.5's factor ``β · r(α, P)``
@@ -35,13 +50,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .. import telemetry
-from ..coding.words import Word, project_word, word_to_index
 from ..errors import EstimationError, InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
 from ..sketches.base import (
@@ -50,9 +64,9 @@ from ..sketches.base import (
     PointQuerySketch,
     merge_all,
 )
-from ..sketches.countmin import CountMinSketch
+from ..sketches.countmin import CountMinBank, CountMinSketch
 from ..sketches.hashing import MERSENNE_PRIME_61
-from ..sketches.kmv import KMVSketch
+from ..sketches.kmv import KMVBank, KMVSketch
 from ..sketches.stable_lp import StableLpSketch
 from .dataset import ColumnQuery
 from .estimator import ProjectedFrequencyEstimator, pattern_words
@@ -87,6 +101,23 @@ def _place_values(
     return places
 
 
+def _distinct_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``(member, key)`` pairs of a ``(members, m)`` key block.
+
+    Returns ``(members, keys, counts)``: members ascending, each member's
+    keys ascending, and how many of the block's rows gave each pair.  One
+    sort along the rows groups every member's equal keys; a run starts
+    wherever a key differs from the one before it, and every member's
+    first slot starts one, so no run crosses members.
+    """
+    keys = np.sort(keys, axis=1)
+    starts = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=starts[:, 1:])
+    members, slots = np.nonzero(starts)
+    counts = np.diff(np.flatnonzero(starts), append=keys.size)
+    return members, keys[members, slots], counts
+
+
 @dataclass
 class SketchPlan:
     """Factories producing the per-net-member sketches Algorithm 1 stores.
@@ -98,6 +129,15 @@ class SketchPlan:
     member ``i``'s sketch with ``seed + i``.  The ``seed`` field only
     records that base seed.  The estimator never reads it, so a hand-built
     plan seeds its sketches inside its factories.
+
+    The estimator stacks what the distinct and point factories return into
+    one bank per family, reading only each sketch's configuration and
+    seed.  Every distinct sketch must be exactly a :class:`KMVSketch` and
+    every point sketch exactly a :class:`CountMinSketch`, all empty, with
+    one ``k`` (or one ``(depth, width)``) across members; seeds may differ.
+    Anything else is refused with
+    :class:`~repro.errors.InvalidParameterError`.  Moment sketches are kept
+    as returned.
     """
 
     distinct_factory: Callable[[int], DistinctCountSketch] | None = None
@@ -204,21 +244,16 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
             member.columns: index for index, member in enumerate(members)
         }
         self._places = _place_values(members, n_columns, alphabet_size)
-        self._distinct_sketches: list[DistinctCountSketch] | None = None
+        indices = range(len(members))
+        self._distinct: KMVBank | None = None
         self._moment_sketches: list[FrequencyMomentSketch] | None = None
-        self._point_sketches: list[PointQuerySketch] | None = None
+        self._point: CountMinBank | None = None
         if plan.distinct_factory is not None:
-            self._distinct_sketches = [
-                plan.distinct_factory(index) for index in range(len(members))
-            ]
+            self._distinct = KMVBank.stack(map(plan.distinct_factory, indices))
         if plan.moment_factory is not None:
-            self._moment_sketches = [
-                plan.moment_factory(index) for index in range(len(members))
-            ]
+            self._moment_sketches = list(map(plan.moment_factory, indices))
         if plan.point_factory is not None:
-            self._point_sketches = [
-                plan.point_factory(index) for index in range(len(members))
-            ]
+            self._point = CountMinBank.stack(map(plan.point_factory, indices))
 
     # -- structure ---------------------------------------------------------------
 
@@ -244,75 +279,72 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
 
     # -- observation ---------------------------------------------------------------
 
-    def _families(self) -> list[tuple[str, list]]:
-        """The ``(name, per-member sketches)`` pairs this estimator keeps."""
-        return [
-            (name, sketches)
-            for name, sketches in (
-                ("distinct", self._distinct_sketches),
-                ("moment", self._moment_sketches),
-                ("point", self._point_sketches),
-            )
-            if sketches is not None
-        ]
-
-    def _observe(self, row: Word) -> None:
-        families = [sketches for _, sketches in self._families()]
-        for index, member in enumerate(self._members):
-            key = word_to_index(project_word(row, member.columns), self._alphabet_size)
-            for sketches in families:
-                sketches[index].update(key)
-
     def _observe_block(self, block) -> None:
-        """Key every row on every member, then feed each member's sketches.
+        """Key every row on every member once, then feed each family once.
 
         The vectorized spine of Algorithm 1's ingest path: one product
         ``block @ P`` gives every row's canonical key on every member
-        (Remark 1's index, see :func:`_place_values`), and per member
-        ``np.unique`` reduces the keys to ``(key, count)`` pairs that feed
-        every sketch family through its ``update_block`` kernel.  Each
-        distinct pattern is hashed once per member and family.
+        (Remark 1's index, see :func:`_place_values`), one sort reduces
+        them to distinct ``(member, key, count)`` triples
+        (:func:`_distinct_pairs`), and each family absorbs all the
+        triples at once: a bucket pass and one scatter for the Count-Min
+        bank, one hash pass and a per-member union for the KMV bank, and
+        each member's slice of the triples for the moment sketches.  A
+        one-row block (:meth:`observe_row`) takes the same path.
 
-        Equivalence to per-row ingestion: Count-Min's counters and KMV's
-        sorted minima are functions of the multiset of rows seen, so they
-        are bit-identical whatever the blocking, arrival order or merge
-        tree; float-accumulating moment sketches (StableLp) are
+        Equivalence across paths: Count-Min's counters and KMV's sorted
+        minima are functions of the multiset of rows seen, so they are
+        bit-identical whatever the blocking, arrival order or merge tree;
+        float-accumulating moment sketches (StableLp) are
         answer-equivalent (same guarantees, not the same bits), because
         their rounding depends on addition order.
         """
-        timed = telemetry.enabled()
-        families = self._families()
-        family_seconds = {name: 0.0 for name, _ in families}
-        keys = (block @ self._places).T
-        for index in range(len(self._members)):
-            unique, counts = np.unique(keys[index], return_counts=True)
-            for name, sketches in families:
-                if timed:
-                    started = time.perf_counter()
-                    sketches[index].update_block(unique, counts)
-                    family_seconds[name] += time.perf_counter() - started
-                else:
-                    sketches[index].update_block(unique, counts)
-        if timed:
-            # One histogram sample per sketch family per block: the kernel
-            # time aggregates across net members so the overhead stays
-            # block-granular however large the net is.
-            histogram = telemetry.get_registry().histogram(
-                "repro_sketch_update_block_seconds",
-                "update_block kernel seconds per ingested block, by family",
+        # (block @ P)ᵀ, computed member-major so each member's keys are
+        # one contiguous row.
+        members, keys, counts = _distinct_pairs(self._places.T @ block.T)
+        kernels = []
+        if self._distinct is not None:
+            kernels.append(("distinct", lambda: self._distinct.update(members, keys)))
+        if self._moment_sketches is not None:
+            kernels.append(
+                ("moment", lambda: self._update_moments(members, keys, counts))
             )
-            for name, seconds in family_seconds.items():
-                histogram.observe(seconds, family=name)
+        if self._point is not None:
+            kernels.append(("point", lambda: self._point.update(members, keys, counts)))
+        if not telemetry.enabled():
+            for _, kernel in kernels:
+                kernel()
+            return
+        # One histogram sample per sketch family per block: the kernel time
+        # covers every net member, so the overhead stays block-granular
+        # however large the net is.
+        histogram = telemetry.get_registry().histogram(
+            "repro_sketch_update_block_seconds",
+            "update_block kernel seconds per ingested block, by family",
+        )
+        for name, kernel in kernels:
+            started = time.perf_counter()
+            kernel()
+            histogram.observe(time.perf_counter() - started, family=name)
+
+    def _update_moments(
+        self, members: np.ndarray, keys: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Feed each member's moment sketch its slice of the triples."""
+        bounds = np.searchsorted(members, np.arange(len(self._members) + 1)).tolist()
+        for index, sketch in enumerate(self._moment_sketches):
+            start, stop = bounds[index], bounds[index + 1]
+            sketch.update_block(keys[start:stop], counts[start:stop])
 
     def _merge_summaries(self, other: "ProjectedFrequencyEstimator") -> None:
-        """Merge member-by-member via the sketches' own ``merge()`` methods.
+        """Merge family by family: array adds and a per-member min-k.
 
         For the default plans (KMV / Count-Min / p-stable, all built with a
         per-member seed) the merged state is *identical* to having streamed
         the concatenated input into one estimator, so sharded ingestion is
-        lossless for Algorithm 1.  Every member pair of every family is
-        checked before the first one merges, so a sketch incompatibility
-        in a later family cannot leave ``self`` partly merged.
+        lossless for Algorithm 1.  Both banks and every moment-sketch pair
+        are checked before anything merges, so a refused merge leaves
+        ``self`` unchanged.
         """
         assert isinstance(other, AlphaNetEstimator)
         if other._net.alpha != self._net.alpha or (
@@ -322,25 +354,33 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
                 "alpha-net estimators must share alpha and the same net "
                 "members to be merged"
             )
-        pairs: list = []
-        for ours, theirs in (
-            (self._distinct_sketches, other._distinct_sketches),
+        families = (
+            (self._distinct, other._distinct),
             (self._moment_sketches, other._moment_sketches),
-            (self._point_sketches, other._point_sketches),
-        ):
-            if (ours is None) != (theirs is None):
-                raise InvalidParameterError(
-                    "alpha-net estimators must keep the same sketch families "
-                    "to be merged"
-                )
-            if ours is not None and theirs is not None:
-                pairs.extend(zip(ours, theirs))
-        merge_all(pairs)
+            (self._point, other._point),
+        )
+        if any((ours is None) != (theirs is None) for ours, theirs in families):
+            raise InvalidParameterError(
+                "alpha-net estimators must keep the same sketch families "
+                "to be merged"
+            )
+        banks = [
+            (ours, theirs)
+            for ours, theirs in (families[0], families[2])
+            if ours is not None
+        ]
+        for ours, theirs in banks:
+            ours.check_mergeable(theirs)
+        if self._moment_sketches is not None:
+            merge_all(zip(self._moment_sketches, other._moment_sketches))
+        for ours, theirs in banks:
+            ours.merge(theirs)
 
     # -- persistence ------------------------------------------------------------
 
     def _summary_state(self) -> dict:
-        """Net configuration plus every per-member sketch as nested snapshots.
+        """Net configuration, each bank as a few arrays, and the moment
+        sketches as nested snapshots.
 
         The net members themselves are *not* shipped: they are a
         deterministic function of ``(d, alpha)``, so the loader re-enumerates
@@ -350,19 +390,24 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
             "alpha": self._net.alpha,
             "neighbour_rule": str(self._neighbour_rule),
             "member_count": len(self._members),
-            "distinct": (
-                None if self._distinct_sketches is None else list(self._distinct_sketches)
-            ),
+            "distinct": None if self._distinct is None else self._distinct.state_dict(),
             "moment": (
                 None if self._moment_sketches is None else list(self._moment_sketches)
             ),
             "point": (
-                None if self._point_sketches is None else list(self._point_sketches)
+                None
+                if self._point is None
+                else self._point.state_dict(self._rows_observed)
             ),
         }
 
     def _load_summary_state(self, summary: dict) -> None:
-        """Rebuild the net from ``(d, alpha)`` and adopt the restored sketches."""
+        """Rebuild the net from ``(d, alpha)`` and restore the families.
+
+        Each bank refuses, for all members at once, any state that a bank
+        fed ``rows_observed`` rows could not hold; every moment sketch must
+        have seen ``rows_observed`` rows.
+        """
         require_keys(
             summary,
             ("alpha", "neighbour_rule", "member_count", "distinct", "moment", "point"),
@@ -391,32 +436,29 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
             member.columns: index for index, member in enumerate(members)
         }
         self._places = _place_values(members, self._n_columns, self._alphabet_size)
-        families = []
-        for name, sketches in (
-            ("distinct", summary["distinct"]),
-            ("moment", summary["moment"]),
-            ("point", summary["point"]),
-        ):
-            if sketches is None:
-                families.append(None)
-                continue
-            if len(sketches) != member_count:
+        rows = self._rows_observed
+        distinct, point = summary["distinct"], summary["point"]
+        moment = summary["moment"]
+        if distinct is None and moment is None and point is None:
+            raise SnapshotError("alpha-net state holds no sketch family at all")
+        self._distinct = self._point = None
+        if distinct is not None:
+            self._distinct = KMVBank.from_state_dict(distinct, member_count, rows)
+        if point is not None:
+            self._point = CountMinBank.from_state_dict(point, member_count, rows)
+        if moment is not None:
+            if len(moment) != member_count:
                 raise SnapshotError(
-                    f"alpha-net state holds {len(sketches)} {name} sketches "
+                    f"alpha-net state holds {len(moment)} moment sketches "
                     f"for {member_count} net members"
                 )
-            seen = {sketch.items_processed for sketch in sketches}
-            if seen - {self._rows_observed}:
+            if {sketch.items_processed for sketch in moment} - {rows}:
                 raise SnapshotError(
-                    f"alpha-net state holds {name} sketches that did not each "
-                    f"see its rows_observed = {self._rows_observed} rows"
+                    "alpha-net state holds moment sketches that did not each "
+                    f"see its rows_observed = {rows} rows"
                 )
-            families.append(list(sketches))
-        self._distinct_sketches, self._moment_sketches, self._point_sketches = families
-        if all(family is None for family in families):
-            raise SnapshotError(
-                "alpha-net state holds no sketch family at all"
-            )
+            moment = list(moment)
+        self._moment_sketches = moment
 
     # -- query helpers ---------------------------------------------------------------
 
@@ -447,9 +489,9 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
             return float(self.rows_observed)
         index, _ = self._resolve(query)
         if p == 0:
-            if self._distinct_sketches is None:
+            if self._distinct is None:
                 raise EstimationError("this estimator keeps no distinct-count sketches")
-            return float(self._distinct_sketches[index].estimate())
+            return self._distinct.estimate(index)
         if self._moment_sketches is None:
             raise EstimationError("this estimator keeps no moment sketches")
         sketch = self._moment_sketches[index]
@@ -484,7 +526,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         self._check_query(query)
         words = pattern_words(patterns)
         self._check_patterns(query, words)
-        if self._point_sketches is None:
+        if self._point is None:
             raise EstimationError("this estimator keeps no point-query sketches")
         index, neighbour = self._resolve(query)
         if not words:
@@ -496,7 +538,7 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
             if i is not None:
                 translated[:, j] = [word[i] for word in words]
         keys = translated @ self._places[list(neighbour.columns), index]
-        return self._point_sketches[index].estimate_block(keys)
+        return self._point.estimate_block(index, keys)
 
     # -- guarantees -------------------------------------------------------------------
 
@@ -519,10 +561,13 @@ class AlphaNetEstimator(ProjectedFrequencyEstimator):
         )
 
     def size_in_bits(self) -> int:
-        total = 0
-        for family in (self._distinct_sketches, self._moment_sketches, self._point_sketches):
-            if family is not None:
-                total += sum(sketch.size_in_bits() for sketch in family)
+        total = sum(
+            bank.size_in_bits()
+            for bank in (self._distinct, self._point)
+            if bank is not None
+        )
+        if self._moment_sketches is not None:
+            total += sum(sketch.size_in_bits() for sketch in self._moment_sketches)
         # Net member bookkeeping: one d-bit mask per member.
         total += self.member_count * self.n_columns
         return total

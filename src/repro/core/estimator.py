@@ -101,9 +101,14 @@ class ProjectedFrequencyEstimator(abc.ABC):
 
     # -- observation phase ----------------------------------------------------
 
-    @abc.abstractmethod
     def _observe(self, row: Word) -> None:
-        """Absorb one row (already validated)."""
+        """Absorb one row (already validated): by default a one-row
+        :meth:`_observe_block`.
+
+        A subclass overrides this hook, :meth:`_observe_block`, or both;
+        each default calls the other.
+        """
+        self._observe_block(np.array([row], dtype=np.int64))
 
     def observe_row(self, row: Word) -> None:
         """Absorb one row of the stream; every symbol must be an integer in
@@ -124,8 +129,9 @@ class ProjectedFrequencyEstimator(abc.ABC):
         """Absorb one validated ``(m, d)`` block (hook for subclasses).
 
         The default implementation replays the block through the per-row
-        :meth:`_observe` hook, so every estimator accepts blocks; subclasses
-        with genuinely vectorized kernels override this.
+        :meth:`_observe` hook, so an estimator that defines only that hook
+        accepts blocks; subclasses with genuinely vectorized kernels
+        override this.
         """
         for row in block.tolist():
             self._observe(tuple(row))

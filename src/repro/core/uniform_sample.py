@@ -144,7 +144,12 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
         }
 
     def _load_summary_state(self, summary: dict) -> None:
-        """Adopt the restored sampler (RNG state and retained rows included)."""
+        """Adopt the restored sampler (RNG state and retained rows included).
+
+        The sampler must be of the configured kind and size and have seen
+        exactly ``rows_observed`` rows, since the ``n / t`` scale of every
+        answer reads ``rows_observed``.
+        """
         require_keys(
             summary,
             ("sample_size", "with_replacement", "sampler"),
@@ -160,6 +165,18 @@ class UniformSampleEstimator(ProjectedFrequencyEstimator):
             raise SnapshotError(
                 f"UniformSampleEstimator state holds a "
                 f"{type(sampler).__name__}, expected {expected.__name__}"
+            )
+        size = sampler.draws if self._with_replacement else sampler.capacity
+        if size != self._sample_size:
+            raise SnapshotError(
+                f"UniformSampleEstimator state holds a sampler of size {size} "
+                f"for sample_size = {self._sample_size}"
+            )
+        if sampler.items_processed != self._rows_observed:
+            raise SnapshotError(
+                f"UniformSampleEstimator state holds a sampler that saw "
+                f"{sampler.items_processed} rows for rows_observed = "
+                f"{self._rows_observed}"
             )
         self._sampler = sampler
         self._sample_rows_at = None

@@ -496,19 +496,23 @@ class Coordinator:
         self,
         estimators: list[ProjectedFrequencyEstimator],
         results: list[dict],
+        routed: list[int],
         started: float,
     ) -> dict:
         """Install what the workers sent back, for both worker backends.
 
         ``results`` holds one :meth:`SocketWorkerPool.collect` entry per
-        shard.  Each live entry's snapshot ``payload`` is decoded,
-        type-checked and replaces that shard's replica, and its worker
-        ``metrics`` registry is merged into this process's, so block and
-        kernel metrics survive the process boundary.  A shard lost to
-        recovery exhaustion keeps its fresh (empty) replica, so the merge
-        folds in an identity and only survivors contribute.  Records the
-        exchange, timed from ``started``, in the transport metrics and
-        returns its ``bytes_sent`` / ``bytes_received`` / ``blocks`` totals.
+        shard, and ``routed`` the rows this process routed to each shard.
+        Each live entry's snapshot ``payload`` is decoded, type-checked,
+        checked to have observed exactly its shard's routed rows (a stale
+        or short payload is refused before anything merges) and replaces
+        that shard's replica, and its worker ``metrics`` registry is merged
+        into this process's, so block and kernel metrics survive the
+        process boundary.  A shard lost to recovery exhaustion keeps its
+        fresh (empty) replica, so the merge folds in an identity and only
+        survivors contribute.  Records the exchange, timed from
+        ``started``, in the transport metrics and returns its
+        ``bytes_sent`` / ``bytes_received`` / ``blocks`` totals.
         """
         registry = telemetry.get_registry()
         totals = {"bytes_sent": 0, "bytes_received": 0, "blocks": 0}
@@ -519,6 +523,13 @@ class Coordinator:
                     raise EstimationError(
                         "worker returned a non-estimator payload of type "
                         f"{type(estimator).__name__}"
+                    )
+                if estimator.rows_observed != routed[index]:
+                    raise EstimationError(
+                        f"shard {index} worker returned a summary of "
+                        f"{estimator.rows_observed} rows for the "
+                        f"{routed[index]} rows routed to it under the "
+                        f"'{self._backend}' backend"
                     )
                 estimators[index] = estimator
                 if result["metrics"] is not None and telemetry.enabled():
@@ -579,10 +590,12 @@ class Coordinator:
             backend=self._backend,
             n_shards=self.n_shards,
         ) as roundtrip_span:
+            routed = [0] * self.n_shards
             try:
                 pool = self._transport_pool(estimators)
                 for shard, rows in self._partitioner.route(stream, block_rows):
                     pool.send_block(shard, rows)
+                    routed[shard] += int(rows.shape[0])
                 results = pool.collect()
             except (TransportError, ConnectionError, OSError) as error:
                 self.close()
@@ -598,7 +611,7 @@ class Coordinator:
                 self.close()
                 raise
             roundtrip_span.set(
-                **self._adopt_worker_results(estimators, results, started)
+                **self._adopt_worker_results(estimators, results, routed, started)
             )
         resilience_info = {
             "shards_lost": pool.supervisor.lost_shards,
@@ -695,7 +708,9 @@ class Coordinator:
             result["bytes_sent"] = len(payload) + int(block.nbytes)
             result["bytes_received"] = len(result["payload"])
             result["blocks"] = 1
-        self._adopt_worker_results(estimators, results, started)
+        self._adopt_worker_results(
+            estimators, results, [int(block.shape[0]) for block in blocks], started
+        )
         return results
 
     # -- lifecycle ---------------------------------------------------------------

@@ -25,8 +25,9 @@ Wire format (:data:`SNAPSHOT_FORMAT`): a fixed magic prefix
 state dict>}``.  Values that JSON cannot express natively travel as tagged
 objects (``{"__kind__": "tuple" | "set" | "map" | "bytes" | "ndarray" |
 "snapshot", ...}``); nested summaries (a sampler inside an estimator, the
-per-member sketches inside an α-net estimator) are encoded recursively as
-``"snapshot"`` values.  Compatibility policy: the format
+per-member moment sketches inside an α-net estimator) are encoded
+recursively as ``"snapshot"`` values, while the α-net's sketch banks travel
+as plain arrays.  Compatibility policy: the format
 tag is bumped on any breaking change and :func:`from_bytes` refuses
 payloads with an unknown tag — there is no silent best-effort decoding.
 """
@@ -63,15 +64,19 @@ __all__ = [
 ]
 
 #: Format tag of a single serialized estimator or sketch.  ``@1`` persisted
-#: the estimator ``version`` counter and KMV's heap in arrival order, and
-#: ``@2`` held sketches that hashed serialised tuples through BLAKE2b; both
-#: are refused.
-SNAPSHOT_FORMAT = "repro/estimator-snapshot@3"
+#: the estimator ``version`` counter and KMV's heap in arrival order, ``@2``
+#: held sketches that hashed serialised tuples through BLAKE2b, and ``@3``
+#: sketches whose hash coefficients came from a per-seed ``default_rng``
+#: and an α-net holding one nested snapshot per member sketch; all are
+#: refused, since restoring an ``@3`` sketch under today's coefficients
+#: would mix two hash functions.
+SNAPSHOT_FORMAT = "repro/estimator-snapshot@4"
 
 #: Format tag of an engine checkpoint (config manifest + merged summary).
-#: ``@1`` also carried the last ingest's per-shard replicas, ``@2`` held an
-#: ``@1`` summary and ``@3`` an ``@2`` summary; all are refused.
-CHECKPOINT_FORMAT = "repro/engine-checkpoint@4"
+#: ``@1`` also carried the last ingest's per-shard replicas, and ``@2``,
+#: ``@3`` and ``@4`` held ``@1``, ``@2`` and ``@3`` summaries; all are
+#: refused.
+CHECKPOINT_FORMAT = "repro/engine-checkpoint@5"
 
 #: Magic prefix identifying every file/payload written by this module.
 SNAPSHOT_MAGIC = b"REPRO-SNAPSHOT\x00"

@@ -40,6 +40,8 @@ __all__ = [
     "validate_counts",
     "collapse_block",
     "merge_all",
+    "SketchBank",
+    "integer_array",
 ]
 
 ItemT = TypeVar("ItemT")
@@ -328,3 +330,126 @@ class PointQuerySketch(MergeableSketch[ItemT]):
 
         ``keys`` is a 1-D integer key array; the result is ``float64``.
         """
+
+
+class SketchBank:
+    """One sketch per member, all of one class and configuration, held as
+    stacked arrays with a leading member axis.
+
+    Member ``i`` equals a standalone :attr:`sketch_class` sketch of the
+    bank's configuration seeded with ``seeds[i]`` and fed member ``i``'s
+    keys; the α-net keeps one bank per hashed family instead of one
+    object per net member.  A bank is not a snapshot type of its own: its
+    :meth:`state_dict` is plain arrays inside the owner's state, and the
+    owner supplies the row count its restore checks against.
+    """
+
+    #: The standalone sketch class every member equals.
+    sketch_class: type
+    #: Names of the configuration every member shares, as properties of
+    #: :attr:`sketch_class` and constructor arguments of the bank.
+    _bank_config: tuple[str, ...]
+
+    def __init__(self, seeds: np.ndarray) -> None:
+        #: ``uint64`` seed of every member, taken mod ``2^64``.
+        self.seeds = np.asarray(seeds, dtype=np.uint64)
+
+    @classmethod
+    def stack(cls, sketches: Iterable[Sketch]) -> "SketchBank":
+        """The bank of ``sketches``, read for their configuration and seeds.
+
+        Raises
+        ------
+        InvalidParameterError
+            Unless there is at least one sketch, every sketch is exactly a
+            :attr:`sketch_class` and empty, and all share the bank's
+            configuration; seeds may differ.
+        """
+        sketches = list(sketches)
+        name = cls.sketch_class.__name__
+        if not sketches:
+            raise InvalidParameterError(f"a {cls.__name__} needs at least one {name}")
+        config = {
+            field: getattr(sketches[0], field, None) for field in cls._bank_config
+        }
+        for sketch in sketches:
+            if type(sketch) is not cls.sketch_class:
+                raise InvalidParameterError(
+                    f"a {cls.__name__} stacks {name} sketches only, got a "
+                    f"{type(sketch).__name__}"
+                )
+            for field, value in config.items():
+                if getattr(sketch, field) != value:
+                    raise InvalidParameterError(
+                        f"a {cls.__name__} stacks {name} sketches that share "
+                        f"{', '.join(cls._bank_config)} ({field}: "
+                        f"{getattr(sketch, field)} != {value})"
+                    )
+            if sketch.items_processed:
+                raise InvalidParameterError(
+                    f"a {cls.__name__} stacks empty {name} sketches only, got "
+                    f"one that saw {sketch.items_processed} items"
+                )
+        seeds = [sketch.seed % (1 << 64) for sketch in sketches]  # type: ignore
+        return cls(np.array(seeds, dtype=np.uint64), **config)
+
+    @property
+    def members(self) -> int:
+        """Number of stacked sketches."""
+        return self.seeds.shape[0]
+
+    def config(self) -> dict:
+        """The shared configuration, by name."""
+        return {field: getattr(self, field) for field in self._bank_config}
+
+    def check_mergeable(self, other: object) -> None:
+        """Raise unless ``other`` is a bank of the same class, configuration
+        and member seeds.  Changes nothing."""
+        name = type(self).__name__
+        if type(other) is not type(self):
+            raise InvalidParameterError(
+                f"cannot merge a {type(other).__name__} into a {name}"
+            )
+        if other.config() != self.config() or not np.array_equal(
+            other.seeds, self.seeds
+        ):
+            raise InvalidParameterError(
+                f"{name} summaries must share {', '.join(self._bank_config)} "
+                "and every member's seed to be merged"
+            )
+
+    def size_in_bits(self) -> int:
+        """The structural size of as many standalone sketches."""
+        return self.members * self.sketch_class(**self.config()).size_in_bits()
+
+    def _base_state(self) -> dict:
+        """The configuration plus the seeds as gaps, which repeat for the
+        consecutive seeds a sketch plan hands out."""
+        return {
+            **self.config(),
+            "seed_gaps": np.diff(self.seeds, prepend=np.uint64(0)),
+        }
+
+    @staticmethod
+    def _restored_seeds(state: dict, members: int, context: str) -> np.ndarray:
+        """The seeds of a :meth:`_base_state`, refusing a wrong shape."""
+        gaps = integer_array(state["seed_gaps"], (members,), f"{context}: 'seed_gaps'")
+        return np.cumsum(gaps.astype(np.uint64), dtype=np.uint64)
+
+
+def integer_array(value: object, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``value`` as a non-negative integer ndarray of exactly ``shape``.
+
+    Raises :class:`~repro.errors.SnapshotError` naming ``what`` otherwise.
+    """
+    array = np.asarray(value)
+    if array.shape != shape or (
+        array.size and not np.issubdtype(array.dtype, np.integer)
+    ):
+        raise SnapshotError(
+            f"{what} must be an integer array of shape {shape}, got "
+            f"{array.dtype} of shape {array.shape}"
+        )
+    if array.size and int(array.min()) < 0:
+        raise SnapshotError(f"{what} holds a negative entry {int(array.min())}")
+    return array

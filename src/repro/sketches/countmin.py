@@ -22,16 +22,36 @@ import numpy as np
 
 from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
-from .base import PointQuerySketch, validate_counts
+from .base import PointQuerySketch, SketchBank, integer_array, validate_counts
 from .hashing import (
     MERSENNE_PRIME_61,
     as_key,
     as_key_block,
     field_hash,
     hash_coefficients,
+    pair_hash,
 )
 
-__all__ = ["CountMinSketch"]
+__all__ = ["CountMinSketch", "CountMinBank"]
+
+
+def _buckets(coefficients: np.ndarray, keys: np.ndarray, width: int) -> np.ndarray:
+    """``(depth, m)`` bucket of every validated key in every row."""
+    return (field_hash(coefficients, keys) % np.uint64(width)).astype(np.intp)
+
+
+def _smallest_counters(
+    coefficients: np.ndarray, table: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Point answers from one ``(depth, width)`` table: each validated
+    key's smallest counter over the rows.
+
+    One broadcast pass gives every key's bucket in every row, and the
+    counters gather into a ``(depth, m)`` slab reduced by ``np.min``.
+    """
+    rows = np.arange(table.shape[0])[:, np.newaxis]
+    buckets = _buckets(coefficients, keys, table.shape[1])
+    return table[rows, buckets].min(axis=0).astype(np.float64)
 
 
 @snapshottable("sketch.countmin")
@@ -59,7 +79,7 @@ class CountMinSketch(PointQuerySketch[int]):
         self._width = int(width)
         self._depth = int(depth)
         self._seed = int(seed)
-        self._coefficients = hash_coefficients(self._seed, self._depth)
+        self._coefficient_table: np.ndarray | None = None
         self._table = np.zeros((self._depth, self._width), dtype=np.int64)
         self._items_processed = 0
 
@@ -95,11 +115,13 @@ class CountMinSketch(PointQuerySketch[int]):
     def items_processed(self) -> int:
         return self._items_processed
 
-    def _buckets(self, keys: np.ndarray) -> np.ndarray:
-        """``(depth, m)`` bucket of every validated key in every row."""
-        return (
-            field_hash(self._coefficients, keys) % np.uint64(self._width)
-        ).astype(np.intp)
+    @property
+    def _coefficients(self) -> np.ndarray:
+        """The ``(depth, 2)`` table of ``(a_i, b_i)``, derived from the seed
+        on first use: a sketch that a bank only stacks never needs it."""
+        if self._coefficient_table is None:
+            self._coefficient_table = hash_coefficients(self._seed, self._depth)
+        return self._coefficient_table
 
     def update(self, key: int, count: int = 1) -> None:
         if count < 1:
@@ -121,7 +143,8 @@ class CountMinSketch(PointQuerySketch[int]):
         multiplicities = validate_counts(keys.shape[0], counts)
         self._items_processed += int(multiplicities.sum())
         rows = np.arange(self._depth)[:, np.newaxis]
-        np.add.at(self._table, (rows, self._buckets(keys)), multiplicities)
+        buckets = _buckets(self._coefficients, keys, self._width)
+        np.add.at(self._table, (rows, buckets), multiplicities)
 
     def merge(self, other: "CountMinSketch") -> None:
         self.check_mergeable(other)
@@ -171,14 +194,9 @@ class CountMinSketch(PointQuerySketch[int]):
         self._items_processed = items_processed
 
     def estimate_block(self, keys) -> np.ndarray:
-        """Batch point queries: the minimum counter over the rows, per key.
-
-        One broadcast pass gives every key's bucket in every row, and the
-        counters gather into a ``(depth, m)`` slab reduced by ``np.min``.
-        """
+        """Batch point queries: the minimum counter over the rows, per key."""
         keys = as_key_block(keys, caller="estimate_block")
-        rows = np.arange(self._depth)[:, np.newaxis]
-        return self._table[rows, self._buckets(keys)].min(axis=0).astype(np.float64)
+        return _smallest_counters(self._coefficients, self._table, keys)
 
     def additive_error_bound(self, delta: float = 0.01) -> float:
         """Additive error guaranteed with probability ``1 - delta`` for ``F_1`` mass."""
@@ -188,3 +206,85 @@ class CountMinSketch(PointQuerySketch[int]):
 
     def size_in_bits(self) -> int:
         return 64 * self._width * self._depth + 2 * 64 * self._depth + 3 * 64
+
+
+class CountMinBank(SketchBank):
+    """The Count-Min sketches of many seeds, sharing ``(depth, width)``,
+    as one ``(members, depth, width)`` counter array.
+
+    Member ``i`` hashes with the ``(depth, 2)`` slice ``i`` of the
+    ``(members, depth, 2)`` ``coefficients`` and equals
+    ``CountMinSketch(width, depth, seeds[i])`` fed member ``i``'s keys.
+    """
+
+    sketch_class = CountMinSketch
+    _bank_config = ("width", "depth")
+
+    def __init__(self, seeds: np.ndarray, width: int, depth: int) -> None:
+        super().__init__(seeds)
+        self.width = int(width)
+        self.depth = int(depth)
+        self.coefficients = hash_coefficients(self.seeds, self.depth)
+        self.table = np.zeros((self.members, self.depth, self.width), dtype=np.int64)
+
+    def update(self, members: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add ``counts`` for ``(member, key)`` pairs: one bucket pass over
+        every pair and row, then one scatter into the table."""
+        hashes = pair_hash(
+            self.coefficients[members], keys.astype(np.uint64)[:, np.newaxis]
+        )
+        buckets = (hashes % np.uint64(self.width)).astype(np.intp)
+        np.add.at(
+            self.table,
+            (members[:, np.newaxis], np.arange(self.depth), buckets),
+            counts[:, np.newaxis],
+        )
+
+    def merge(self, other: "CountMinBank") -> None:
+        """Fold ``other`` in: an array add."""
+        self.check_mergeable(other)
+        self.table += other.table
+
+    def estimate_block(self, member: int, keys) -> np.ndarray:
+        """Member ``member``'s point queries, as
+        :meth:`CountMinSketch.estimate_block` answers them."""
+        keys = as_key_block(keys, caller="estimate_block")
+        return _smallest_counters(self.coefficients[member], self.table[member], keys)
+
+    def state_dict(self, rows: int) -> dict:
+        """``(depth, width)``, the seeds as gaps, and the counters in the
+        narrowest unsigned dtype that holds ``rows``, the most any counter
+        of a bank that saw ``rows`` keys per member can hold."""
+        return {
+            **self._base_state(),
+            "counters": self.table.astype(np.min_scalar_type(rows)),
+        }
+
+    @classmethod
+    def from_state_dict(cls, state: dict, members: int, rows: int) -> "CountMinBank":
+        """Restore a bank of ``members`` sketches that each saw ``rows`` keys.
+
+        Every key adds its count once to each row, so every counter row of
+        every member sums to ``rows``; a wrong shape, a negative counter or
+        any other sum is refused.
+        """
+        require_keys(state, ("width", "depth", "seed_gaps", "counters"), "CountMinBank")
+        width, depth = int(state["width"]), int(state["depth"])
+        if width < 2 or depth < 1:
+            raise SnapshotError(
+                f"CountMinBank: needs width >= 2 and depth >= 1, got "
+                f"({depth}, {width})"
+            )
+        bank = cls(cls._restored_seeds(state, members, "CountMinBank"), width, depth)
+        counters = integer_array(
+            state["counters"], bank.table.shape, "CountMinBank: 'counters'"
+        )
+        if counters.size and int(counters.max()) > rows or bool(
+            (counters.sum(axis=2, dtype=np.int64) != rows).any()
+        ):
+            raise SnapshotError(
+                f"CountMinBank: every member's counter rows must each sum to "
+                f"the {rows} rows observed"
+            )
+        bank.table = counters.astype(np.int64)
+        return bank

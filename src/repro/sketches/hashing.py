@@ -16,10 +16,11 @@ by Remark 1's index ``e(w)``, so a sketch never sees a tuple.  Sketch row
 The partitioner's ``"hash"`` policy fingerprints whole rows with the same
 field arithmetic (:func:`fingerprint_rows`).
 
-:func:`hash_coefficients` draws a sketch's ``(rows, 2)`` table of
-``(a_i, b_i)`` from one seed, :func:`field_hash` evaluates every row over a
-key block in one broadcast pass, and the scalar ``update`` paths compute
-the same values with Python ints.
+:func:`hash_coefficients` derives a sketch's ``(rows, 2)`` table of
+``(a_i, b_i)`` from its seed, or the tables of a whole bank of seeds, in
+one counter-based pass; :func:`field_hash` evaluates every row over a key
+block in one broadcast pass, and the scalar ``update`` paths compute the
+same values with Python ints.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "fingerprint_row",
     "fingerprint_rows",
     "hash_coefficients",
+    "pair_hash",
 ]
 
 #: The Mersenne prime :math:`2^{61} - 1`, the field every key is hashed in.
@@ -79,18 +81,50 @@ def as_key_block(keys: object, caller: str = "update_block") -> np.ndarray:
     return array.astype(np.uint64, copy=False)
 
 
-def hash_coefficients(seed: int, rows: int) -> np.ndarray:
-    """A ``(rows, 2)`` ``uint64`` table of ``(a_i, b_i)`` drawn from ``seed``.
+#: SplitMix64's Weyl increment, ``2^64`` over the golden ratio (odd).
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
-    ``a_i`` is drawn from ``[1, p)`` and ``b_i`` from ``[0, p)``, both
-    through ``np.random.default_rng``.  The seed is taken mod ``2^64``, so
-    any integer seed is accepted.
+
+def _splitmix64(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's output finalizer on every ``uint64`` word (wrapping)."""
+    words = (words ^ (words >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    words = (words ^ (words >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return words ^ (words >> np.uint64(31))
+
+
+def hash_coefficients(seeds: int | np.ndarray, rows: int) -> np.ndarray:
+    """The ``(a_i, b_i)`` table of one seed, or of every seed in an array.
+
+    One integer seed gives a ``(rows, 2)`` ``uint64`` table, and a 1-D
+    integer array of ``n`` seeds the ``(n, rows, 2)`` stack of the same
+    tables, so a bank member's table equals its standalone sketch's.
+    Each seed is taken mod ``2^64``.
+
+    The derivation is counter-based: with ``s = mix(seed)``, word ``j`` of
+    a seed is ``mix(s + (j + 1)·γ)``, SplitMix64's ``j``-th output
+    (``mix`` its finalizer, ``γ`` its increment).  Row ``i`` takes words
+    ``2i`` and ``2i + 1`` and maps them to ``a_i ∈ [1, p)`` and
+    ``b_i ∈ [0, p)`` by reduction.  Carter–Wegman needs only uniformly
+    drawn ``(a_i, b_i)``; each reduction of a uniform 64-bit word is
+    within statistical distance ``2^-60`` of uniform on its range.
     """
-    rng = np.random.default_rng(seed % (1 << 64))
-    table = np.empty((rows, 2), dtype=np.uint64)
-    table[:, 0] = rng.integers(1, MERSENNE_PRIME_61, size=rows, dtype=np.uint64)
-    table[:, 1] = rng.integers(0, MERSENNE_PRIME_61, size=rows, dtype=np.uint64)
-    return table
+    if np.ndim(seeds) == 0:
+        words = np.array([int(seeds) % (1 << 64)], dtype=np.uint64)
+        return hash_coefficients(words, rows)[0]
+    words = np.asarray(seeds)
+    if words.ndim != 1 or not np.issubdtype(words.dtype, np.integer):
+        raise InvalidParameterError(
+            f"seeds must be an integer or a 1-D integer array, got dtype "
+            f"{words.dtype} with {words.ndim} dimension(s)"
+        )
+    counters = np.arange(1, 2 * rows + 1, dtype=np.uint64) * _GOLDEN_GAMMA
+    draws = _splitmix64(
+        _splitmix64(words.astype(np.uint64))[:, np.newaxis] + counters
+    ).reshape(words.shape[0], rows, 2)
+    draws[..., 0] %= np.uint64(MERSENNE_PRIME_61 - 1)
+    draws[..., 0] += np.uint64(1)
+    draws[..., 1] %= np.uint64(MERSENNE_PRIME_61)
+    return draws
 
 
 def field_hash(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -98,8 +132,18 @@ def field_hash(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
     ``keys`` is a validated ``uint64`` block (:func:`as_key_block`).
     """
-    products = _mulmod_mersenne61(coefficients[:, :1], keys[np.newaxis, :])
-    return _addmod_mersenne61(products, coefficients[:, 1:])
+    return pair_hash(coefficients[:, np.newaxis, :], keys)
+
+
+def pair_hash(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``(a·x + b) mod p`` with ``a = coefficients[..., 0]`` and
+    ``b = coefficients[..., 1]`` broadcast against the ``uint64`` ``keys``.
+
+    A sketch bank gathers one coefficient row per (member, key) pair and
+    hashes every pair in one pass.
+    """
+    products = _mulmod_mersenne61(coefficients[..., 0], keys)
+    return _addmod_mersenne61(products, coefficients[..., 1])
 
 
 @functools.lru_cache(maxsize=64)

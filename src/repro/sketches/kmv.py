@@ -26,16 +26,26 @@ import numpy as np
 
 from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import require_keys, snapshottable
-from .base import DistinctCountSketch, validate_counts
+from .base import DistinctCountSketch, SketchBank, integer_array, validate_counts
 from .hashing import (
     MERSENNE_PRIME_61,
     as_key,
     as_key_block,
     field_hash,
     hash_coefficients,
+    pair_hash,
 )
 
-__all__ = ["KMVSketch", "kmv_size_for_epsilon"]
+__all__ = ["KMVSketch", "KMVBank", "kmv_size_for_epsilon"]
+
+
+def _distinct_estimate(k: int, minima: np.ndarray) -> float:
+    """The distinct-count estimate from ascending retained ``minima``."""
+    if minima.shape[0] < k:
+        # Fewer than k distinct hashes seen: distinct keys never share a
+        # hash, so the count is exact.
+        return float(minima.shape[0])
+    return (k - 1) * MERSENNE_PRIME_61 / float(minima[k - 1])
 
 
 def kmv_size_for_epsilon(epsilon: float, delta: float = 0.05) -> int:
@@ -72,7 +82,7 @@ class KMVSketch(DistinctCountSketch[int]):
             raise InvalidParameterError(f"k must be >= 2, got {k}")
         self._k = int(k)
         self._seed = int(seed)
-        self._coefficients = hash_coefficients(self._seed, 1)
+        self._coefficient_table: np.ndarray | None = None
         # The k smallest distinct hashes seen so far, ascending.
         self._minima = np.empty(0, dtype=np.uint64)
         self._items_processed = 0
@@ -95,6 +105,14 @@ class KMVSketch(DistinctCountSketch[int]):
     @property
     def items_processed(self) -> int:
         return self._items_processed
+
+    @property
+    def _coefficients(self) -> np.ndarray:
+        """The ``(1, 2)`` table of ``(a, b)``, derived from the seed on
+        first use: a sketch that a bank only stacks never needs it."""
+        if self._coefficient_table is None:
+            self._coefficient_table = hash_coefficients(self._seed, 1)
+        return self._coefficient_table
 
     def _absorb(self, values: np.ndarray) -> None:
         """Keep the ``k`` smallest distinct values of the minima and ``values``."""
@@ -191,12 +209,7 @@ class KMVSketch(DistinctCountSketch[int]):
 
     def estimate(self) -> float:
         """Return the estimated number of distinct keys."""
-        retained = self._minima.shape[0]
-        if retained < self._k:
-            # Fewer than k distinct hashes seen: distinct keys never share a
-            # hash, so the count is exact.
-            return float(retained)
-        return (self._k - 1) * MERSENNE_PRIME_61 / float(self._minima[-1])
+        return _distinct_estimate(self._k, self._minima)
 
     def relative_standard_error(self) -> float:
         """Theoretical relative standard error of :meth:`estimate`."""
@@ -205,3 +218,136 @@ class KMVSketch(DistinctCountSketch[int]):
     def size_in_bits(self) -> int:
         # k stored hash values at 64 bits each plus bookkeeping words.
         return 64 * self._k + 3 * 64
+
+
+#: A KMV bank's unoccupied slot: above every hash in ``[0, p)``.
+_EMPTY = np.uint64(np.iinfo(np.uint64).max)
+
+
+class KMVBank(SketchBank):
+    """The KMV sketches of many seeds, sharing ``k``, as one array.
+
+    ``minima`` is ``(members, k)``: member ``i`` keeps its ascending
+    minima in ``minima[i, :occupancy[i]]`` and :data:`_EMPTY` in the other
+    slots, and hashes with row ``i`` of the ``(members, 2)``
+    ``coefficients``.  Member ``i`` equals ``KMVSketch(k, seeds[i])`` fed
+    member ``i``'s keys.
+    """
+
+    sketch_class = KMVSketch
+    _bank_config = ("k",)
+
+    def __init__(self, seeds: np.ndarray, k: int) -> None:
+        super().__init__(seeds)
+        self.k = int(k)
+        self.coefficients = hash_coefficients(self.seeds, 1)[:, 0]
+        self.minima = np.full((self.members, self.k), _EMPTY, dtype=np.uint64)
+        self.occupancy = np.zeros(self.members, dtype=np.int64)
+
+    def update(self, members: np.ndarray, keys: np.ndarray) -> None:
+        """Absorb distinct ``(member, key)`` pairs, members ascending.
+
+        Every pair hashes in one pass.  A hash at or above its member's
+        ``k``-th minimum cannot be retained, so only the others reach the
+        per-member union, which keeps a one-row block cheap.
+        """
+        hashes = pair_hash(self.coefficients[members], keys.astype(np.uint64))
+        kept = hashes < self.minima[members, -1]
+        self._absorb(members[kept], hashes[kept])
+
+    def _absorb(self, members: np.ndarray, values: np.ndarray) -> None:
+        """Fold ``(member, hash)`` pairs, members ascending, into the minima."""
+        if members.size == 0:
+            return
+        touched, firsts, counts = np.unique(
+            members, return_index=True, return_counts=True
+        )
+        pending = np.full(
+            (touched.shape[0], int(counts.max())), _EMPTY, dtype=np.uint64
+        )
+        pending[
+            np.repeat(np.arange(touched.shape[0]), counts),
+            np.arange(members.shape[0]) - np.repeat(firsts, counts),
+        ] = values
+        self._keep_smallest(touched, np.hstack([self.minima[touched], pending]))
+
+    def _keep_smallest(self, rows: np.ndarray | slice, candidates: np.ndarray) -> None:
+        """Set members ``rows`` to the ``k`` smallest distinct values of
+        each row of ``candidates``."""
+        candidates.sort(axis=1)
+        tail = candidates[:, 1:]
+        tail[tail == candidates[:, :-1]] = _EMPTY
+        candidates.sort(axis=1)
+        self.minima[rows] = candidates[:, : self.k]
+        self.occupancy[rows] = np.count_nonzero(
+            candidates[:, : self.k] != _EMPTY, axis=1
+        )
+
+    def merge(self, other: "KMVBank") -> None:
+        """Fold ``other`` in: per member, the ``k`` smallest distinct hashes
+        of both."""
+        self.check_mergeable(other)
+        self._keep_smallest(slice(None), np.hstack([self.minima, other.minima]))
+
+    def estimate(self, member: int) -> float:
+        """Member ``member``'s distinct-count estimate, as
+        :meth:`KMVSketch.estimate` gives it."""
+        return _distinct_estimate(
+            self.k, self.minima[member, : self.occupancy[member]]
+        )
+
+    def state_dict(self) -> dict:
+        """``k``, the seeds as gaps, the occupancies, and the occupied
+        minima as per-member gaps, member after member."""
+        occupied = np.arange(self.k) < self.occupancy[:, np.newaxis]
+        gaps = np.diff(self.minima, axis=1, prepend=np.uint64(0))
+        return {
+            **self._base_state(),
+            "occupancy": self.occupancy.astype(np.min_scalar_type(self.k)),
+            "minima_gaps": gaps[occupied],
+        }
+
+    @classmethod
+    def from_state_dict(cls, state: dict, members: int, rows: int) -> "KMVBank":
+        """Restore a bank of ``members`` sketches that each saw ``rows`` keys.
+
+        Refuses a wrong shape, an occupancy above ``k`` or ``rows``, and
+        minima that are not strictly increasing or not below ``p``.
+        """
+        require_keys(state, ("k", "seed_gaps", "occupancy", "minima_gaps"), "KMVBank")
+        k = int(state["k"])
+        if k < 2:
+            raise SnapshotError(f"KMVBank: k must be >= 2, got {k}")
+        bank = cls(cls._restored_seeds(state, members, "KMVBank"), k)
+        occupancy = integer_array(
+            state["occupancy"], (members,), "KMVBank: 'occupancy'"
+        )
+        if members and int(occupancy.max()) > min(k, rows):
+            raise SnapshotError(
+                f"KMVBank: an occupancy of {int(occupancy.max())} exceeds k = {k} "
+                f"or the {rows} rows observed"
+            )
+        occupied = np.arange(k) < occupancy[:, np.newaxis]
+        gaps = integer_array(
+            state["minima_gaps"],
+            (int(np.count_nonzero(occupied)),),
+            "KMVBank: 'minima_gaps'",
+        )
+        if gaps.size and int(gaps.max()) >= MERSENNE_PRIME_61:
+            raise SnapshotError("KMVBank: a minima gap is not below 2^61 - 1")
+        minima = np.zeros((members, k), dtype=np.uint64)
+        minima[occupied] = gaps
+        # Gaps below p wrap at most once per step, so a wrap shows as a
+        # decrease.
+        minima = np.cumsum(minima, axis=1, dtype=np.uint64)
+        if bool((occupied[:, 1:] & (minima[:, 1:] <= minima[:, :-1])).any()) or (
+            gaps.size and int(minima[occupied].max()) >= MERSENNE_PRIME_61
+        ):
+            raise SnapshotError(
+                "KMVBank: every member's minima must be strictly increasing "
+                "hashes in [0, 2^61 - 1)"
+            )
+        minima[~occupied] = _EMPTY
+        bank.minima = minima
+        bank.occupancy = occupancy.astype(np.int64)
+        return bank

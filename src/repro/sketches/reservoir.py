@@ -30,7 +30,7 @@ from typing import Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, SnapshotError
 from ..persistence import (
     require_keys,
     rng_from_state,
@@ -190,16 +190,28 @@ class ReservoirSampler(MergeableSketch[RowT], Generic[RowT]):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore sample and RNG so further updates are bit-identical."""
+        """Restore sample and RNG so further updates are bit-identical.
+
+        A sampler retains at most ``capacity`` rows and at most one per
+        item processed; any other state is refused.
+        """
         require_keys(
             state,
             ("capacity", "rng", "reservoir", "items_processed"),
             "ReservoirSampler",
         )
         self.__init__(capacity=int(state["capacity"]))  # type: ignore[misc]
+        reservoir = list(state["reservoir"])
+        items_processed = int(state["items_processed"])
+        if not len(reservoir) <= min(self._capacity, items_processed):
+            raise SnapshotError(
+                f"ReservoirSampler: {len(reservoir)} retained rows exceed the "
+                f"capacity {self._capacity} or the {items_processed} items "
+                "processed"
+            )
         self._rng = rng_from_state(state["rng"])
-        self._reservoir = list(state["reservoir"])
-        self._items_processed = int(state["items_processed"])
+        self._reservoir = reservoir
+        self._items_processed = items_processed
 
     def sample(self) -> list[RowT]:
         """Return a copy of the current sample."""
@@ -327,16 +339,34 @@ class WithReplacementSampler(MergeableSketch[RowT], Generic[RowT]):
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore slots and RNG so further updates are bit-identical."""
+        """Restore slots and RNG so further updates are bit-identical.
+
+        A sampler holds one slot per draw, none filled before the first
+        item, and a non-negative item count; any other state is refused.
+        """
         require_keys(
             state,
             ("draws", "rng", "slots", "items_processed"),
             "WithReplacementSampler",
         )
         self.__init__(draws=int(state["draws"]))  # type: ignore[misc]
+        slots = list(state["slots"])
+        items_processed = int(state["items_processed"])
+        if len(slots) != self._draws:
+            raise SnapshotError(
+                f"WithReplacementSampler: {len(slots)} slots for "
+                f"{self._draws} draws"
+            )
+        if items_processed < 0 or (
+            items_processed == 0 and any(slot is not None for slot in slots)
+        ):
+            raise SnapshotError(
+                f"WithReplacementSampler: filled slots or a negative count "
+                f"with items_processed = {items_processed}"
+            )
         self._rng = rng_from_state(state["rng"])
-        self._slots = list(state["slots"])
-        self._items_processed = int(state["items_processed"])
+        self._slots = slots
+        self._items_processed = items_processed
 
     def sample(self) -> list[RowT]:
         """Return the ``t`` draws (empty list if no data has been observed)."""

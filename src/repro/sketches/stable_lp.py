@@ -18,6 +18,7 @@ materialised.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 
@@ -60,12 +61,15 @@ def sample_p_stable(p: float, rng: np.random.Generator, size: int) -> np.ndarray
     return (numerator / denominator) * correction
 
 
+@functools.lru_cache(maxsize=16)
 def median_of_absolute_stable(p: float, samples: int = 200_001, seed: int = 7) -> float:
     """Estimate the median of ``|X|`` for ``X`` standard p-stable.
 
     The scaling constant needed to de-bias the median estimator has no closed
     form for general ``p``; a one-off Monte-Carlo estimate (deterministic via
-    the fixed seed) is accurate to well under a percent and cached by callers.
+    the fixed seed) is accurate to well under a percent.  It is cached, so
+    the sketches of an α-net share one estimate instead of each drawing
+    200,001 samples.
     """
     if p == 1.0:  # repro: noqa[KER002] — median of |Cauchy| is exactly 1
         return 1.0

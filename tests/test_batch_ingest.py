@@ -178,11 +178,12 @@ def _referee_plan() -> SketchPlan:
     )
 
 
-@pytest.mark.parametrize("path", ["rows", "blocks"])
+@pytest.mark.parametrize("path", ["rows", "blocks", "one-row-blocks"])
 def test_alpha_net_members_equal_standalone_sketches_fed_canonical_keys(path):
-    """The canonical-key referee: member i's sketches equal, state_dict for
-    state_dict, standalone sketches with the same seeds fed Remark 1's
-    index of every row's pattern on member i, row by row."""
+    """The canonical-key referee: member i's slices of the KMV and
+    Count-Min banks equal, array for array, standalone sketches with the
+    same seeds fed Remark 1's index of every row's pattern on member i,
+    row by row."""
     estimator = AlphaNetEstimator(
         n_columns=D, alpha=0.3, plan=_referee_plan(), alphabet_size=3
     )
@@ -190,25 +191,26 @@ def test_alpha_net_members_equal_standalone_sketches_fed_canonical_keys(path):
     if path == "rows":
         for row in rows.tolist():
             estimator.observe_row(row)
-    else:
+    elif path == "blocks":
         for _, block in STREAM.iter_batches(128):
             estimator.observe_rows(block)
+    else:
+        for row in rows:
+            estimator.observe_rows(row[np.newaxis, :])
     plan = _referee_plan()
+    distinct, point = estimator._distinct, estimator._point
     for index, member in enumerate(estimator._members):
-        keys = [
-            word_to_index(project_word(row, member.columns), 3)
-            for row in rows.tolist()
-        ]
-        for sketch, standalone in (
-            (estimator._distinct_sketches[index], plan.distinct_factory(index)),
-            (estimator._point_sketches[index], plan.point_factory(index)),
-        ):
-            for key in keys:
-                standalone.update(key)
-            want, got = standalone.state_dict(), sketch.state_dict()
-            assert want.keys() == got.keys()
-            for name in want:
-                assert np.array_equal(want[name], got[name]), (member, name)
+        kmv, countmin = plan.distinct_factory(index), plan.point_factory(index)
+        for row in rows.tolist():
+            key = word_to_index(project_word(row, member.columns), 3)
+            kmv.update(key)
+            countmin.update(key)
+        occupied = distinct.occupancy[index]
+        assert np.array_equal(distinct.coefficients[index], kmv._coefficients[0])
+        assert np.array_equal(distinct.minima[index, :occupied], kmv._minima), member
+        assert np.array_equal(point.coefficients[index], countmin._coefficients)
+        assert np.array_equal(point.table[index], countmin._table), member
+        assert distinct.estimate(index) == kmv.estimate()
 
 
 # -- observe_rows validation and version counter ----------------------------------

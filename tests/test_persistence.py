@@ -54,6 +54,7 @@ from repro.persistence import (
     to_bytes,
 )
 from repro.sketches import (
+    MERSENNE_PRIME_61,
     CountMinSketch,
     DistinctCountSketch,
     FrequencyMomentSketch,
@@ -425,29 +426,29 @@ def _pinned_alphanet() -> AlphaNetEstimator:
 PINNED_SNAPSHOT_SHA256 = {
     "kmv": (
         lambda: _pinned_sketch(KMVSketch(k=32, seed=3)),
-        "87ec96d6d1c9c21bc5579b9b54ca48bdc9bfec7a5d9d679b9002ce1a669c57cb",
+        "3b366c6e248e4403cbff3d51348a1d6ad220f684e63dec2f27a62ad6c9d828a4",
     ),
     "countmin": (
         lambda: _pinned_sketch(CountMinSketch(width=64, depth=4, seed=3)),
-        "c445041fd530c05ca7fe2af23241ff6a603b60a145c39f3fa61c8ee4e8343524",
+        "3caae23bf8878e19b83b16a6a5a84ef3c1547cf75b7d741ec99626344eca7465",
     ),
     "alphanet-kmv-countmin": (
         lambda: _pinned_estimator(_pinned_alphanet()),
-        "9f6aafe49500fab8ec03fb96a5f253106a855188158a887bc7ab5e4529142e67",
+        "54df67a4d9839f4b91d4a05b1dd32f0098b57e7b86e0ca81def1f104f2aab31f",
     ),
     "usample-reservoir": (
         lambda: _pinned_estimator(UniformSampleEstimator(8, 64, seed=3)),
-        "c06f75e0882856f29727ad8f421e59a23261d75ed70106526301a21a45cc4baf",
+        "ec560dd14913ee8638a369c171653e56a61c38a8c0268e21c5c81920ef645e53",
     ),
     "usample-with-replacement": (
         lambda: _pinned_estimator(
             UniformSampleEstimator(8, 32, with_replacement=True, seed=3)
         ),
-        "447c68cced02e3a7c2aa884b71e9182005937f77ec96af0dbeeb55ca4271e55b",
+        "ea6ff3710c55e56f213f3e6e2ce1f48857716c404009af450a462d7c3e264728",
     ),
     "exact": (
         lambda: _pinned_estimator(ExactBaseline(n_columns=8)),
-        "64be80feab284ea0f3a375c217fae8426df58f11f0341f2fad6ae0988095736b",
+        "ec97c6acf0ad4c95d9b219399b4f7c7a4573fa2650979dfd6f2a56b5899ef062",
     ),
 }
 
@@ -587,22 +588,207 @@ def test_sketch_restore_refuses_states_no_ingest_could_produce(make, changes, me
         _restore_with(sketch, **changes)
 
 
+def _fed_sampler(sampler):
+    sampler.update_block([(i % 5, i % 3) for i in range(20)])
+    return sampler
+
+
+def _usample_state(with_replacement: bool, change) -> dict:
+    estimator = _pinned_estimator(
+        UniformSampleEstimator(8, 16, with_replacement=with_replacement, seed=3)
+    )
+    state = estimator.state_dict()
+    summary = dict(state["summary"])
+    state = dict(state, summary=summary)
+    change(state, summary)
+    return state
+
+
+def _resized_sampler(state: dict, summary: dict) -> None:
+    """A sampler of another size, fed the same rows."""
+    sampler = summary["sampler"]
+    if isinstance(sampler, WithReplacementSampler):
+        other = WithReplacementSampler(draws=sampler.draws + 1, seed=3)
+    else:
+        other = ReservoirSampler(capacity=sampler.capacity + 1, seed=3)
+    other.update_block(
+        np.random.default_rng(12).integers(0, 2, size=(300, 8))
+    )
+    summary["sampler"] = other
+
+
+@pytest.mark.parametrize(
+    ("make", "changes", "message"),
+    [
+        (
+            lambda: _fed_sampler(ReservoirSampler(capacity=4, seed=1)),
+            {"reservoir": [(0, 0)] * 5},
+            "5 retained rows exceed the capacity 4",
+        ),
+        (
+            lambda: _fed_sampler(ReservoirSampler(capacity=4, seed=1)),
+            {"items_processed": 3},
+            "or the 3 items processed",
+        ),
+        (
+            lambda: _fed_sampler(WithReplacementSampler(draws=4, seed=1)),
+            {"slots": [(0, 0)] * 3},
+            "3 slots for 4 draws",
+        ),
+        (
+            lambda: WithReplacementSampler(draws=4, seed=1),
+            {"slots": [None, (0, 1), None, None]},
+            "items_processed = 0",
+        ),
+    ],
+    ids=[
+        "reservoir-over-capacity",
+        "reservoir-over-items",
+        "with-replacement-slot-count",
+        "with-replacement-filled-before-any-item",
+    ],
+)
+def test_sampler_restore_refuses_states_no_ingest_could_produce(make, changes, message):
+    """Each corrupted sampler state raises SnapshotError; the uncorrupted
+    one loads."""
+    sampler = make()
+    assert _restore_with(sampler).state_dict().keys() == sampler.state_dict().keys()
+    with pytest.raises(SnapshotError, match=message):
+        _restore_with(sampler, **changes)
+
+
+@pytest.mark.parametrize(
+    ("with_replacement", "change", "message"),
+    [
+        (False, lambda state, summary: state.update(rows_observed=10**6), "rows_observed = 1000000"),
+        (True, lambda state, summary: state.update(rows_observed=299), "rows_observed = 299"),
+        (False, _resized_sampler, "size 17 for sample_size = 16"),
+        (True, _resized_sampler, "size 17 for sample_size = 16"),
+    ],
+    ids=["reservoir-rows", "with-replacement-rows", "reservoir-size", "with-replacement-size"],
+)
+def test_usample_restore_refuses_a_sampler_of_other_rows_or_size(
+    with_replacement, change, message
+):
+    """uSample's n/t scale reads rows_observed, so the sampler must have
+    seen exactly those rows, and it must hold sample_size rows."""
+    UniformSampleEstimator.from_state_dict(
+        _usample_state(with_replacement, lambda state, summary: None)
+    )
+    with pytest.raises(SnapshotError, match=message):
+        UniformSampleEstimator.from_state_dict(_usample_state(with_replacement, change))
+
+
 @pytest.mark.parametrize("family", ["distinct", "point"])
 def test_alpha_net_restore_refuses_sketches_that_saw_other_rows(family):
-    """Every member sketch sees every row, so each one's items_processed
-    must equal rows_observed; F1 would otherwise answer a made-up count."""
-    estimator = _pinned_estimator(_pinned_alphanet())
-    state = estimator.state_dict()
+    """Every member sketch sees every row, so each bank must be one that
+    rows_observed rows could fill; F1 would otherwise answer a made-up
+    count."""
+    state = _pinned_estimator(_pinned_alphanet()).state_dict()
+    other = "point" if family == "distinct" else "distinct"
+    state = dict(state, summary=dict(state["summary"], **{other: None}))
     AlphaNetEstimator.from_state_dict(state)
-    stale = dict(state, rows_observed=7)
-    with pytest.raises(SnapshotError, match="rows_observed = 7"):
-        AlphaNetEstimator.from_state_dict(stale)
-    sketches = list(state["summary"][family])
-    sketches[3] = type(sketches[3]).from_state_dict(sketches[3].state_dict())
-    sketches[3].update(0)  # a consistent sketch that saw one row more
-    corrupted = dict(state, summary=dict(state["summary"], **{family: sketches}))
-    with pytest.raises(SnapshotError, match=f"{family} sketches"):
-        AlphaNetEstimator.from_state_dict(corrupted)
+    with pytest.raises(SnapshotError, match="7 rows"):
+        AlphaNetEstimator.from_state_dict(dict(state, rows_observed=7))
+
+
+def _bank_state_with(family: str, change, rows: int = 300) -> dict:
+    """The pinned α-net's state, fed its first ``rows`` rows, with
+    ``change`` applied to one bank's state."""
+    estimator = _pinned_alphanet()
+    estimator.observe_rows(np.random.default_rng(12).integers(0, 2, size=(rows, 8)))
+    state = estimator.state_dict()
+    bank = dict(state["summary"][family])
+    change(bank)
+    return dict(state, summary=dict(state["summary"], **{family: bank}))
+
+
+def _last_member_gap(slot: int, value: int):
+    """Set the gap at ``slot`` of the last member, the net's full column
+    set, whose minima are the last gaps."""
+
+    def change(bank: dict) -> None:
+        gaps = bank["minima_gaps"].copy()
+        gaps[len(gaps) - int(bank["occupancy"][-1]) + slot] = value
+        bank["minima_gaps"] = gaps
+
+    return change
+
+
+def _last_member_holds_one_more(bank: dict) -> None:
+    """The last member keeps one more minimum, just above its largest."""
+    occupancy = bank["occupancy"].copy()
+    occupancy[-1] += 1
+    bank["occupancy"] = occupancy
+    bank["minima_gaps"] = np.append(bank["minima_gaps"], np.uint64(1))
+
+
+def _negative_counter(bank: dict) -> None:
+    """Move one count into a -1 so every row still sums to rows_observed."""
+    counters = bank["counters"].astype(np.int64)
+    moved = counters[0, 0, 0] + 1
+    counters[0, 0, 0] -= moved
+    counters[0, 0, 1] += moved
+    bank["counters"] = counters
+
+
+def _truncated(name: str):
+    def change(bank: dict) -> None:
+        bank[name] = bank[name][..., :-1]
+
+    return change
+
+
+def _one_more_count(bank: dict) -> None:
+    counters = bank["counters"].copy()
+    counters[5, 1, 0] += 1
+    bank["counters"] = counters
+
+
+@pytest.mark.parametrize(
+    ("family", "change", "rows", "message"),
+    [
+        ("distinct", _truncated("seed_gaps"), 300, "'seed_gaps' must be an integer array of shape"),
+        ("distinct", _truncated("occupancy"), 300, "'occupancy' must be an integer array of shape"),
+        ("distinct", _truncated("minima_gaps"), 300, "'minima_gaps' must be an integer array of shape"),
+        ("distinct", _last_member_gap(1, 0), 300, "strictly increasing"),
+        ("distinct", _last_member_gap(2, MERSENNE_PRIME_61), 300, "not below 2\\^61 - 1"),
+        (
+            "distinct",
+            _last_member_gap(3, MERSENNE_PRIME_61 - 1),
+            300,
+            "strictly increasing hashes in \\[0, 2\\^61 - 1\\)",
+        ),
+        ("distinct", _last_member_holds_one_more, 300, "exceeds k = 16"),
+        ("distinct", _last_member_holds_one_more, 5, "or the 5 rows observed"),
+        ("point", _truncated("seed_gaps"), 300, "'seed_gaps' must be an integer array of shape"),
+        ("point", _truncated("counters"), 300, "'counters' must be an integer array of shape"),
+        ("point", _negative_counter, 300, "negative"),
+        ("point", _one_more_count, 300, "sum to the 300 rows"),
+    ],
+    ids=[
+        "kmv-seed-shape",
+        "kmv-occupancy-shape",
+        "kmv-minima-shape",
+        "kmv-repeated-minimum",
+        "kmv-gap-not-below-p",
+        "kmv-minimum-not-below-p",
+        "kmv-occupancy-above-k",
+        "kmv-occupancy-above-rows",
+        "countmin-seed-shape",
+        "countmin-counter-shape",
+        "countmin-negative-counter",
+        "countmin-row-sum",
+    ],
+)
+def test_alpha_net_restore_refuses_banks_no_ingest_could_produce(
+    family, change, rows, message
+):
+    """Each corrupted bank state raises SnapshotError; the uncorrupted one
+    loads."""
+    AlphaNetEstimator.from_state_dict(_bank_state_with(family, lambda bank: None, rows))
+    with pytest.raises(SnapshotError, match=message):
+        AlphaNetEstimator.from_state_dict(_bank_state_with(family, change, rows))
 
 
 def _countmin_state_with(change) -> dict:
@@ -737,7 +923,7 @@ def test_checkpoint_file_declares_the_checkpoint_format(tmp_path):
     engine.save_checkpoint(path)
     envelope = load_envelope(path.read_bytes())
     assert set(envelope) == {"format", "config", "merged"}
-    assert envelope["format"] == CHECKPOINT_FORMAT == "repro/engine-checkpoint@4"
+    assert envelope["format"] == CHECKPOINT_FORMAT == "repro/engine-checkpoint@5"
     assert envelope["config"]["n_shards"] == 1
 
 
@@ -805,7 +991,7 @@ def test_version_2_checkpoints_and_version_1_snapshots_are_refused(tmp_path):
     _write_unchecked_envelope(snapshot, envelope)
     with pytest.raises(SnapshotError, match="estimator-snapshot@1"):
         from_bytes(snapshot.read_bytes())
-    assert SNAPSHOT_FORMAT == "repro/estimator-snapshot@3"
+    assert SNAPSHOT_FORMAT == "repro/estimator-snapshot@4"
 
 
 def test_version_3_checkpoints_and_version_2_snapshots_are_refused(tmp_path):
@@ -831,6 +1017,33 @@ def test_version_3_checkpoints_and_version_2_snapshots_are_refused(tmp_path):
     envelope["format"] = "repro/estimator-snapshot@2"
     _write_unchecked_envelope(snapshot, envelope)
     with pytest.raises(SnapshotError, match="estimator-snapshot@2"):
+        from_bytes(snapshot.read_bytes())
+
+
+def test_version_4_checkpoints_and_version_3_snapshots_are_refused(tmp_path):
+    """Files written before the coefficients were derived counter-based
+    are refused with their format named: an ``@3`` sketch restored under
+    today's derivation would mix two hash functions."""
+    engine = _engine(
+        lambda: AlphaNetEstimator(8, alpha=0.25, plan=SketchPlan.default_f0(seed=3)),
+        n_shards=2,
+        backend="serial",
+    )
+    path = tmp_path / "engine.ckpt"
+    engine.save_checkpoint(path)
+    envelope = load_envelope(path.read_bytes())
+    envelope["format"] = "repro/engine-checkpoint@4"
+    _write_unchecked_envelope(path, envelope)
+    with pytest.raises(SnapshotError, match="engine-checkpoint@4"):
+        Coordinator.load_checkpoint(path)
+    with pytest.raises(SnapshotError, match="engine-checkpoint@4"):
+        QueryService.from_checkpoint(str(path))
+
+    snapshot = tmp_path / "estimator.snapshot"
+    envelope = load_envelope(KMVSketch(k=8, seed=1).to_bytes())
+    envelope["format"] = "repro/estimator-snapshot@3"
+    _write_unchecked_envelope(snapshot, envelope)
+    with pytest.raises(SnapshotError, match="estimator-snapshot@3"):
         from_bytes(snapshot.read_bytes())
 
 
@@ -936,9 +1149,15 @@ class _UnregisteredKMV(KMVSketch):
     """A sketch subclass that is deliberately NOT in the snapshot registry."""
 
 
+class _UnregisteredStableLp(StableLpSketch):
+    """A sketch subclass that is deliberately NOT in the snapshot registry."""
+
+
 def _unregistered_plan() -> SketchPlan:
     return SketchPlan(
-        distinct_factory=lambda index: _UnregisteredKMV(k=16, seed=index)
+        moment_factory=lambda index: _UnregisteredStableLp(
+            p=1.0, width=8, depth=1, seed=index
+        )
     )
 
 
@@ -959,6 +1178,56 @@ def test_worker_backends_refuse_unregistered_components():
         engine = Coordinator(factory, n_shards=2, backend=backend)
         with pytest.raises(EstimationError, match="snapshot bytes"):
             engine.ingest(RowStream(data))
+
+
+def _fed_kmv(index: int) -> KMVSketch:
+    sketch = KMVSketch(k=16, seed=index)
+    sketch.update(index)
+    return sketch
+
+
+@pytest.mark.parametrize(
+    ("plan", "message"),
+    [
+        (
+            SketchPlan(distinct_factory=lambda index: KMVSketch(k=16 + index % 2, seed=index)),
+            "share k",
+        ),
+        (
+            SketchPlan(
+                point_factory=lambda index: CountMinSketch(
+                    width=32, depth=3 + index % 2, seed=index
+                )
+            ),
+            "share width, depth",
+        ),
+        (
+            SketchPlan(
+                point_factory=lambda index: CountMinSketch(
+                    width=32 + index % 2, depth=3, seed=index
+                )
+            ),
+            "share width, depth",
+        ),
+        (
+            SketchPlan(distinct_factory=lambda index: _UnregisteredKMV(k=16, seed=index)),
+            "KMVSketch sketches only, got a _UnregisteredKMV",
+        ),
+        (
+            SketchPlan(point_factory=lambda index: KMVSketch(k=16, seed=index)),
+            "CountMinSketch sketches only, got a KMVSketch",
+        ),
+        (SketchPlan(distinct_factory=_fed_kmv), "empty KMVSketch sketches only"),
+    ],
+    ids=["kmv-k", "countmin-depth", "countmin-width", "kmv-subclass", "countmin-class", "non-empty"],
+)
+def test_alpha_net_refuses_sketches_it_cannot_stack(plan, message):
+    """A bank stacks empty sketches of exactly one class and configuration;
+    anything else is refused at construction."""
+    from repro.errors import InvalidParameterError
+
+    with pytest.raises(InvalidParameterError, match=message):
+        AlphaNetEstimator(6, alpha=0.3, plan=plan)
 
 
 # -- scenario checkpoint bundles -------------------------------------------------

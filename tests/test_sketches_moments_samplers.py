@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,29 @@ def _replay(counts: dict[int, int], sketch) -> None:
         sketch.update(item, count)
 
 
+def _miss_budget(trials: int, rate: float) -> int:
+    """The fewest misses ``b`` with ``P(Binomial(trials, rate) > b) < 10^-3``.
+
+    A seeded accuracy test checks one draw of the hash functions; a sweep
+    over sketch seeds against this budget checks the sketch.
+    """
+    budget = 0
+    while sum(
+        math.comb(trials, misses) * rate**misses * (1 - rate) ** (trials - misses)
+        for misses in range(budget + 1, trials + 1)
+    ) >= 1e-3:
+        budget += 1
+    return budget
+
+
+#: Sketch seeds each norm-accuracy sweep runs.
+NORM_SWEEP_SEEDS = 100
+
+#: Share of sketch seeds 0-999 whose norm estimate missed the 35% bound,
+#: measured per p before the sweep replaced the one-seed test.
+NORM_MISS_RATE = {0.5: 13 / 1000, 1.0: 0.0, 1.5: 0.0, 2.0: 0.0}
+
+
 class TestStableLp:
     def test_p_stable_sampler_shapes_and_special_cases(self):
         rng = np.random.default_rng(0)
@@ -44,11 +69,16 @@ class TestStableLp:
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
     def test_norm_estimate_accuracy(self, p):
+        """Over a sweep of sketch seeds, at most the miss budget of
+        estimates are off by 35% or more."""
         counts = {item: count for item, count in _skewed_counts(20, seed=3).items()}
         true_norm = sum(c**p for c in counts.values()) ** (1.0 / p)
-        sketch = StableLpSketch(p=p, width=256, depth=3, seed=4)
-        _replay(counts, sketch)
-        assert abs(sketch.norm_estimate() - true_norm) / true_norm < 0.35
+        misses = 0
+        for seed in range(NORM_SWEEP_SEEDS):
+            sketch = StableLpSketch(p=p, width=256, depth=3, seed=seed)
+            _replay(counts, sketch)
+            misses += abs(sketch.norm_estimate() - true_norm) / true_norm >= 0.35
+        assert misses <= _miss_budget(NORM_SWEEP_SEEDS, NORM_MISS_RATE[p])
 
     def test_fp_estimate_is_norm_to_the_p(self):
         sketch = StableLpSketch(p=0.5, width=64, depth=1, seed=4)

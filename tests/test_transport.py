@@ -552,6 +552,40 @@ def test_socket_disconnect_mid_ingest_fail_fast_raises(tmp_path) -> None:
 
 
 @pytest.mark.parametrize("backend", ["processes", "sockets"])
+def test_worker_results_short_of_their_routed_rows_are_refused(
+    backend: str, monkeypatch
+) -> None:
+    """A worker whose summary saw fewer rows than were routed to its shard
+    is refused before anything merges, on both worker backends."""
+    observe_rows = ExactBaseline.observe_rows
+
+    def drop_last_row(self, rows):
+        return observe_rows(self, rows[:-1])
+
+    # Workers forked after this point ingest one row short per block.
+    monkeypatch.setattr(ExactBaseline, "observe_rows", drop_last_row)
+    addresses, processes = (
+        spawn_local_servers(2) if backend == "sockets" else (None, [])
+    )
+    coordinator = Coordinator(
+        _exact_factory,
+        n_shards=2,
+        backend=backend,
+        batch_size=64,
+        worker_addresses=addresses,
+    )
+    try:
+        with pytest.raises(EstimationError, match="rows routed to it"):
+            coordinator.ingest(RowStream(DATA))
+        with pytest.raises(EstimationError, match="nothing ingested"):
+            coordinator.merged_estimator
+    finally:
+        coordinator.close()
+        if addresses:
+            _shutdown_servers(addresses, processes)
+
+
+@pytest.mark.parametrize("backend", ["processes", "sockets"])
 def test_transport_rejects_unsnapshottable_estimators(backend: str) -> None:
     from repro.core.estimator import ProjectedFrequencyEstimator
 
